@@ -38,7 +38,7 @@ from .metric import (
     report_to_csv,
     report_to_json,
 )
-from .persistence import ModelArchive, load_model, save_model
+from .persistence import ModelArchive, load_model, save_model, write_atomically
 from .reduction import ReductionConfig, reduce
 from .topics import (
     build_topic_model,
@@ -83,9 +83,8 @@ def _write_manifest(
         "artifact": {artifact_path: _sha256(artifact_path)},
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
     }
-    with open(artifact_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    write_atomically(artifact_path + ".manifest.json", text.encode("utf-8"))
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
@@ -104,10 +103,6 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subsample-threshold", type=float, default=1e-5)
     p.add_argument("--initial-lr", type=float, default=0.025)
     p.add_argument("--final-lr", type=float, default=1e-4)
-    p.add_argument(
-        "--worker-mode", choices=("deterministic", "parallel"), default="deterministic"
-    )
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--n-neighbors", type=int, default=15)
     p.add_argument("--n-components", type=int, default=5)
     p.add_argument("--min-dist", type=float, default=0.1)
@@ -128,8 +123,6 @@ def _configs_from_args(args: argparse.Namespace):
         initial_lr=args.initial_lr,
         final_lr=args.final_lr,
         seed=args.seed,
-        worker_mode=args.worker_mode,
-        workers=args.workers,
     )
     reduction_config = ReductionConfig(
         n_neighbors=args.n_neighbors,

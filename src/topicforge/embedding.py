@@ -10,14 +10,12 @@ the word vectors that predict their content.
 
 With a hierarchical-softmax output layer there is no per-word output
 matrix; the single trained word matrix serves both as the skip-gram input
-side and as the context-word space consumed downstream, and it is exposed
-under both names.
+side and as the context-word space consumed downstream.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,18 +24,14 @@ from scipy.special import expit
 from .corpus import Document, Vocabulary, build_vocabulary, index_documents
 from .errors import ValidationError
 
-_WORKER_MODES = ("deterministic", "parallel")
-
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Knobs for embedding training.
 
     The learning rate decays linearly from ``initial_lr`` to ``final_lr``
-    over all scheduled center positions.  In deterministic mode a seed
-    fully determines the trained matrices; parallel mode trains document
-    shards on threads with unsynchronized updates and forfeits
-    bit-reproducibility.
+    over all scheduled center positions.  A seed fully determines the
+    trained matrices.
     """
 
     vector_size: int = 300
@@ -48,8 +42,6 @@ class EmbeddingConfig:
     initial_lr: float = 0.025
     final_lr: float = 1e-4
     seed: int = 0
-    worker_mode: str = "deterministic"
-    workers: int = 4
 
     def __post_init__(self) -> None:
         if self.vector_size < 1:
@@ -69,12 +61,6 @@ class EmbeddingConfig:
                 f"need 0 < final_lr <= initial_lr, got "
                 f"{self.final_lr} and {self.initial_lr}"
             )
-        if self.worker_mode not in _WORKER_MODES:
-            raise ValidationError(
-                f"worker_mode must be one of {_WORKER_MODES}, got {self.worker_mode!r}"
-            )
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -240,9 +226,8 @@ def train_step_dbow(
 class SemanticEmbedding:
     """Trained document and word vectors sharing one semantic space.
 
-    ``word_vectors`` is the context-word space that similarity queries and
-    topic words rank against; ``input_word_vectors`` exposes the skip-gram
-    input side, which coincides with it under hierarchical softmax.
+    ``word_vectors`` is both the skip-gram input side and the context-word
+    space that similarity queries and topic words rank against.
     ``epoch_losses`` records the mean per-step negative log-likelihood of
     each training epoch.
     """
@@ -255,55 +240,8 @@ class SemanticEmbedding:
     epoch_losses: list[float] = field(default_factory=list)
 
     @property
-    def input_word_vectors(self) -> np.ndarray:
-        return self.word_vectors
-
-    @property
     def vector_size(self) -> int:
         return self.doc_vectors.shape[1]
-
-
-def _train_documents(
-    embedding: SemanticEmbedding,
-    doc_indices: list[int],
-    token_arrays: list[np.ndarray],
-    config: EmbeddingConfig,
-    rng: np.random.Generator,
-    position_counter: list[int],
-    total_positions: int,
-) -> tuple[float, int]:
-    """Train one pass over the given documents; returns (loss sum, steps)."""
-    word_vectors = embedding.word_vectors
-    doc_vectors = embedding.doc_vectors
-    coding = embedding.coding
-    keep = embedding.vocabulary.keep_probability
-    window = config.window
-    lr0 = config.initial_lr
-    lr_span = config.initial_lr - config.final_lr
-    final_lr = config.final_lr
-    loss_sum = 0.0
-    steps = 0
-    for di in doc_indices:
-        toks = token_arrays[di]
-        length = len(toks)
-        for p in range(length):
-            pos = position_counter[0]
-            position_counter[0] = pos + 1
-            lr = max(final_lr, lr0 - lr_span * (pos / total_positions))
-            left = toks[max(0, p - window) : p]
-            right = toks[p + 1 : p + 1 + window]
-            around = np.concatenate((left, right))
-            draws = rng.random(len(around))
-            survivors = around[draws < keep[around]]
-            if survivors.size == 0:
-                continue
-            center = toks[p]
-            for w in survivors:
-                loss_sum += _apply_hs_step(word_vectors, w, center, coding, lr)
-            for w in survivors:
-                loss_sum += _apply_hs_step(doc_vectors, di, w, coding, lr)
-            steps += 2 * survivors.size
-    return loss_sum, steps
 
 
 def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
@@ -332,41 +270,34 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
         vocabulary=vocab,
         doc_ids=tuple(doc.id for doc in indexed),
     )
-    positions_per_epoch = sum(len(t) for t in token_arrays)
-    total_positions = max(1, config.epochs * positions_per_epoch)
-    doc_indices = list(range(len(indexed)))
-    if config.worker_mode == "deterministic" or config.workers == 1:
-        counter = [0]
-        for _ in range(config.epochs):
-            loss_sum, steps = _train_documents(
-                embedding, doc_indices, token_arrays, config,
-                rng, counter, total_positions,
-            )
-            embedding.epoch_losses.append(loss_sum / max(steps, 1))
-    else:
-        shards = [doc_indices[i :: config.workers] for i in range(config.workers)]
-        shards = [s for s in shards if s]
-        shard_rngs = rng.spawn(len(shards))
-        counter = [0]
-        for _ in range(config.epochs):
-            results: list[tuple[float, int]] = [(0.0, 0)] * len(shards)
-
-            def run(slot: int) -> None:
-                results[slot] = _train_documents(
-                    embedding, shards[slot], token_arrays, config,
-                    shard_rngs[slot], counter, total_positions,
-                )
-
-            threads = [
-                threading.Thread(target=run, args=(s,)) for s in range(len(shards))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            loss_sum = sum(r[0] for r in results)
-            steps = sum(r[1] for r in results)
-            embedding.epoch_losses.append(loss_sum / max(steps, 1))
+    keep = vocab.keep_probability
+    window = config.window
+    lr0 = config.initial_lr
+    final_lr = config.final_lr
+    lr_span = lr0 - final_lr
+    total_positions = max(1, config.epochs * sum(len(t) for t in token_arrays))
+    pos = 0
+    for _ in range(config.epochs):
+        loss_sum = 0.0
+        steps = 0
+        for di, toks in enumerate(token_arrays):
+            for p in range(len(toks)):
+                lr = max(final_lr, lr0 - lr_span * (pos / total_positions))
+                pos += 1
+                left = toks[max(0, p - window) : p]
+                right = toks[p + 1 : p + 1 + window]
+                around = np.concatenate((left, right))
+                draws = rng.random(len(around))
+                survivors = around[draws < keep[around]]
+                if survivors.size == 0:
+                    continue
+                center = toks[p]
+                for w in survivors:
+                    loss_sum += _apply_hs_step(word_vectors, w, center, coding, lr)
+                for w in survivors:
+                    loss_sum += _apply_hs_step(doc_vectors, di, w, coding, lr)
+                steps += 2 * survivors.size
+        embedding.epoch_losses.append(loss_sum / max(steps, 1))
     return embedding
 
 

@@ -8,20 +8,23 @@ memory) as float32, so a save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
 unsupported version, a truncated file, or inconsistent shapes raise
-``ArchiveError`` and never yield a partially loaded model.
+``ArchiveError`` and never yield a partially loaded model.  Version 1
+archives, which stored the word matrix twice, are rejected.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import ClusterConfig, ClusterLabeling
-from .corpus import Vocabulary
+from .corpus import Vocabulary, subsample_keep_probability
 from .embedding import (
     EmbeddingConfig,
     SemanticEmbedding,
@@ -29,15 +32,14 @@ from .embedding import (
 )
 from .errors import ArchiveError
 from .reduction import ReductionConfig
-from .topics import MergeRecord, Topic, TopicModel
+from .topics import MergeRecord, TopicModel, make_topics
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MATRIX_NAMES = (
     "doc_vectors",
     "word_vectors",
-    "input_word_vectors",
     "inner_node_vectors",
     "reduced_coords",
     "topic_vectors",
@@ -69,10 +71,8 @@ class ModelArchive:
     ) -> "ModelArchive":
         """Cast a pipeline's float64 results down to storage precision."""
         f4 = lambda a: np.ascontiguousarray(a, dtype=np.float32)  # noqa: E731
-        coding = build_huffman_coding(
-            embedding.vocabulary, embedding.vector_size
-        )
-        coding.inner_node_vectors = f4(embedding.coding.inner_node_vectors)
+        coding = copy.copy(embedding.coding)
+        coding.inner_node_vectors = f4(coding.inner_node_vectors)
         stored = SemanticEmbedding(
             doc_vectors=f4(embedding.doc_vectors),
             word_vectors=f4(embedding.word_vectors),
@@ -81,19 +81,17 @@ class ModelArchive:
             doc_ids=embedding.doc_ids,
             epoch_losses=list(embedding.epoch_losses),
         )
-        topics = tuple(
-            Topic(
-                vector=f4(t.vector),
-                size=t.size,
-                words=tuple((w, float(s)) for w, s in t.words),
-                member_doc_ids=t.member_doc_ids,
-                provenance=t.provenance,
-            )
-            for t in topic_model.topics
+        assignment = topic_model.assignment.astype(np.int64)
+        topics = make_topics(
+            embedding.doc_ids,
+            f4(topic_model.topic_vector_matrix()),
+            assignment,
+            [t.provenance for t in topic_model.topics],
+            [t.words for t in topic_model.topics],
         )
         model = TopicModel(
             topics=topics,
-            assignment=topic_model.assignment.astype(np.int64),
+            assignment=assignment,
             embedding=stored,
             merge_history=topic_model.merge_history,
         )
@@ -112,7 +110,6 @@ def _matrices(archive: ModelArchive) -> dict[str, np.ndarray]:
     return {
         "doc_vectors": archive.embedding.doc_vectors,
         "word_vectors": archive.embedding.word_vectors,
-        "input_word_vectors": archive.embedding.input_word_vectors,
         "inner_node_vectors": archive.embedding.coding.inner_node_vectors,
         "reduced_coords": archive.reduced_coords,
         "topic_vectors": archive.topic_model.topic_vector_matrix(),
@@ -173,11 +170,27 @@ def archive_to_bytes(archive: ModelArchive) -> bytes:
     return b"".join(parts)
 
 
+def write_atomically(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` in one step.
+
+    The bytes go to a temporary file beside ``path`` that is renamed over
+    it only once fully written, so a failed write leaves any existing file
+    untouched; the temporary file is removed on failure.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_model(archive: ModelArchive, path: str) -> None:
-    """Write the archive to disk."""
-    data = archive_to_bytes(archive)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Write the archive to disk atomically."""
+    write_atomically(path, archive_to_bytes(archive))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -186,7 +199,21 @@ def _require(condition: bool, message: str) -> None:
 
 
 def archive_from_bytes(data: bytes) -> ModelArchive:
-    """Parse and validate an archive byte sequence."""
+    """Parse and validate an archive byte sequence.
+
+    Bytes that do not form a valid archive raise ``ArchiveError`` and no
+    other exception; header values of the wrong type or shape are reported
+    as failed validation.
+    """
+    try:
+        return _parse_archive(data)
+    except ArchiveError:
+        raise
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"archive header failed validation: {exc}") from exc
+
+
+def _parse_archive(data: bytes) -> ModelArchive:
     _require(len(data) >= 12, "archive is truncated before the header")
     _require(data[:4] == MAGIC, "not a topicforge archive (bad magic bytes)")
     (version,) = struct.unpack("<I", data[4:8])
@@ -245,41 +272,34 @@ def archive_from_bytes(data: bytes) -> ModelArchive:
         offset == len(data),
         f"archive has {len(data) - offset} unexpected trailing bytes",
     )
-    try:
-        embedding_config = EmbeddingConfig(**header["embedding_config"])
-        reduction_config = ReductionConfig(**header["reduction_config"])
-        cluster_config = ClusterConfig(**header["cluster_config"])
-        v = header["vocabulary"]
-        words = tuple(v["words"])
-        counts = np.array(v["counts"], dtype=np.int64)
-        from .corpus import subsample_keep_probability
-
-        retained = int(counts.sum())
-        keep = np.array(
-            [
-                subsample_keep_probability(
-                    int(c) / retained, v["subsample_threshold"]
-                )
-                for c in counts
-            ]
-        )
-        vocab = Vocabulary(
-            words=words,
-            counts=counts,
-            total_tokens=int(v["total_tokens"]),
-            min_count=int(v["min_count"]),
-            subsample_threshold=float(v["subsample_threshold"]),
-            keep_probability=keep,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArchiveError(f"archive header failed validation: {exc}") from exc
+    embedding_config = EmbeddingConfig(**header["embedding_config"])
+    reduction_config = ReductionConfig(**header["reduction_config"])
+    cluster_config = ClusterConfig(**header["cluster_config"])
+    v = header["vocabulary"]
+    words = tuple(v["words"])
+    counts = np.array(v["counts"], dtype=np.int64)
+    _require(len(counts) == len(words), "vocabulary words and counts differ in number")
+    retained = int(counts.sum())
+    keep = np.array(
+        [
+            subsample_keep_probability(int(c) / retained, v["subsample_threshold"])
+            for c in counts
+        ]
+    )
+    vocab = Vocabulary(
+        words=words,
+        counts=counts,
+        total_tokens=int(v["total_tokens"]),
+        min_count=int(v["min_count"]),
+        subsample_threshold=float(v["subsample_threshold"]),
+        keep_probability=keep,
+    )
     n_docs = len(header["doc_ids"])
     n_words = len(words)
     dim = embedding_config.vector_size
     shape_checks = (
         ("doc_vectors", (n_docs, dim)),
         ("word_vectors", (n_words, dim)),
-        ("input_word_vectors", (n_words, dim)),
         ("inner_node_vectors", (max(n_words - 1, 0), dim)),
         ("reduced_coords", (n_docs, reduction_config.n_components)),
     )
@@ -327,21 +347,13 @@ def archive_from_bytes(data: bytes) -> ModelArchive:
         n_clusters=n_clusters,
         cluster_stability=np.array(header["cluster_stability"], dtype=np.float64),
     )
-    doc_ids = embedding.doc_ids
-    topics = []
-    for k in range(n_topics):
-        member_idx = np.flatnonzero(assignment == k)
-        topics.append(
-            Topic(
-                vector=blocks["topic_vectors"][k],
-                size=len(member_idx),
-                words=tuple(
-                    (str(w), float(s)) for w, s in header["topic_words"][k]
-                ),
-                member_doc_ids=tuple(doc_ids[i] for i in member_idx),
-                provenance=tuple(int(p) for p in header["topic_provenance"][k]),
-            )
-        )
+    topics = make_topics(
+        embedding.doc_ids,
+        blocks["topic_vectors"],
+        assignment,
+        header["topic_provenance"],
+        header["topic_words"],
+    )
     history = tuple(
         MergeRecord(
             absorbed=int(r["absorbed"]),
@@ -353,7 +365,7 @@ def archive_from_bytes(data: bytes) -> ModelArchive:
         for r in header["merge_history"]
     )
     topic_model = TopicModel(
-        topics=tuple(topics),
+        topics=topics,
         assignment=assignment,
         embedding=embedding,
         merge_history=history,

@@ -11,6 +11,7 @@ similar neighbor with a size-weighted mean.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,14 +113,17 @@ def topic_words(
     return nearest_words(embedding, topic_vector, top_n)
 
 
-def _build_topics(
-    embedding: SemanticEmbedding,
+def make_topics(
+    doc_ids: tuple[str, ...],
     topic_vectors: np.ndarray,
     assignment: np.ndarray,
-    provenance: list[list[int]],
-    words_per_topic: int,
+    provenance: Sequence[Sequence[int]],
+    words: Sequence[Sequence[tuple[str, float]]],
 ) -> tuple[Topic, ...]:
-    doc_ids = embedding.doc_ids
+    """One topic per row of ``topic_vectors``, with the given words.
+
+    Sizes and member documents come from ``assignment``.
+    """
     topics = []
     for k in range(len(topic_vectors)):
         member_idx = np.flatnonzero(assignment == k)
@@ -127,12 +131,23 @@ def _build_topics(
             Topic(
                 vector=topic_vectors[k].copy(),
                 size=len(member_idx),
-                words=tuple(topic_words(embedding, topic_vectors[k], words_per_topic)),
+                words=tuple((str(w), float(s)) for w, s in words[k]),
                 member_doc_ids=tuple(doc_ids[i] for i in member_idx),
-                provenance=tuple(provenance[k]),
+                provenance=tuple(int(p) for p in provenance[k]),
             )
         )
     return tuple(topics)
+
+
+def _build_topics(
+    embedding: SemanticEmbedding,
+    topic_vectors: np.ndarray,
+    assignment: np.ndarray,
+    provenance: list[list[int]],
+    words_per_topic: int,
+) -> tuple[Topic, ...]:
+    words = [topic_words(embedding, v, words_per_topic) for v in topic_vectors]
+    return make_topics(embedding.doc_ids, topic_vectors, assignment, provenance, words)
 
 
 def build_topic_model(

@@ -35,7 +35,11 @@ from topicforge import (
 )
 from topicforge.corpus import tokenize
 from topicforge.embedding import SemanticEmbedding
-from topicforge.persistence import archive_from_bytes, archive_to_bytes
+from topicforge.persistence import (
+    FORMAT_VERSION,
+    archive_from_bytes,
+    archive_to_bytes,
+)
 from topicforge.reduction import smooth_knn_calibrate
 from topicforge.topics import model_topic_spec
 
@@ -405,7 +409,7 @@ def test_c10_archive_round_trip_and_rejection(five_theme_pipeline, tmp_path):
     with pytest.raises(ArchiveError):
         archive_from_bytes(b"NOPE" + data[4:])
     with pytest.raises(ArchiveError):
-        archive_from_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        archive_from_bytes(data[:4] + struct.pack("<I", FORMAT_VERSION + 1) + data[8:])
     with pytest.raises(ArchiveError):
         archive_from_bytes(data[: len(data) // 2])
     with pytest.raises(ArchiveError):

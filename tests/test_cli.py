@@ -3,9 +3,13 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import topicforge
 from topicforge.cli import main
 
 from conftest import make_two_theme_docs
@@ -74,6 +78,27 @@ class TestTrain:
             assert rc == 0
         assert sha256(out_a) == sha256(out_b)
         assert sha256(out_a) == sha256(env["model"])
+
+    def test_bytes_do_not_depend_on_blas_threads(self, env, tmp_path):
+        src = os.path.dirname(os.path.dirname(topicforge.__file__))
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        run = "from topicforge.cli import entry_point; entry_point()"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.tpfg"
+            argv = ["train", "--corpus", str(env["corpus"]), "--output", str(out)]
+            subprocess.run(
+                [sys.executable, "-c", run] + argv + TRAIN_FLAGS,
+                env=dict(
+                    os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath
+                ),
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(sha256(out))
+        assert outputs[0] == outputs[1] == sha256(env["model"])
 
     def test_reports_summary(self, env, tmp_path, capsys):
         out = tmp_path / "c.tpfg"

@@ -66,8 +66,6 @@ class TestConfig:
             {"subsample_threshold": 0.0},
             {"initial_lr": 0.01, "final_lr": 0.02},
             {"final_lr": 0.0},
-            {"worker_mode": "gpu"},
-            {"workers": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -314,11 +312,6 @@ class TestTrain:
         assert np.all(np.isfinite(emb.doc_vectors))
         assert np.all(np.isfinite(emb.word_vectors))
 
-    def test_input_word_vectors_alias(self):
-        docs, _ = make_two_theme_docs(20)
-        emb = train(docs, self.small_config())
-        assert emb.input_word_vectors is emb.word_vectors
-
     def test_same_seed_is_bit_identical(self):
         docs, _ = make_two_theme_docs(15)
         a = train(docs, self.small_config())
@@ -341,14 +334,6 @@ class TestTrain:
         emb = train(docs, self.small_config(epochs=8))
         assert len(emb.epoch_losses) == 8
         assert emb.epoch_losses[-1] < emb.epoch_losses[0]
-
-    def test_parallel_mode_runs(self):
-        docs, _ = make_two_theme_docs(15)
-        emb = train(
-            docs, self.small_config(worker_mode="parallel", workers=3, epochs=2)
-        )
-        assert np.all(np.isfinite(emb.doc_vectors))
-        assert len(emb.epoch_losses) == 2
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):

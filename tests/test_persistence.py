@@ -1,10 +1,14 @@
 """Archive format: round trips, field fidelity, and corruption rejection."""
 
+import functools
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicforge import (
     ArchiveError,
@@ -20,13 +24,15 @@ from topicforge import (
     save_model,
     train,
 )
+from topicforge import persistence
+from topicforge.cli import _write_manifest
 from topicforge.persistence import archive_from_bytes, archive_to_bytes
 
 from conftest import make_two_theme_docs
 
 
-@pytest.fixture(scope="module")
-def archive():
+@functools.cache
+def build_archive():
     docs, _ = make_two_theme_docs(25, seed=9)
     emb_cfg = EmbeddingConfig(
         vector_size=12,
@@ -49,6 +55,16 @@ def archive():
     )
 
 
+@pytest.fixture(scope="module")
+def archive():
+    return build_archive()
+
+
+@functools.cache
+def archive_bytes():
+    return archive_to_bytes(build_archive())
+
+
 def mutate_header(data, mutate):
     """Rewrite the header JSON in place, keeping the matrix blocks."""
     (header_len,) = struct.unpack("<I", data[8:12])
@@ -63,6 +79,18 @@ class TestRoundTrip:
         data = archive_to_bytes(archive)
         loaded = archive_from_bytes(data)
         assert archive_to_bytes(loaded) == data
+
+    def test_declares_five_blocks(self, archive):
+        data = archive_to_bytes(archive)
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + header_len])
+        assert [m["name"] for m in header["matrices"]] == [
+            "doc_vectors",
+            "word_vectors",
+            "inner_node_vectors",
+            "reduced_coords",
+            "topic_vectors",
+        ]
 
     def test_file_round_trip(self, archive, tmp_path):
         path = str(tmp_path / "model.tpfg")
@@ -146,11 +174,12 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    def test_unsupported_version(self, archive):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
-        bumped = data[:4] + struct.pack("<I", 99) + data[8:]
-        with pytest.raises(ArchiveError, match="version 99"):
-            archive_from_bytes(bumped)
+        stamped = data[:4] + struct.pack("<I", version) + data[8:]
+        with pytest.raises(ArchiveError, match=f"version {version}"):
+            archive_from_bytes(stamped)
 
     def test_too_short(self):
         with pytest.raises(ArchiveError, match="truncated"):
@@ -238,3 +267,97 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(str(tmp_path / "nope.tpfg"))
+
+
+def load_or_archive_error(data):
+    try:
+        archive_from_bytes(data)
+    except ArchiveError:
+        pass
+
+
+class TestFuzz:
+    """Damaged archives either load or raise ArchiveError, nothing else.
+
+    The bytes come from ``archive_bytes`` rather than a fixture so that a
+    falsifying example does not print the whole archive.
+    """
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(draw=st.data())
+    def test_truncation(self, draw):
+        data = archive_bytes()
+        n = draw.draw(st.integers(0, len(data) - 1))
+        load_or_archive_error(data[:n])
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(draw=st.data())
+    def test_single_byte_flip(self, draw):
+        data = bytearray(archive_bytes())
+        # Half the draws land in the magic, version and JSON header, where
+        # a flip changes structure rather than one float.
+        (header_len,) = struct.unpack("<I", data[8:12])
+        pos = draw.draw(
+            st.one_of(
+                st.integers(0, 12 + header_len - 1),
+                st.integers(0, len(data) - 1),
+            )
+        )
+        data[pos] ^= draw.draw(st.integers(1, 255))
+        load_or_archive_error(bytes(data))
+
+
+class HalfWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """Call to make every later file write from the persistence module fail."""
+    real_open = open
+    return lambda: monkeypatch.setattr(
+        persistence,
+        "open",
+        lambda *a, **k: HalfWriter(real_open(*a, **k)),
+        raising=False,
+    )
+
+
+class TestAtomicWrite:
+    def test_failed_save_keeps_old_archive(self, archive, tmp_path, fail_writes):
+        path = tmp_path / "model.tpfg"
+        save_model(archive, str(path))
+        before = path.read_bytes()
+        fail_writes()
+        with pytest.raises(OSError, match="no space"):
+            save_model(archive, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.tpfg"]
+
+    def test_failed_manifest_keeps_old_manifest(self, tmp_path, fail_writes):
+        artifact = tmp_path / "topics.txt"
+        artifact.write_text("topic 0\n")
+        manifest = tmp_path / "topics.txt.manifest.json"
+        _write_manifest(str(artifact), "topics", [], {}, [], {})
+        before = manifest.read_bytes()
+        fail_writes()
+        with pytest.raises(OSError, match="no space"):
+            _write_manifest(str(artifact), "topics", ["again"], {}, [], {})
+        assert manifest.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == [
+            "topics.txt",
+            "topics.txt.manifest.json",
+        ]
