@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import time
@@ -181,8 +182,6 @@ def cmd_topics(args: argparse.Namespace, argv: list[str]) -> int:
     if args.format == "json":
         text = json.dumps(listing, indent=2) + "\n"
     elif args.format == "csv":
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["topic_id", "size", "words", "merged_from"])
@@ -205,8 +204,7 @@ def cmd_topics(args: argparse.Namespace, argv: list[str]) -> int:
             )
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomically(args.output, text.encode("utf-8"))
         _write_manifest(
             args.output, "topics", argv, {"top_n": args.top_n}, [args.model], {}
         )
@@ -305,8 +303,7 @@ def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
         report_to_csv(report) if args.format == "csv" else report_to_json(report) + "\n"
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomically(args.output, text.encode("utf-8"))
         _write_manifest(
             args.output, "evaluate", argv, {"top_n": args.top_n}, inputs, {}
         )
@@ -320,39 +317,40 @@ def cmd_export(args: argparse.Namespace, argv: list[str]) -> int:
     doc_ids = archive.embedding.doc_ids
     labels = archive.labeling.labels
     timings: dict[str, float] = {}
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if args.what == "coords2d":
-            config = dataclasses.replace(
-                archive.reduction_config, n_components=2
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if args.what == "coords2d":
+        config = dataclasses.replace(
+            archive.reduction_config, n_components=2
+        )
+        t0 = time.perf_counter()
+        coords = reduce(
+            archive.embedding.doc_vectors.astype(np.float64), config
+        )
+        timings["reduce"] = time.perf_counter() - t0
+        writer.writerow(["doc_id", "x", "y", "label"])
+        for i, doc_id in enumerate(doc_ids):
+            writer.writerow(
+                [
+                    doc_id,
+                    repr(float(coords[i, 0])),
+                    repr(float(coords[i, 1])),
+                    int(labels[i]),
+                ]
             )
-            t0 = time.perf_counter()
-            coords = reduce(
-                archive.embedding.doc_vectors.astype(np.float64), config
+    elif args.what == "labels":
+        writer.writerow(["doc_id", "label", "topic"])
+        assignment = archive.topic_model.assignment
+        for i, doc_id in enumerate(doc_ids):
+            writer.writerow([doc_id, int(labels[i]), int(assignment[i])])
+    else:
+        dim = archive.embedding.vector_size
+        writer.writerow(["doc_id"] + [f"v{j}" for j in range(dim)])
+        for i, doc_id in enumerate(doc_ids):
+            writer.writerow(
+                [doc_id] + [repr(float(x)) for x in archive.embedding.doc_vectors[i]]
             )
-            timings["reduce"] = time.perf_counter() - t0
-            writer.writerow(["doc_id", "x", "y", "label"])
-            for i, doc_id in enumerate(doc_ids):
-                writer.writerow(
-                    [
-                        doc_id,
-                        repr(float(coords[i, 0])),
-                        repr(float(coords[i, 1])),
-                        int(labels[i]),
-                    ]
-                )
-        elif args.what == "labels":
-            writer.writerow(["doc_id", "label", "topic"])
-            assignment = archive.topic_model.assignment
-            for i, doc_id in enumerate(doc_ids):
-                writer.writerow([doc_id, int(labels[i]), int(assignment[i])])
-        else:
-            dim = archive.embedding.vector_size
-            writer.writerow(["doc_id"] + [f"v{j}" for j in range(dim)])
-            for i, doc_id in enumerate(doc_ids):
-                writer.writerow(
-                    [doc_id] + [repr(float(x)) for x in archive.embedding.doc_vectors[i]]
-                )
+    write_atomically(args.output, buf.getvalue().encode("utf-8"))
     _write_manifest(
         args.output, "export", argv, {"what": args.what}, [args.model], timings
     )

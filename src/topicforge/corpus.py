@@ -99,6 +99,20 @@ def subsample_keep_probability(frequency_ratio: float, threshold: float) -> floa
     return min(1.0, math.sqrt(threshold / frequency_ratio))
 
 
+def keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep probability of every word, from its share of the counts' sum.
+
+    Element ``i`` equals ``subsample_keep_probability(counts[i] /
+    counts.sum(), threshold)`` bit for bit.
+    """
+    if np.any(counts <= 0):
+        raise ValidationError("word counts must be positive")
+    if threshold <= 0.0:
+        raise ValidationError(f"subsample threshold must be positive, got {threshold}")
+    ratios = counts / counts.sum()
+    return np.minimum(1.0, np.sqrt(threshold / ratios))
+
+
 def build_vocabulary(
     docs: list[Document],
     min_count: int = 50,
@@ -130,21 +144,13 @@ def build_vocabulary(
     retained.sort(key=lambda item: (-item[1], item[0]))
     words = tuple(w for w, _ in retained)
     counts = np.array([c for _, c in retained], dtype=np.int64)
-    retained_total = int(counts.sum())
-    keep = np.array(
-        [
-            subsample_keep_probability(c / retained_total, subsample_threshold)
-            for c in counts
-        ],
-        dtype=np.float64,
-    )
     return Vocabulary(
         words=words,
         counts=counts,
         total_tokens=total,
         min_count=min_count,
         subsample_threshold=subsample_threshold,
-        keep_probability=keep,
+        keep_probability=keep_probabilities(counts, subsample_threshold),
     )
 
 

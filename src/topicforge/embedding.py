@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -67,44 +68,61 @@ class EmbeddingConfig:
 class HuffmanCoding:
     """Huffman tree over the vocabulary for hierarchical softmax.
 
+    The coding keeps the vocabulary ``counts`` and ``inner_node_vectors``,
+    one trained vector per inner node (a one-word vocabulary has none).
+    The tree itself is only needed to train or to score words, so it is
+    built from the counts the first time ``paths``, ``codes``, ``signs``
+    or ``labels`` is read, and kept from then on; loading and querying a
+    stored model never build it.
+
     ``paths[w]`` lists the inner-node ids on the root-to-leaf path of word
     ``w`` and ``codes[w]`` the branch bit taken at each of them.  Inner
-    node ``n - 2`` is the root.  ``inner_node_vectors`` holds one trained
-    vector per inner node; a one-word vocabulary has none.
+    node ``n - 2`` is the root.  ``signs[w]`` and ``labels[w]`` are the
+    branch bits as ``+-1`` factors and as binary targets.
     """
 
-    paths: tuple[np.ndarray, ...]
-    codes: tuple[np.ndarray, ...]
+    counts: np.ndarray
     inner_node_vectors: np.ndarray
-    signs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    labels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.signs = tuple(1.0 - 2.0 * c.astype(np.float64) for c in self.codes)
-        self.labels = tuple(1.0 - c.astype(np.float64) for c in self.codes)
+    @cached_property
+    def _tree(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        return _huffman_tree(self.counts)
+
+    @cached_property
+    def paths(self) -> tuple[np.ndarray, ...]:
+        return self._tree[0]
+
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, ...]:
+        return self._tree[1]
+
+    @cached_property
+    def signs(self) -> tuple[np.ndarray, ...]:
+        return tuple(1.0 - 2.0 * c.astype(np.float64) for c in self.codes)
+
+    @cached_property
+    def labels(self) -> tuple[np.ndarray, ...]:
+        return tuple(1.0 - c.astype(np.float64) for c in self.codes)
 
     def code_lengths(self) -> np.ndarray:
         return np.array([len(c) for c in self.codes], dtype=np.int64)
 
 
-def build_huffman_coding(vocab: Vocabulary, vector_size: int) -> HuffmanCoding:
-    """Build the Huffman tree from vocabulary counts.
+def _huffman_tree(
+    counts: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Root-to-leaf inner-node paths and branch bits of every word.
 
     Merging is deterministic: the heap orders by (count, tie key) where
     leaves use their word index and internal nodes use ``n + creation
     step``, so at equal weight the lower word index merges first.  The
-    first node popped at each merge takes branch bit 0.  Inner-node
-    vectors start at zero.
+    first node popped at each merge takes branch bit 0.
     """
-    n = len(vocab)
+    n = len(counts)
     if n == 1:
-        return HuffmanCoding(
-            paths=(np.empty(0, dtype=np.int32),),
-            codes=(np.empty(0, dtype=np.int8),),
-            inner_node_vectors=np.zeros((0, vector_size), dtype=np.float64),
-        )
+        return (np.empty(0, dtype=np.int32),), (np.empty(0, dtype=np.int8),)
     heap: list[tuple[int, int, tuple]] = [
-        (int(vocab.counts[i]), i, ("leaf", i)) for i in range(n)
+        (int(counts[i]), i, ("leaf", i)) for i in range(n)
     ]
     heapq.heapify(heap)
     for step in range(n - 1):
@@ -124,10 +142,19 @@ def build_huffman_coding(vocab: Vocabulary, vector_size: int) -> HuffmanCoding:
             _, node_id, left, right = node
             stack.append((left, points + [node_id], bits + [0]))
             stack.append((right, points + [node_id], bits + [1]))
+    return tuple(paths), tuple(codes)
+
+
+def build_huffman_coding(vocab: Vocabulary, vector_size: int) -> HuffmanCoding:
+    """Huffman coding of the vocabulary counts, with zero inner-node vectors.
+
+    The tree is built on first use of its paths or codes.
+    """
     return HuffmanCoding(
-        paths=tuple(paths),
-        codes=tuple(codes),
-        inner_node_vectors=np.zeros((n - 1, vector_size), dtype=np.float64),
+        counts=vocab.counts,
+        inner_node_vectors=np.zeros(
+            (max(len(vocab) - 1, 0), vector_size), dtype=np.float64
+        ),
     )
 
 
@@ -311,32 +338,52 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _rank_by_cosine(
-    matrix: np.ndarray, query: np.ndarray, top_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-n rows of ``matrix`` by cosine against ``query``.
+    matrix: np.ndarray, queries: np.ndarray, top_n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact top-n rows of ``matrix`` by cosine against each row of ``queries``.
 
     Ties rank the lower row index first.  Rows with zero norm sink to the
-    bottom.  Returns (indices, similarities) with top_n clamped to the
-    row count.
+    bottom.  Returns one (indices, similarities) pair per query, with
+    top_n clamped to the row count.  The row norms, and the cast of
+    ``matrix`` to the queries' precision, are computed once per call;
+    each query is still scored with its own matrix-vector product, so a
+    block of queries ranks exactly as the same queries one at a time.
     """
-    qn = float(np.linalg.norm(query))
-    if qn == 0.0:
-        raise ValidationError("query vector has zero norm")
+    queries = np.asarray(queries)
     norms = np.linalg.norm(matrix, axis=1)
-    sims = np.where(
-        norms > 0.0, (matrix @ query) / (np.maximum(norms, 1e-300) * qn), -np.inf
-    )
-    order = np.argsort(-sims, kind="stable")[: max(0, min(top_n, len(sims)))]
-    return order, sims[order]
+    scaled_norms = np.maximum(norms, 1e-300)
+    rows = matrix.astype(np.result_type(matrix, queries), copy=False)
+    k = max(0, min(top_n, len(matrix)))
+    ranked = []
+    for query in queries:
+        qn = float(np.linalg.norm(query))
+        if qn == 0.0:
+            raise ValidationError("query vector has zero norm")
+        sims = np.where(norms > 0.0, (rows @ query) / (scaled_norms * qn), -np.inf)
+        order = np.argsort(-sims, kind="stable")[:k]
+        ranked.append((order, sims[order]))
+    return ranked
+
+
+def nearest_words_each(
+    embedding: SemanticEmbedding, queries: np.ndarray, top_n: int
+) -> list[list[tuple[str, float]]]:
+    """Exact top-n vocabulary words by cosine against each query row.
+
+    Equal to calling ``nearest_words`` once per row, for less work.
+    """
+    words = embedding.vocabulary.words
+    return [
+        [(words[i], float(s)) for i, s in zip(order, sims)]
+        for order, sims in _rank_by_cosine(embedding.word_vectors, queries, top_n)
+    ]
 
 
 def nearest_words(
     embedding: SemanticEmbedding, query: np.ndarray, top_n: int
 ) -> list[tuple[str, float]]:
     """Exact top-n vocabulary words by cosine against the query vector."""
-    order, sims = _rank_by_cosine(embedding.word_vectors, query, top_n)
-    words = embedding.vocabulary.words
-    return [(words[i], float(s)) for i, s in zip(order, sims)]
+    return nearest_words_each(embedding, [query], top_n)[0]
 
 
 def compose_query(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterConfig, ClusterLabeling
-from .corpus import Vocabulary, subsample_keep_probability
+from .corpus import Vocabulary, keep_probabilities
 from .embedding import (
     EmbeddingConfig,
     SemanticEmbedding,
@@ -278,21 +278,17 @@ def _parse_archive(data: bytes) -> ModelArchive:
     v = header["vocabulary"]
     words = tuple(v["words"])
     counts = np.array(v["counts"], dtype=np.int64)
+    _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
-    retained = int(counts.sum())
-    keep = np.array(
-        [
-            subsample_keep_probability(int(c) / retained, v["subsample_threshold"])
-            for c in counts
-        ]
-    )
+    _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
+    threshold = float(v["subsample_threshold"])
     vocab = Vocabulary(
         words=words,
         counts=counts,
         total_tokens=int(v["total_tokens"]),
         min_count=int(v["min_count"]),
-        subsample_threshold=float(v["subsample_threshold"]),
-        keep_probability=keep,
+        subsample_threshold=threshold,
+        keep_probability=keep_probabilities(counts, threshold),
     )
     n_docs = len(header["doc_ids"])
     n_words = len(words)

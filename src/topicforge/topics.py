@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterLabeling
-from .embedding import SemanticEmbedding, nearest_words
+from .embedding import (
+    SemanticEmbedding,
+    _rank_by_cosine,
+    nearest_words,  # noqa: F401  (tfbench wraps topicforge.topics:nearest_words)
+    nearest_words_each,
+)
 from .errors import ValidationError
 from .metric import TopicSpec
 
@@ -88,6 +93,18 @@ def compute_topic_vectors(doc_vectors: np.ndarray, labels: np.ndarray) -> np.nda
     return vectors
 
 
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms == 0.0):
+        raise ValidationError("cannot assign with zero-norm vectors")
+    return vectors / norms[:, None]
+
+
+def _nearest_topics(unit_docs: np.ndarray, topic_vectors: np.ndarray) -> np.ndarray:
+    sims = unit_docs @ _unit_rows(topic_vectors).T
+    return np.argmax(sims, axis=1).astype(np.int64)
+
+
 def assign_documents(
     doc_vectors: np.ndarray, topic_vectors: np.ndarray
 ) -> np.ndarray:
@@ -96,21 +113,7 @@ def assign_documents(
     Noise documents are not special here: everything gets a topic.  Ties
     go to the lower topic index.
     """
-    doc_norms = np.linalg.norm(doc_vectors, axis=1)
-    topic_norms = np.linalg.norm(topic_vectors, axis=1)
-    if np.any(doc_norms == 0.0) or np.any(topic_norms == 0.0):
-        raise ValidationError("cannot assign with zero-norm vectors")
-    sims = (doc_vectors / doc_norms[:, None]) @ (
-        topic_vectors / topic_norms[:, None]
-    ).T
-    return np.argmax(sims, axis=1).astype(np.int64)
-
-
-def topic_words(
-    embedding: SemanticEmbedding, topic_vector: np.ndarray, top_n: int = 10
-) -> list[tuple[str, float]]:
-    """Words nearest a topic vector in the shared semantic space."""
-    return nearest_words(embedding, topic_vector, top_n)
+    return _nearest_topics(_unit_rows(doc_vectors), topic_vectors)
 
 
 def make_topics(
@@ -146,7 +149,7 @@ def _build_topics(
     provenance: list[list[int]],
     words_per_topic: int,
 ) -> tuple[Topic, ...]:
-    words = [topic_words(embedding, v, words_per_topic) for v in topic_vectors]
+    words = nearest_words_each(embedding, topic_vectors, words_per_topic)
     return make_topics(embedding.doc_ids, topic_vectors, assignment, provenance, words)
 
 
@@ -200,6 +203,7 @@ def reduce_topics(
     assignment = model.assignment.copy()
     provenance = [list(t.provenance) for t in model.topics]
     history = list(model.merge_history)
+    unit_docs = _unit_rows(embedding.doc_vectors).astype(vectors.dtype)
     while len(vectors) > target:
         sizes = np.bincount(assignment, minlength=len(vectors))
         s = int(np.argmin(sizes))
@@ -225,7 +229,7 @@ def reduce_topics(
         provenance[t].extend(provenance[s])
         vectors = np.delete(vectors, s, axis=0)
         del provenance[s]
-        assignment = assign_documents(embedding.doc_vectors, vectors)
+        assignment = _nearest_topics(unit_docs, vectors)
     return TopicModel(
         topics=_build_topics(
             embedding, vectors, assignment, provenance, words_per_topic
@@ -240,9 +244,7 @@ def search_documents(
     model: TopicModel, query: np.ndarray, top_n: int = 10
 ) -> list[tuple[str, float]]:
     """Documents nearest the query vector, as (doc id, similarity)."""
-    from .embedding import _rank_by_cosine
-
-    order, sims = _rank_by_cosine(model.embedding.doc_vectors, query, top_n)
+    [(order, sims)] = _rank_by_cosine(model.embedding.doc_vectors, [query], top_n)
     return [(model.doc_ids[i], float(s)) for i, s in zip(order, sims)]
 
 
@@ -250,18 +252,16 @@ def search_topics(
     model: TopicModel, query: np.ndarray, top_n: int = 10
 ) -> list[tuple[int, float]]:
     """Topics nearest the query vector, as (topic index, similarity)."""
-    from .embedding import _rank_by_cosine
-
-    order, sims = _rank_by_cosine(model.topic_vector_matrix(), query, top_n)
+    [(order, sims)] = _rank_by_cosine(model.topic_vector_matrix(), [query], top_n)
     return [(int(i), float(s)) for i, s in zip(order, sims)]
 
 
 def model_topic_spec(model: TopicModel, words_per_topic: int = 10) -> TopicSpec:
     """Hard-assignment evaluation view of a topic model."""
-    words = []
-    for topic in model.topics:
-        ranked = topic_words(model.embedding, topic.vector, words_per_topic)
-        words.append(tuple(w for w, _ in ranked))
+    ranked = nearest_words_each(
+        model.embedding, model.topic_vector_matrix(), words_per_topic
+    )
+    words = [tuple(w for w, _ in topic) for topic in ranked]
     assignments = {
         doc_id: int(t) for doc_id, t in zip(model.doc_ids, model.assignment)
     }
@@ -273,16 +273,17 @@ def topics_to_dicts(model: TopicModel, top_n: int = 10) -> list[dict]:
     order = sorted(
         range(model.n_topics), key=lambda k: (-model.topics[k].size, k)
     )
+    ranked = nearest_words_each(model.embedding, model.topic_vector_matrix(), top_n)
     out = []
     for k in order:
         topic = model.topics[k]
-        ranked = topic_words(model.embedding, topic.vector, top_n)
         out.append(
             {
                 "topic_id": k,
                 "size": topic.size,
                 "words": [
-                    {"word": w, "similarity": round(float(s), 6)} for w, s in ranked
+                    {"word": w, "similarity": round(float(s), 6)}
+                    for w, s in ranked[k]
                 ],
                 "merged_from": list(topic.provenance),
             }

@@ -169,3 +169,43 @@ def small_trained():
         seed=3,
     )
     return train(docs, cfg), docs, themes
+
+
+class HalfWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """Call to make every later file write from the package's writers fail.
+
+    Both modules that open files, ``persistence`` and ``cli``, get an
+    ``open`` whose files opened for writing take half of the first chunk
+    and raise; files opened for reading work as usual.
+    """
+    from topicforge import cli, persistence
+
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    def fail():
+        for module in (persistence, cli):
+            monkeypatch.setattr(module, "open", failing_open, raising=False)
+
+    return fail

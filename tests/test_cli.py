@@ -389,3 +389,66 @@ class TestExport:
             float(row[2])
             assert int(row[3]) >= -1
         assert (tmp_path / "coords.csv.manifest.json").exists()
+
+
+class TestAtomicOutput:
+    """A failed ``--output`` write leaves the earlier output as it was."""
+
+    def rerun_with_failing_writes(self, argv, out, fail_writes, capsys):
+        assert main(argv) == 0
+        before = out.read_bytes()
+        fail_writes()
+        assert main(argv) == 2
+        assert "no space" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(out.parent)) == [out.name, out.name + ".manifest.json"]
+
+    def test_topics(self, env, tmp_path, fail_writes, capsys):
+        out = tmp_path / "topics.json"
+        argv = [
+            "topics", "--model", str(env["model"]),
+            "--format", "json", "--output", str(out),
+        ]
+        self.rerun_with_failing_writes(argv, out, fail_writes, capsys)
+
+    def test_evaluate(self, env, tmp_path, fail_writes, capsys):
+        out = tmp_path / "report.json"
+        argv = [
+            "evaluate", "--model", str(env["model"]),
+            "--corpus", str(env["corpus"]), "--output", str(out),
+        ]
+        self.rerun_with_failing_writes(argv, out, fail_writes, capsys)
+
+    def test_export(self, env, tmp_path, fail_writes, capsys):
+        out = tmp_path / "labels.csv"
+        argv = [
+            "export", "--model", str(env["model"]),
+            "--what", "labels", "--output", str(out),
+        ]
+        self.rerun_with_failing_writes(argv, out, fail_writes, capsys)
+
+
+class _NoHeap:
+    """Stand-in for ``heapq`` that fails on use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"heapq.{name} used: the Huffman tree was built")
+
+
+def test_read_commands_do_not_build_the_huffman_tree(env, tmp_path, monkeypatch, capsys):
+    from topicforge import embedding
+
+    monkeypatch.setattr(embedding, "heapq", _NoHeap())
+    model = str(env["model"])
+    reduced = str(tmp_path / "reduced.tpfg")
+    commands = [
+        ["search", "--model", model, "--words", "ocean", "--what", "topics"],
+        ["search", "--model", model, "--words", "ocean,wave"],
+        ["topics", "--model", model, "--format", "json"],
+        ["evaluate", "--model", model, "--corpus", str(env["corpus"])],
+        ["evaluate", "--model", model, "--corpus", str(env["corpus"]), "--topics", "1"],
+        ["reduce", "--model", model, "--to", "1", "--output", reduced],
+        ["topics", "--model", reduced],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

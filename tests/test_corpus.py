@@ -16,7 +16,7 @@ from topicforge import (
     load_corpus,
     tokenize,
 )
-from topicforge.corpus import subsample_keep_probability
+from topicforge.corpus import keep_probabilities, subsample_keep_probability
 
 
 class TestTokenize:
@@ -72,6 +72,24 @@ class TestKeepProbability:
             subsample_keep_probability(0.0, 1e-5)
         with pytest.raises(ValidationError):
             subsample_keep_probability(0.1, 0.0)
+
+    @pytest.mark.parametrize("threshold", [1e-5, 1e-3, 7e-3, 0.5, 1 / 3])
+    def test_vectorised_form_is_bit_equal(self, threshold):
+        # Counts out of a total of one million, so counts 10, 1,000, 7,000
+        # and 500,000 have ratios exactly at the first four thresholds.
+        counts = np.concatenate([np.arange(1, 601), [1_000, 7_000, 500_000]])
+        counts = np.append(counts, 1_000_000 - counts.sum())
+        total = int(counts.sum())
+        expected = np.array(
+            [subsample_keep_probability(int(c) / total, threshold) for c in counts]
+        )
+        assert np.array_equal(keep_probabilities(counts, threshold), expected)
+
+    def test_vectorised_form_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError):
+            keep_probabilities(np.array([3, 0, 1]), 1e-5)
+        with pytest.raises(ValidationError):
+            keep_probabilities(np.array([3, 2, 1]), 0.0)
 
 
 class TestBuildVocabulary:

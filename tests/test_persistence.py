@@ -24,7 +24,6 @@ from topicforge import (
     save_model,
     train,
 )
-from topicforge import persistence
 from topicforge.cli import _write_manifest
 from topicforge.persistence import archive_from_bytes, archive_to_bytes
 
@@ -256,6 +255,24 @@ class TestRejection:
         with pytest.raises(ArchiveError):
             archive_from_bytes(data)
 
+    def test_empty_vocabulary(self, archive):
+        def empty(h):
+            h["vocabulary"]["words"] = []
+            h["vocabulary"]["counts"] = []
+
+        data = mutate_header(archive_to_bytes(archive), empty)
+        with pytest.raises(ArchiveError, match="vocabulary is empty"):
+            archive_from_bytes(data)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_count(self, archive, count):
+        def tamper(h):
+            h["vocabulary"]["counts"][-1] = count
+
+        data = mutate_header(archive_to_bytes(archive), tamper)
+        with pytest.raises(ArchiveError, match="counts must be positive"):
+            archive_from_bytes(data)
+
     def test_bad_config_value(self, archive):
         def poison(h):
             h["embedding_config"]["vector_size"] = -5
@@ -305,35 +322,6 @@ class TestFuzz:
         )
         data[pos] ^= draw.draw(st.integers(1, 255))
         load_or_archive_error(bytes(data))
-
-
-class HalfWriter:
-    """File stand-in that writes half of what it is given, then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError("no space left on device")
-
-
-@pytest.fixture
-def fail_writes(monkeypatch):
-    """Call to make every later file write from the persistence module fail."""
-    real_open = open
-    return lambda: monkeypatch.setattr(
-        persistence,
-        "open",
-        lambda *a, **k: HalfWriter(real_open(*a, **k)),
-        raising=False,
-    )
 
 
 class TestAtomicWrite:

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from topicforge import (
+    ClusterConfig,
     ClusterLabeling,
+    EmbeddingConfig,
+    ModelArchive,
+    ReductionConfig,
     SemanticEmbedding,
     ValidationError,
     Vocabulary,
     build_huffman_coding,
     build_topic_model,
+    nearest_words,
     reduce_topics,
     search_documents,
     search_topics,
 )
+from topicforge.persistence import archive_from_bytes, archive_to_bytes
 from topicforge.topics import (
     assign_documents,
     compute_topic_vectors,
@@ -266,3 +272,70 @@ class TestEvaluationViews:
         for e in listing:
             for w in e["words"]:
                 assert set(w) == {"word", "similarity"}
+
+
+def stored_planted_model():
+    """A float32 model loaded back from an archive.
+
+    Four planted topics over 40 words in 8 dimensions; word rows 3 and 7
+    are equal, near topic 0, so ranking has to break their tie.
+    """
+    rng = np.random.default_rng(5)
+    dim, n_topics = 8, 4
+    centers = rng.standard_normal((n_topics, dim))
+    doc_topic = np.repeat(np.arange(n_topics), [9, 6, 4, 3])
+    doc_vectors = centers[doc_topic] + 0.3 * rng.standard_normal((len(doc_topic), dim))
+    word_vectors = centers[np.arange(40) % n_topics] + 0.5 * rng.standard_normal(
+        (40, dim)
+    )
+    word_vectors[3] = word_vectors[7] = centers[0] + 0.05
+    emb = fabricated_embedding(doc_vectors, word_vectors, [f"w{i}" for i in range(40)])
+    labeling = ClusterLabeling(
+        labels=doc_topic,
+        n_clusters=n_topics,
+        cluster_stability=np.ones(n_topics),
+    )
+    model = build_topic_model(emb, labeling)
+    archive = ModelArchive.from_pipeline(
+        emb,
+        np.zeros((len(doc_topic), 5)),
+        labeling,
+        model,
+        EmbeddingConfig(vector_size=dim, min_count=1),
+        ReductionConfig(),
+        ClusterConfig(),
+    )
+    return archive_from_bytes(archive_to_bytes(archive)).topic_model
+
+
+class TestRankingBlocksOfTopics:
+    """Words ranked for all topics at once equal per-topic ``nearest_words``."""
+
+    def test_listing_and_spec(self):
+        model = stored_planted_model()
+        emb = model.embedding
+        assert emb.word_vectors.dtype == np.float32
+        top_n = 12
+        expected = [nearest_words(emb, t.vector, top_n) for t in model.topics]
+        assert ("w3", "w7") in {
+            tuple(w for w, _ in ranked[:2]) for ranked in expected
+        }
+        for entry in topics_to_dicts(model, top_n):
+            assert entry["words"] == [
+                {"word": w, "similarity": round(s, 6)}
+                for w, s in expected[entry["topic_id"]]
+            ]
+        spec = model_topic_spec(model, top_n)
+        assert spec.topics == tuple(tuple(w for w, _ in r) for r in expected)
+
+    def test_reduced_topics(self):
+        model = stored_planted_model()
+        emb = model.embedding
+        reduced = reduce_topics(model, 2, words_per_topic=12)
+        for topic in reduced.topics:
+            assert topic.vector.dtype == np.float64
+            assert list(topic.words) == nearest_words(emb, topic.vector, 12)
+        assert np.array_equal(
+            reduced.assignment,
+            assign_documents(emb.doc_vectors, reduced.topic_vector_matrix()),
+        )
