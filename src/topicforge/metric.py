@@ -10,8 +10,10 @@ defaults to base 2 so scores are in bits.
 Scoring comes in two forms: hard assignment (each document belongs to
 exactly one topic, inner sum restricted to the topic's documents) and
 mixture (each document weighs in on every topic through its topic
-proportions).  A mixture with one-hot proportions reproduces the hard
-score exactly.
+proportions).  Both go through one scorer: a topic's members are
+``(document, weight)`` pairs, with weight 1 for a hard member and the
+topic proportion for a mixture one, so a mixture with one-hot proportions
+reproduces the hard score exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,27 +58,21 @@ class CooccurrenceStats:
 
 def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
     """Count document/word co-occurrences over indexed documents."""
-    joint = []
-    doc_totals = np.zeros(len(docs), dtype=np.int64)
-    word_counts = np.zeros(len(vocab), dtype=np.int64)
-    for i, doc in enumerate(docs):
+    for doc in docs:
         if doc.tokens is None:
             raise ValidationError(
                 f"document {doc.id!r} is not indexed against the vocabulary"
             )
-        counts = Counter(int(t) for t in doc.tokens)
-        joint.append(dict(counts))
-        doc_totals[i] = len(doc.tokens)
-        for w, c in counts.items():
-            word_counts[w] += c
+    doc_totals = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
     total = int(doc_totals.sum())
     if total == 0:
         raise ValidationError("corpus has no vocabulary tokens to count")
+    tokens = np.concatenate([doc.tokens for doc in docs])
     return CooccurrenceStats(
         doc_ids=tuple(d.id for d in docs),
         doc_totals=doc_totals,
-        word_counts=word_counts,
-        joint=tuple(joint),
+        word_counts=np.bincount(tokens, minlength=len(vocab)),
+        joint=tuple(dict(Counter(doc.tokens.tolist())) for doc in docs),
         total_tokens=total,
         vocabulary=vocab,
     )
@@ -152,9 +148,10 @@ class TopicSpec:
                         f"document {doc_id!r} has {len(row)} proportions, "
                         f"expected {k}"
                     )
-                if any(p < 0 for p in row):
+                if not all(math.isfinite(p) and p >= 0 for p in row):
                     raise ValidationError(
-                        f"document {doc_id!r} has a negative proportion"
+                        f"document {doc_id!r} has a negative or non-finite "
+                        f"proportion"
                     )
                 s = sum(row)
                 if abs(s - 1.0) > _PROPORTION_TOLERANCE:
@@ -177,10 +174,18 @@ def _resolve_words(
     return [vocab.index[w] for w in words]
 
 
-def _doc_positions(spec_keys, stats: CooccurrenceStats) -> dict[str, int]:
+def _members(
+    spec: TopicSpec, stats: CooccurrenceStats
+) -> list[list[tuple[int, float]]]:
+    """Each topic's ``(document position, weight)`` pairs.
+
+    Hard mode gives every assigned document weight 1; mixture mode gives
+    every document its non-zero proportions.
+    """
+    keys = spec.assignments if spec.mode == "hard" else spec.proportions
     position = {doc_id: i for i, doc_id in enumerate(stats.doc_ids)}
-    missing = [d for d in stats.doc_ids if d not in spec_keys]
-    extra = [d for d in spec_keys if d not in position]
+    missing = [d for d in stats.doc_ids if d not in keys]
+    extra = [d for d in keys if d not in position]
     if missing or extra:
         parts = []
         if missing:
@@ -191,28 +196,41 @@ def _doc_positions(spec_keys, stats: CooccurrenceStats) -> dict[str, int]:
             "topic assignment does not cover the corpus exactly: "
             + ", ".join(parts)
         )
-    return position
+    members: list[list[tuple[int, float]]] = [[] for _ in spec.topics]
+    if spec.mode == "hard":
+        for doc_id, t in spec.assignments.items():
+            members[t].append((position[doc_id], 1.0))
+    else:
+        for doc_id, row in spec.proportions.items():
+            for t, weight in enumerate(row):
+                if weight != 0.0:
+                    members[t].append((position[doc_id], weight))
+    return members
 
 
-def _topic_pwi_hard(
-    word_ids: list[int],
-    member_positions: list[int],
-    stats: CooccurrenceStats,
-    base: float,
-) -> float:
-    total = 0.0
+def _topic_scores(
+    spec: TopicSpec, stats: CooccurrenceStats, base: float
+) -> list[float]:
+    """Per topic t: ``sum_{w in W_t} sum_d weight * P(d|w) log(P(d,w)/(P(d)P(w)))``.
+
+    Words are the outer loop and members the inner one, so a hard topic
+    sums its terms in the same order as a one-hot mixture topic.
+    """
     n = stats.total_tokens
-    for w in word_ids:
-        wc = int(stats.word_counts[w])
-        if wc == 0:
-            continue
-        for i in member_positions:
-            joint_count = stats.joint[i].get(w, 0)
-            if joint_count == 0:
-                continue
-            ratio = (joint_count * n) / (int(stats.doc_totals[i]) * wc)
-            total += (joint_count / wc) * _log(ratio, base)
-    return total
+    doc_totals = stats.doc_totals.tolist()
+    scores = []
+    for t, members in enumerate(_members(spec, stats)):
+        total = 0.0
+        for w in _resolve_words(spec.topics[t], stats.vocabulary, f"topic {t}"):
+            wc = int(stats.word_counts[w])
+            for i, weight in members:
+                joint_count = stats.joint[i].get(w, 0)
+                if joint_count == 0:
+                    continue
+                ratio = (joint_count * n) / (doc_totals[i] * wc)
+                total += weight * (joint_count / wc) * _log(ratio, base)
+        scores.append(total)
+    return scores
 
 
 def pwi_hard(
@@ -225,15 +243,7 @@ def pwi_hard(
     """
     if spec.mode != "hard":
         raise ValidationError(f"expected a hard spec, got mode {spec.mode!r}")
-    position = _doc_positions(spec.assignments.keys(), stats)
-    members: list[list[int]] = [[] for _ in spec.topics]
-    for doc_id, t in spec.assignments.items():
-        members[t].append(position[doc_id])
-    total = 0.0
-    for t, words in enumerate(spec.topics):
-        word_ids = _resolve_words(words, stats.vocabulary, f"topic {t}")
-        total += _topic_pwi_hard(word_ids, members[t], stats, base)
-    return total
+    return sum(_topic_scores(spec, stats, base))
 
 
 def pwi_mixture(
@@ -248,9 +258,7 @@ def pwi_mixture(
     """
     if spec.mode != "mixture":
         raise ValidationError(f"expected a mixture spec, got mode {spec.mode!r}")
-    return sum(
-        _mixture_topic_pwi(spec, t, stats, base) for t in range(spec.n_topics)
-    )
+    return sum(_topic_scores(spec, stats, base))
 
 
 def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
@@ -361,62 +369,17 @@ def evaluate(
             stacklevel=2,
         )
     truncated = tuple(t[:top_n] for t in spec.topics)
-    cut = TopicSpec(
-        mode=spec.mode,
-        topics=truncated,
-        assignments=spec.assignments,
-        proportions=spec.proportions,
-    )
-    scores = []
-    if spec.mode == "hard":
-        position = _doc_positions(cut.assignments.keys(), stats)
-        members: list[list[int]] = [[] for _ in cut.topics]
-        for doc_id, t in cut.assignments.items():
-            members[t].append(position[doc_id])
-        for t, words in enumerate(cut.topics):
-            word_ids = _resolve_words(words, stats.vocabulary, f"topic {t}")
-            scores.append(
-                TopicScore(
-                    topic_id=t,
-                    words=words,
-                    pwi=_topic_pwi_hard(word_ids, members[t], stats, base),
-                )
-            )
-    else:
-        for t in range(cut.n_topics):
-            scores.append(
-                TopicScore(
-                    topic_id=t,
-                    words=cut.topics[t],
-                    pwi=_mixture_topic_pwi(cut, t, stats, base),
-                )
-            )
+    cut = replace(spec, topics=truncated)
+    scores = [
+        TopicScore(topic_id=t, words=words, pwi=pwi)
+        for t, (words, pwi) in enumerate(
+            zip(truncated, _topic_scores(cut, stats, base))
+        )
+    ]
     total = sum(s.pwi for s in scores)
     return EvaluationReport(
         mode=spec.mode, top_n=top_n, per_topic=tuple(scores), total=total
     )
-
-
-def _mixture_topic_pwi(
-    spec: TopicSpec, t: int, stats: CooccurrenceStats, base: float
-) -> float:
-    position = _doc_positions(spec.proportions.keys(), stats)
-    n = stats.total_tokens
-    word_ids = _resolve_words(spec.topics[t], stats.vocabulary, f"topic {t}")
-    total = 0.0
-    for doc_id, row in spec.proportions.items():
-        weight = row[t]
-        if weight == 0.0:
-            continue
-        i = position[doc_id]
-        for w in word_ids:
-            joint_count = stats.joint[i].get(w, 0)
-            if joint_count == 0:
-                continue
-            wc = int(stats.word_counts[w])
-            ratio = (joint_count * n) / (int(stats.doc_totals[i]) * wc)
-            total += weight * (joint_count / wc) * _log(ratio, base)
-    return total
 
 
 def random_baseline_spec(

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -319,6 +320,25 @@ class TestEvaluate:
         assert rows[0] == ["topic_id", "pwi", "words"]
         assert rows[-1][0] == "total"
         assert (tmp_path / "report.csv.manifest.json").exists()
+
+    def test_non_finite_proportion_exits_1(self, env, tmp_path, capsys):
+        spec = {
+            "mode": "mixture",
+            "topics": [{"words": ["ocean"]}, {"words": ["violin"]}],
+            "proportions": {
+                f"d{i:04d}": [math.nan, 1.0] if i == 0 else [0.5, 0.5]
+                for i in range(env["n_docs"])
+            },
+        }
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(spec))
+        rc = main(
+            ["evaluate", "--external", str(path), "--corpus", str(env["corpus"])]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "d0000" in captured.err and "non-finite" in captured.err
 
     def test_model_and_external_together_exit_1(self, env, tmp_path, capsys):
         rc = main(

@@ -63,6 +63,28 @@ class TestBuildStats:
         ]
         with pytest.raises(ValidationError, match="no vocabulary tokens"):
             build_stats(empty, vocab)
+        with pytest.raises(ValidationError, match="no vocabulary tokens"):
+            build_stats([], vocab)
+
+    def test_joint_rows_are_dicts_in_first_occurrence_order(self):
+        # Callers take len() of each row to count non-zeros, so the rows
+        # must stay plain dicts of word index -> count.
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            texts, _ = random_corpus(rng)
+            indexed, vocab, stats = corpus_stats(texts)
+            pairs = 0
+            word_counts = np.zeros(len(vocab), dtype=np.int64)
+            for doc, row in zip(indexed, stats.joint):
+                tokens = doc.tokens.tolist()
+                assert type(row) is dict
+                assert list(row) == list(dict.fromkeys(tokens))
+                assert row == {w: tokens.count(w) for w in row}
+                pairs += len(set(tokens))
+                np.add.at(word_counts, tokens, 1)
+            assert sum(len(row) for row in stats.joint) == pairs
+            assert stats.word_counts.dtype == np.int64
+            assert stats.word_counts.tolist() == word_counts.tolist()
 
 
 class TestHandValues:
@@ -119,9 +141,7 @@ class TestHandValues:
             topics=(("a",), ("c",)),
             proportions={"d0": (1.0, 0.0), "d1": (0.0, 1.0)},
         )
-        assert pwi_mixture(mixture, stats) == pytest.approx(
-            pwi_hard(hard, stats), abs=1e-12
-        )
+        assert pwi_mixture(mixture, stats) == pwi_hard(hard, stats)
 
 
 def random_corpus(rng):
@@ -193,6 +213,21 @@ class TestOracleEquivalence:
             got = pwi_mixture(spec, stats)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    def test_mixture_per_topic_matches_triple_sum(self):
+        rng = np.random.default_rng(26)
+        for _ in range(10):
+            texts, _ = random_corpus(rng)
+            indexed, vocab, stats = corpus_stats(texts)
+            doc_tokens = {d.id: tokenize(d.raw) for d in indexed}
+            spec = random_mixture_spec(rng, stats.doc_ids, list(vocab.words))
+            report = evaluate(spec, stats, top_n=3)
+            for t, score in enumerate(report.per_topic):
+                column = [(spec.proportions[d][t],) for d in stats.doc_ids]
+                expected = pwi_oracle_mixture(
+                    doc_tokens, stats.doc_ids, column, (spec.topics[t],)
+                )
+                assert score.pwi == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
     def test_one_hot_mixture_equals_hard_on_random_corpora(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
@@ -208,9 +243,9 @@ class TestOracleEquivalence:
             mixture = TopicSpec(
                 mode="mixture", topics=hard.topics, proportions=one_hot
             )
-            assert pwi_mixture(mixture, stats) == pytest.approx(
-                pwi_hard(hard, stats), abs=1e-12
-            )
+            # Same documents in the same order: the weight-1 members are
+            # scored in the same order, so the sums are bit-equal.
+            assert pwi_mixture(mixture, stats) == pwi_hard(hard, stats)
 
 
 class TestSpecValidation:
@@ -246,6 +281,12 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="sum"):
             TopicSpec(
                 mode="mixture", topics=topics, proportions={"d0": (0.5, 0.4)}
+            )
+        with pytest.raises(ValidationError, match="'d0' has .*non-finite"):
+            TopicSpec(
+                mode="mixture",
+                topics=topics,
+                proportions={"d0": (math.nan, 1.0)},
             )
 
     def test_accepts_tiny_proportion_slack(self):
@@ -450,6 +491,14 @@ class TestLoadExternalTopics:
                     "proportions": {"d0": ["high"]},
                 },
                 "numbers",
+            ),
+            (
+                {
+                    "mode": "mixture",
+                    "topics": [{"words": ["a"]}, {"words": ["c"]}],
+                    "proportions": {"d0": [math.nan, 1.0], "d1": [0.0, 1.0]},
+                },
+                "non-finite",
             ),
         ],
     )
