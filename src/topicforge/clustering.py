@@ -6,6 +6,11 @@ so that only splits into components of at least ``min_cluster_size``
 points count as new clusters, and selecting the most stable clusters by
 excess of mass.  Points that fall out of the hierarchy above every
 selected cluster are noise.
+
+No n x n matrix is held: core distances are computed a block of rows at a
+time, and the spanning tree reads each mutual reachability row once, as
+it is computed.  Distances are summed one coordinate at a time, so every
+pair gets the same value in every block and row.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+
+# Rows of the distance matrix the core-distance search holds at a time.
+_CORE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -87,39 +95,79 @@ class ClusterLabeling:
         return int(np.sum(self.labels == -1))
 
 
+def _squared_distances(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances from each of ``rows`` to every point.
+
+    The squares of the component differences are summed one component at
+    a time, without a matrix product, so a pair gets the same value
+    whichever rows are computed together.
+    """
+    d2 = np.zeros((len(rows), len(points)))
+    diff = np.empty_like(d2)
+    for c in range(points.shape[1]):
+        np.subtract(rows[:, c, None], points[None, :, c], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    return d2
+
+
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th nearest neighbor.
 
     The point itself is excluded, so ``min_samples`` must be at most
-    ``n - 1``.
+    ``n - 1``.  Distances are computed ``_CORE_BLOCK`` rows at a time.
     """
     n = len(points)
     if not 1 <= min_samples <= n - 1:
         raise ValidationError(
             f"min_samples must be in [1, {n - 1}] for {n} points, got {min_samples}"
         )
-    sq = np.sum(points**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
-    dist = np.sqrt(d2)
-    np.fill_diagonal(dist, np.inf)
-    return np.partition(dist, min_samples - 1, axis=1)[:, min_samples - 1]
+    core = np.empty(n)
+    for start in range(0, n, _CORE_BLOCK):
+        dist = np.sqrt(_squared_distances(points[start : start + _CORE_BLOCK], points))
+        for i, row in enumerate(dist, start):
+            row[i] = np.inf
+        kth = np.partition(dist, min_samples - 1, axis=1)[:, min_samples - 1]
+        core[start : start + len(dist)] = kth
+    return core
 
 
-def mutual_reachability(points: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix."""
-    sq = np.sum(points**2, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
-    dist = np.sqrt(d2)
-    mr = np.maximum(dist, np.maximum(core[:, None], core[None, :]))
-    np.fill_diagonal(mr, 0.0)
-    return mr
+@dataclass(frozen=True)
+class ReachabilityRows:
+    """Read-only rows of the mutual reachability matrix, built on request.
+
+    ``rows[j]`` is a fresh array of ``max(euclidean(j, i), core_j, core_i)``
+    over every point i, with 0 at i = j; ``len(rows)`` is the point count.
+    Each row is computed when it is read and is not kept.
+    """
+
+    points: np.ndarray
+    core: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        row = np.sqrt(_squared_distances(self.points[j : j + 1], self.points)[0])
+        np.maximum(row, self.core, out=row)
+        np.maximum(row, self.core[j], out=row)
+        row[j] = 0.0
+        return row
 
 
-def build_mst(distance_matrix: np.ndarray) -> np.ndarray:
-    """Minimum spanning tree by Prim's algorithm over a dense matrix.
+def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRows:
+    """Row view of the pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix."""
+    return ReachabilityRows(points, core)
 
-    Returns ``(n - 1, 3)`` rows of (point a, point b, weight).  Ties pick
-    the lowest-index point, so the tree is deterministic.
+
+def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
+    """Minimum spanning tree by Prim's algorithm.
+
+    ``distance_matrix`` is a dense symmetric matrix or anything else with
+    ``len()`` and rows ``distance_matrix[j]``, such as the view that
+    ``mutual_reachability`` returns; each row is read once.  Returns
+    ``(n - 1, 3)`` rows of (point a, point b, weight).  Ties pick the
+    lowest-index point, so the tree is deterministic.
     """
     n = len(distance_matrix)
     if n < 2:
@@ -134,9 +182,10 @@ def build_mst(distance_matrix: np.ndarray) -> np.ndarray:
         j = int(np.argmin(np.where(visited, np.inf, best_weight)))
         edges[e] = (best_source[j], j, best_weight[j])
         visited[j] = True
-        closer = ~visited & (distance_matrix[j] < best_weight)
+        row = distance_matrix[j]
+        closer = ~visited & (row < best_weight)
         best_source[closer] = j
-        best_weight[closer] = distance_matrix[j][closer]
+        best_weight[closer] = row[closer]
     return edges
 
 

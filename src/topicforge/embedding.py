@@ -278,12 +278,21 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
     survive the subsampling draw each contribute one skip-gram step
     (surrounding word predicts the center) and one bag-of-words step (the
     document predicts the surrounding word).  Predictor rows start uniform
-    in ``[-0.5/d, 0.5/d]``; inner nodes start at zero.
+    in ``[-0.5/d, 0.5/d]``; inner nodes start at zero.  Every document
+    must keep at least one in-vocabulary token.
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
     vocab = build_vocabulary(docs, config.min_count, config.subsample_threshold)
     indexed = index_documents(docs, vocab)
+    # A document with no token to train on would keep its random start
+    # vector, and such vectors cluster together into a topic of their own.
+    empty = [d.id for d in indexed if len(d.tokens) == 0]
+    if empty:
+        raise ValidationError(
+            f"{len(empty)} documents have no in-vocabulary token "
+            f"(first: {', '.join(empty[:5])})"
+        )
     token_arrays = [d.tokens for d in indexed]
     d = config.vector_size
     rng = np.random.default_rng(config.seed)

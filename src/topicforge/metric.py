@@ -24,7 +24,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,19 +209,23 @@ def _members(
 
 
 def _topic_scores(
-    spec: TopicSpec, stats: CooccurrenceStats, base: float
+    spec: TopicSpec,
+    topics: tuple[tuple[str, ...], ...],
+    stats: CooccurrenceStats,
+    base: float,
 ) -> list[float]:
     """Per topic t: ``sum_{w in W_t} sum_d weight * P(d|w) log(P(d,w)/(P(d)P(w)))``.
 
-    Words are the outer loop and members the inner one, so a hard topic
-    sums its terms in the same order as a one-hot mixture topic.
+    ``topics`` gives each topic's words W_t, which may be a prefix of the
+    spec's list.  Words are the outer loop and members the inner one, so a
+    hard topic sums its terms in the same order as a one-hot mixture topic.
     """
     n = stats.total_tokens
     doc_totals = stats.doc_totals.tolist()
     scores = []
     for t, members in enumerate(_members(spec, stats)):
         total = 0.0
-        for w in _resolve_words(spec.topics[t], stats.vocabulary, f"topic {t}"):
+        for w in _resolve_words(topics[t], stats.vocabulary, f"topic {t}"):
             wc = int(stats.word_counts[w])
             for i, weight in members:
                 joint_count = stats.joint[i].get(w, 0)
@@ -243,7 +247,7 @@ def pwi_hard(
     """
     if spec.mode != "hard":
         raise ValidationError(f"expected a hard spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, stats, base))
+    return sum(_topic_scores(spec, spec.topics, stats, base))
 
 
 def pwi_mixture(
@@ -258,7 +262,7 @@ def pwi_mixture(
     """
     if spec.mode != "mixture":
         raise ValidationError(f"expected a mixture spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, stats, base))
+    return sum(_topic_scores(spec, spec.topics, stats, base))
 
 
 def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
@@ -369,11 +373,10 @@ def evaluate(
             stacklevel=2,
         )
     truncated = tuple(t[:top_n] for t in spec.topics)
-    cut = replace(spec, topics=truncated)
     scores = [
         TopicScore(topic_id=t, words=words, pwi=pwi)
         for t, (words, pwi) in enumerate(
-            zip(truncated, _topic_scores(cut, stats, base))
+            zip(truncated, _topic_scores(spec, truncated, stats, base))
         )
     ]
     total = sum(s.pwi for s in scores)

@@ -6,6 +6,10 @@ distance, calibrates per-point kernel widths so every point sees
 membership weights into a fuzzy graph, and lays the points out in a low
 dimensional space by stochastic gradient descent over the graph's edges
 with negative sampling.
+
+The neighbor search computes the distance matrix a block of rows at a
+time and keeps only each row's k nearest, so memory grows linearly with
+the number of points.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .errors import ValidationError
 _SMOOTH_TOLERANCE = 1e-5
 _SMOOTH_ITERATIONS = 64
 _GRAD_CLIP = 4.0
+# Rows of the distance matrix the neighbor search holds at a time.
+_KNN_BLOCK = 512
 
 _METRICS = ("cosine", "euclidean")
 
@@ -85,39 +91,62 @@ class FuzzyGraph:
     sigma: np.ndarray
 
 
-def pairwise_distances(points: np.ndarray, metric: str = "cosine") -> np.ndarray:
-    """Dense pairwise distance matrix; cosine distance is 1 - cosine."""
-    if metric == "euclidean":
-        sq = np.sum(points**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-        return np.sqrt(np.maximum(d2, 0.0))
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise ValidationError(
-            f"cosine distance is undefined for zero vectors (row {bad})"
-        )
-    unit = points / norms[:, None]
-    return np.maximum(1.0 - unit @ unit.T, 0.0)
-
-
 def knn_graph(
     points: np.ndarray, n_neighbors: int, metric: str = "cosine"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest neighbors of every point, self excluded.
 
     Returns ``(indices, distances)`` of shape ``(n, k)`` with each row
-    sorted by ascending distance, ties broken by the lower index.
+    sorted by ascending distance, ties broken by the lower index.  Rows
+    must be finite.  Cosine distance is ``1 - cosine`` clamped at 0 and
+    rejects zero rows; euclidean distance is ``sqrt(|x|^2 + |y|^2 - 2 x.y)``
+    clamped at 0.
+    Distances are computed ``_KNN_BLOCK`` rows at a time, so memory grows
+    with ``n`` times the block, never with ``n^2``.
     """
     n = len(points)
-    if n_neighbors < 1 or n_neighbors >= n:
+    k = n_neighbors
+    if k < 1 or k >= n:
         raise ValidationError(
-            f"n_neighbors must be in [1, {n - 1}] for {n} points, got {n_neighbors}"
+            f"n_neighbors must be in [1, {n - 1}] for {n} points, got {k}"
         )
-    dist = pairwise_distances(points, metric)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :n_neighbors]
-    return order, np.take_along_axis(dist, order, axis=1)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"points must be finite (row {bad})")
+    if metric == "euclidean":
+        basis = points
+        sq = np.sum(points**2, axis=1)
+    else:
+        norms = np.linalg.norm(points, axis=1)
+        if np.any(norms == 0.0):
+            bad = int(np.argmax(norms == 0.0))
+            raise ValidationError(
+                f"cosine distance is undefined for zero vectors (row {bad})"
+            )
+        basis = points / norms[:, None]
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    for start in range(0, n, _KNN_BLOCK):
+        block = slice(start, start + _KNN_BLOCK)
+        dist = basis[block] @ basis.T
+        if metric == "euclidean":
+            dist *= 2.0
+            np.subtract(sq[block, None] + sq[None, :], dist, out=dist)
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+        else:
+            np.subtract(1.0, dist, out=dist)
+            np.maximum(dist, 0.0, out=dist)
+        for i, row in enumerate(dist, start):
+            row[i] = np.inf
+            # The columns within the k-th distance, in index order, then a
+            # stable sort: the first k are those of a stable full-row sort.
+            near = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
+            near = near[np.argsort(row[near], kind="stable")[:k]]
+            indices[i] = near
+            distances[i] = row[near]
+    return indices, distances
 
 
 def smooth_knn_calibrate(distances: np.ndarray) -> tuple[float, float]:

@@ -124,6 +124,19 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_tokenless_documents_exit_1(self, env, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        lines = open(env["corpus"], encoding="utf-8").read()
+        lines += json.dumps({"id": "oov-a", "text": "qux1 qux2"}) + "\n"
+        lines += json.dumps({"id": "oov-b", "text": "!!"}) + "\n"
+        corpus.write_text(lines, encoding="utf-8")
+        out = tmp_path / "x.tpfg"
+        rc = main(["train", "--corpus", str(corpus), "--output", str(out)] + TRAIN_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "2 documents have no in-vocabulary token (first: oov-a, oov-b)" in err
+        assert not out.exists()
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main(
             [

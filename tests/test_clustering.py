@@ -1,5 +1,8 @@
 """Density clustering: reachability, spanning tree, condensation, selection."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,11 +53,16 @@ class TestCoreDistances:
             core_distances(self.line, 4)
 
 
+def stacked(rows):
+    """The rows of a mutual reachability view as one dense matrix."""
+    return np.array([rows[j] for j in range(len(rows))])
+
+
 class TestMutualReachability:
     def test_hand_values(self):
         pts = np.array([[0.0], [1.0], [3.0], [7.0]])
         core = core_distances(pts, 1)
-        mr = mutual_reachability(pts, core)
+        mr = stacked(mutual_reachability(pts, core))
         assert mr[0, 1] == 1.0  # max(1, 1, 1)
         assert mr[1, 2] == 2.0  # max(1, 2, 2)
         assert mr[2, 3] == 4.0  # max(2, 4, 4)
@@ -64,13 +72,38 @@ class TestMutualReachability:
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((25, 3))
         core = core_distances(pts, 4)
-        mr = mutual_reachability(pts, core)
+        mr = stacked(mutual_reachability(pts, core))
         assert np.allclose(mr, mr.T)
         diff = pts[:, None, :] - pts[None, :, :]
         euclid = np.sqrt(np.sum(diff * diff, axis=2))
         off = ~np.eye(25, dtype=bool)
         assert np.all(mr[off] >= euclid[off] - 1e-12)
         assert np.all(mr[off] >= np.maximum(core[:, None], core[None, :])[off])
+
+    def test_rows_match_plain_python_definition(self):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((30, 4)) * rng.uniform(0.1, 5.0, 4)
+        core = core_distances(pts, 3)
+        rows = mutual_reachability(pts, core)
+        assert len(rows) == 30
+        for i in range(30):
+            row = rows[i]
+            for j in range(30):
+                dist = math.dist(pts[i].tolist(), pts[j].tolist())
+                expected = 0.0 if i == j else max(core[i], core[j], dist)
+                assert row[j] == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_rows_do_not_depend_on_the_rows_computed_with_them(self):
+        # Core distances come from blocks of rows and the view from one
+        # row at a time; each pair must get one distance either way.
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((600, 5))
+        core = core_distances(pts, 7)
+        mr = stacked(mutual_reachability(pts, core))
+        assert np.array_equal(mr, mr.T)
+        own = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+        np.fill_diagonal(own, np.inf)
+        assert np.array_equal(core, np.sort(own, axis=1)[:, 6])
 
 
 class TestBuildMst:
@@ -118,6 +151,16 @@ class TestBuildMst:
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
             build_mst(np.zeros((1, 1)))
+
+    def test_view_gives_the_edges_of_its_dense_rows(self):
+        rng = np.random.default_rng(6)
+        pts = np.vstack(
+            [rng.normal(c, 0.4, (40, 3)) for c in (0.0, 3.0, 6.0)]
+            + [np.round(rng.uniform(0.0, 6.0, (30, 3)))]
+        )
+        pts[[10, 50, 90]] = pts[0]
+        rows = mutual_reachability(pts, core_distances(pts, 5))
+        assert np.array_equal(build_mst(rows), build_mst(stacked(rows)))
 
 
 class TestCondenseAndExtract:
@@ -214,6 +257,20 @@ class TestCluster:
         a = cluster(points, ClusterConfig(min_cluster_size=10))
         b = cluster(points, ClusterConfig(min_cluster_size=10))
         assert np.array_equal(a.labels, b.labels)
+
+    def test_peak_memory_stays_below_one_dense_matrix(self):
+        # One 4,000 x 4,000 float64 matrix alone is 128 MB.
+        rng = np.random.default_rng(17)
+        centers = rng.uniform(-20.0, 20.0, (8, 5))
+        points = centers[rng.integers(0, 8, 4000)] + rng.normal(0.0, 0.5, (4000, 5))
+        tracemalloc.start()
+        try:
+            labeling = cluster(points, ClusterConfig(min_cluster_size=15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labeling.n_clusters >= 2
+        assert peak < 64 * 2**20
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):

@@ -339,6 +339,21 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train([], self.small_config())
 
+    def test_documents_without_vocabulary_tokens_rejected(self):
+        # Each of these words occurs once, below min_count=2.  Kept, the
+        # documents' untrained vectors would form a topic of their own.
+        docs, _ = make_two_theme_docs(20)
+        empty = [
+            Document(id=f"oov{i:02d}", raw=f"qux{i}a qux{i}b qux{i}c")
+            for i in range(12)
+        ]
+        with pytest.raises(
+            ValidationError,
+            match=r"12 documents have no in-vocabulary token "
+            r"\(first: oov00, oov01, oov02, oov03, oov04\)",
+        ):
+            train(docs[:20] + empty + docs[20:], self.small_config())
+
     def test_docs_land_near_their_theme_words(self, small_trained):
         emb, docs, themes = small_trained
         vocab = emb.vocabulary

@@ -1,6 +1,7 @@
 """Neighbor graphs, kernel calibration, and the low-dimensional layout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,38 @@ from topicforge.reduction import (
     fuzzy_simplicial_set,
     knn_graph,
     optimize_layout,
-    pairwise_distances,
     smooth_knn_calibrate,
 )
 
 # Solves 1 + x + x^2 = log2(3) for x = exp(-1/sigma) on distances [1, 2, 3].
 ANALYTIC_SIGMA_123 = -1.0 / math.log((math.sqrt(4.0 * math.log2(3.0) - 3.0) - 1.0) / 2.0)
+
+
+def dense_distances(points, metric):
+    """Whole n x n distance matrix by the formulas knn_graph uses per block."""
+    if metric == "euclidean":
+        sq = np.sum(points**2, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+        return np.sqrt(np.maximum(d2, 0.0))
+    unit = points / np.linalg.norm(points, axis=1)[:, None]
+    return np.maximum(1.0 - unit @ unit.T, 0.0)
+
+
+def dense_knn(points, k, metric):
+    """Reference kNN: a stable sort of every full row of the dense matrix."""
+    dist = dense_distances(points, metric)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def knn_matrix(points, metric):
+    """Distance matrix read back from knn_graph with every other point."""
+    n = len(points)
+    idx, dist = knn_graph(points, n - 1, metric)
+    full = np.zeros((n, n))
+    full[np.arange(n)[:, None], idx] = dist
+    return full
 
 
 class TestConfig:
@@ -39,9 +66,11 @@ class TestConfig:
 
 
 class TestPairwiseDistances:
+    """Distances as knn_graph reports them, with k = n - 1."""
+
     def test_cosine_hand_values(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-2.0, 0.0], [3.0, 0.0]])
-        d = pairwise_distances(pts, "cosine")
+        d = knn_matrix(pts, "cosine")
         assert d[0, 1] == pytest.approx(1.0)
         assert d[0, 2] == pytest.approx(2.0)
         assert d[0, 3] == pytest.approx(0.0)
@@ -50,19 +79,19 @@ class TestPairwiseDistances:
 
     def test_euclidean_hand_values(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = pairwise_distances(pts, "euclidean")
+        d = knn_matrix(pts, "euclidean")
         assert d[0, 1] == pytest.approx(5.0)
 
     def test_cosine_rejects_zero_rows(self):
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="row 1"):
-            pairwise_distances(pts, "cosine")
+            knn_graph(pts, 1, "cosine")
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((40, 8))
         for metric in ("cosine", "euclidean"):
-            assert np.all(pairwise_distances(pts, metric) >= 0.0)
+            assert np.all(knn_graph(pts, 39, metric)[1] >= 0.0)
 
 
 class TestKnnGraph:
@@ -84,12 +113,70 @@ class TestKnnGraph:
         for i in range(20):
             assert i not in idx[i]
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_rejects_non_finite_rows(self, metric):
+        pts = np.random.default_rng(3).standard_normal((10, 3))
+        pts[4, 1] = np.nan
+        with pytest.raises(ValidationError, match="row 4"):
+            knn_graph(pts, 3, metric)
+
     def test_rejects_bad_neighbor_counts(self):
         pts = np.random.default_rng(2).standard_normal((10, 3))
         with pytest.raises(ValidationError):
             knn_graph(pts, 0)
         with pytest.raises(ValidationError):
             knn_graph(pts, 10)
+
+
+class TestBlockedKnn:
+    """knn_graph, computed in blocks of rows, against the dense reference."""
+
+    @staticmethod
+    def points_with_duplicates(n, dim, seed):
+        # Copies of one row on both sides of the first block boundary and
+        # in the last row tie for every other point.
+        pts = np.random.default_rng(seed).standard_normal((n, dim))
+        pts[[510, 511, 512, n - 1]] = pts[3]
+        return pts
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_equal_on_block_aligned_shape(self, metric):
+        pts = self.points_with_duplicates(1024, 50, 20)
+        idx, dist = knn_graph(pts, 15, metric)
+        ref_idx, ref_dist = dense_knn(pts, 15, metric)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+    def test_equal_indices_on_ragged_shape(self):
+        # A product over a ragged block may round differently from the
+        # dense one; cosine distances lie in [0, 2], so two ulps of 1.
+        pts = self.points_with_duplicates(700, 50, 21)
+        idx, dist = knn_graph(pts, 15, "cosine")
+        ref_idx, ref_dist = dense_knn(pts, 15, "cosine")
+        assert np.array_equal(idx, ref_idx)
+        assert np.allclose(dist, ref_dist, rtol=0.0, atol=4.5e-16)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_peak_memory_stays_below_one_dense_matrix(self, metric):
+        # One 4,000 x 4,000 float64 matrix alone is 128 MB.
+        pts = np.random.default_rng(23).standard_normal((4000, 50))
+        tracemalloc.start()
+        try:
+            knn_graph(pts, 15, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_exact_ties_across_blocks_break_to_lower_index(self):
+        # Integer points make every distance exact, so the many equal
+        # distances are true ties wherever their rows and columns fall.
+        pts = np.random.default_rng(22).integers(0, 12, (1100, 2)).astype(float)
+        idx, dist = knn_graph(pts, 20, "euclidean")
+        ref_idx, ref_dist = dense_knn(pts, 20, "euclidean")
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+        assert np.any(dist[:, :-1] == dist[:, 1:])
 
 
 class TestSmoothKnnCalibrate:
