@@ -88,6 +88,11 @@ def _write_manifest(
     write_atomically(artifact_path + ".manifest.json", text.encode("utf-8"))
 
 
+# Every field of these configs is one ``train`` flag with the field's
+# default; a field the configs share, such as ``seed``, is one flag.
+_TRAIN_CONFIGS = (EmbeddingConfig, ReductionConfig, ClusterConfig)
+
+
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="corpus file to train on")
     p.add_argument(
@@ -97,47 +102,17 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
         help="corpus file format (default jsonl)",
     )
     p.add_argument("--output", required=True, help="path of the model archive")
-    p.add_argument("--vector-size", type=int, default=300)
-    p.add_argument("--window", type=int, default=15)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--min-count", type=int, default=50)
-    p.add_argument("--subsample-threshold", type=float, default=1e-5)
-    p.add_argument("--initial-lr", type=float, default=0.025)
-    p.add_argument("--final-lr", type=float, default=1e-4)
-    p.add_argument("--n-neighbors", type=int, default=15)
-    p.add_argument("--n-components", type=int, default=5)
-    p.add_argument("--min-dist", type=float, default=0.1)
-    p.add_argument("--layout-epochs", type=int, default=200)
-    p.add_argument("--negative-sample-rate", type=int, default=5)
-    p.add_argument("--min-cluster-size", type=int, default=15)
-    p.add_argument("--min-samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    fields = {f.name: f for cls in _TRAIN_CONFIGS for f in dataclasses.fields(cls)}
+    for name, f in fields.items():
+        kind = int if f.default is None else type(f.default)
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=f.default)
 
 
 def _configs_from_args(args: argparse.Namespace):
-    embedding_config = EmbeddingConfig(
-        vector_size=args.vector_size,
-        window=args.window,
-        epochs=args.epochs,
-        min_count=args.min_count,
-        subsample_threshold=args.subsample_threshold,
-        initial_lr=args.initial_lr,
-        final_lr=args.final_lr,
-        seed=args.seed,
+    return tuple(
+        cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+        for cls in _TRAIN_CONFIGS
     )
-    reduction_config = ReductionConfig(
-        n_neighbors=args.n_neighbors,
-        n_components=args.n_components,
-        min_dist=args.min_dist,
-        layout_epochs=args.layout_epochs,
-        negative_sample_rate=args.negative_sample_rate,
-        seed=args.seed,
-    )
-    cluster_config = ClusterConfig(
-        min_cluster_size=args.min_cluster_size,
-        min_samples=args.min_samples,
-    )
-    return embedding_config, reduction_config, cluster_config
 
 
 def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:

@@ -312,12 +312,6 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
     everything that fell out above the selected level is noise.
     """
     m = len(tree.parent)
-    if m == 1:
-        return ClusterLabeling(
-            labels=np.zeros(tree.n_points, dtype=np.int64),
-            n_clusters=1,
-            cluster_stability=np.array([tree.stability[0]]),
-        )
     selected = [False] + [True] * (m - 1)
     winning = tree.stability.copy()
     for c in range(m - 1, 0, -1):
@@ -340,34 +334,15 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
             n_clusters=1,
             cluster_stability=np.array([tree.stability[0]]),
         )
-    # Union points with their cluster and unselected clusters with their
-    # parent; selected clusters cut the tree into labeled components.
-    n = tree.n_points
-    parent_uf = np.arange(n + m, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[x] != root:
-            parent_uf[x], x = root, parent_uf[x]
-        return root
-
-    def union(x: int, y: int) -> None:
-        parent_uf[find(x)] = find(y)
-
-    for c in range(1, m):
-        if not selected[c]:
-            union(n + c, n + tree.parent[c])
-    for c in range(m):
-        for p in tree.fallout_points[c]:
-            union(p, n + c)
-    label_of_root: dict[int, int] = {}
+    # No chosen cluster contains another, so each point that fell out in a
+    # chosen cluster's subtree gets that cluster's label.
+    labels = np.full(tree.n_points, -1, dtype=np.int64)
     for rank, c in enumerate(chosen):
-        label_of_root[find(n + c)] = rank
-    labels = np.full(n, -1, dtype=np.int64)
-    for p in range(n):
-        labels[p] = label_of_root.get(find(p), -1)
+        stack = [c]
+        while stack:
+            d = stack.pop()
+            labels[tree.fallout_points[d]] = rank
+            stack.extend(tree.children[d])
     return ClusterLabeling(
         labels=labels,
         n_clusters=len(chosen),
@@ -376,13 +351,16 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
 
 
 def cluster(points: np.ndarray, config: ClusterConfig) -> ClusterLabeling:
-    """Cluster points in the reduced space.
+    """Cluster points in the reduced space; every coordinate must be finite.
 
     Deterministic: no randomness anywhere in the stage.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValidationError("points must be a 2-d array")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"points must be finite (row {int(np.argmin(finite))})")
     ms = config.effective_min_samples
     if len(points) <= max(ms, config.min_cluster_size):
         raise ValidationError(

@@ -3,9 +3,9 @@
 A topic is worth something if knowing its words tells you which documents
 you are looking at.  The score is pointwise mutual information between
 documents and topic words, weighted by how concentrated each word is in
-each document: ``sum P(d|w) * log(P(d,w) / (P(d) P(w)))``.  Probabilities
-are maximum-likelihood token estimates over vocabulary words; the log
-defaults to base 2 so scores are in bits.
+each document: ``sum P(d|w) * log2(P(d,w) / (P(d) P(w)))``.  Probabilities
+are maximum-likelihood token estimates over vocabulary words; the log is
+base 2, so scores are in bits.
 
 Scoring comes in two forms: hard assignment (each document belongs to
 exactly one topic, inner sum restricted to the topic's documents) and
@@ -78,14 +78,8 @@ def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
     )
 
 
-def _log(x: float, base: float) -> float:
-    return math.log2(x) if base == 2.0 else math.log(x, base)
-
-
-def pointwise_pwi(
-    stats: CooccurrenceStats, doc_index: int, word_index: int, base: float = 2.0
-) -> float:
-    """``P(d,w) * log(P(d,w) / (P(d) P(w)))`` for one document/word pair.
+def pointwise_pwi(stats: CooccurrenceStats, doc_index: int, word_index: int) -> float:
+    """``P(d,w) * log2(P(d,w) / (P(d) P(w)))`` for one document/word pair.
 
     Zero joint probability contributes zero.
     """
@@ -97,13 +91,13 @@ def pointwise_pwi(
     ratio = (joint_count * n) / (
         int(stats.doc_totals[doc_index]) * int(stats.word_counts[word_index])
     )
-    return p_joint * _log(ratio, base)
+    return p_joint * math.log2(ratio)
 
 
-def mutual_information(stats: CooccurrenceStats, base: float = 2.0) -> float:
-    """Total mutual information between documents and words."""
+def mutual_information(stats: CooccurrenceStats) -> float:
+    """Total mutual information between documents and words, in bits."""
     return sum(
-        pointwise_pwi(stats, i, w, base)
+        pointwise_pwi(stats, i, w)
         for i in range(stats.n_docs)
         for w in stats.joint[i]
     )
@@ -212,9 +206,8 @@ def _topic_scores(
     spec: TopicSpec,
     topics: tuple[tuple[str, ...], ...],
     stats: CooccurrenceStats,
-    base: float,
 ) -> list[float]:
-    """Per topic t: ``sum_{w in W_t} sum_d weight * P(d|w) log(P(d,w)/(P(d)P(w)))``.
+    """Per topic t: ``sum_{w in W_t} sum_d weight * P(d|w) log2(P(d,w)/(P(d)P(w)))``.
 
     ``topics`` gives each topic's words W_t, which may be a prefix of the
     spec's list.  Words are the outer loop and members the inner one, so a
@@ -232,37 +225,33 @@ def _topic_scores(
                 if joint_count == 0:
                     continue
                 ratio = (joint_count * n) / (doc_totals[i] * wc)
-                total += weight * (joint_count / wc) * _log(ratio, base)
+                total += weight * (joint_count / wc) * math.log2(ratio)
         scores.append(total)
     return scores
 
 
-def pwi_hard(
-    spec: TopicSpec, stats: CooccurrenceStats, base: float = 2.0
-) -> float:
-    """Hard-assignment topic information gain.
+def pwi_hard(spec: TopicSpec, stats: CooccurrenceStats) -> float:
+    """Hard-assignment topic information gain, in bits.
 
-    ``sum_t sum_{d in D_t} sum_{w in W_t} P(d|w) log(P(d,w)/(P(d)P(w)))``
+    ``sum_t sum_{d in D_t} sum_{w in W_t} P(d|w) log2(P(d,w)/(P(d)P(w)))``
     where D_t are the documents assigned to topic t.
     """
     if spec.mode != "hard":
         raise ValidationError(f"expected a hard spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, spec.topics, stats, base))
+    return sum(_topic_scores(spec, spec.topics, stats))
 
 
-def pwi_mixture(
-    spec: TopicSpec, stats: CooccurrenceStats, base: float = 2.0
-) -> float:
-    """Mixture topic information gain.
+def pwi_mixture(spec: TopicSpec, stats: CooccurrenceStats) -> float:
+    """Mixture topic information gain, in bits.
 
     Every document contributes to every topic, weighted by its topic
     proportion:
-    ``sum_d sum_t sum_{w in W_t} P(d|w) P(t|d) log(P(d,w)/(P(d)P(w)))``.
+    ``sum_d sum_t sum_{w in W_t} P(d|w) P(t|d) log2(P(d,w)/(P(d)P(w)))``.
     One-hot proportions make this identical to the hard score.
     """
     if spec.mode != "mixture":
         raise ValidationError(f"expected a mixture spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, spec.topics, stats, base))
+    return sum(_topic_scores(spec, spec.topics, stats))
 
 
 def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
@@ -356,7 +345,7 @@ class EvaluationReport:
 
 
 def evaluate(
-    spec: TopicSpec, stats: CooccurrenceStats, top_n: int = 10, base: float = 2.0
+    spec: TopicSpec, stats: CooccurrenceStats, top_n: int = 10
 ) -> EvaluationReport:
     """Score each topic's first ``top_n`` words against the corpus.
 
@@ -376,7 +365,7 @@ def evaluate(
     scores = [
         TopicScore(topic_id=t, words=words, pwi=pwi)
         for t, (words, pwi) in enumerate(
-            zip(truncated, _topic_scores(spec, truncated, stats, base))
+            zip(truncated, _topic_scores(spec, truncated, stats))
         )
     ]
     total = sum(s.pwi for s in scores)

@@ -8,8 +8,10 @@ memory) as float32, so a save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
 unsupported version, a truncated file, or inconsistent shapes raise
-``ArchiveError`` and never yield a partially loaded model.  Version 1
-archives, which stored the word matrix twice, are rejected.
+``ArchiveError`` and never yield a partially loaded model.  Older
+versions are rejected, not converted: version 1 stored the word matrix
+twice, and version 2's reduction config carried three options that no
+longer exist.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel, make_topics
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MATRIX_NAMES = (
     "doc_vectors",

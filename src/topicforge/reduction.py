@@ -29,27 +29,22 @@ _GRAD_CLIP = 4.0
 # Rows of the distance matrix the neighbor search holds at a time.
 _KNN_BLOCK = 512
 
-_METRICS = ("cosine", "euclidean")
-
 
 @dataclass(frozen=True)
 class ReductionConfig:
     """Knobs for the reduction stage.
 
-    ``min_dist`` and ``spread`` shape the low-dimensional membership
-    curve; ``layout_epochs`` edges-proportional-to-weight passes of SGD
-    run with a learning rate decaying linearly from ``learning_rate`` to
-    zero.
+    Neighbors are found under cosine distance.  ``min_dist`` shapes the
+    low-dimensional membership curve; ``layout_epochs``
+    edges-proportional-to-weight passes of SGD run with a learning rate
+    decaying linearly from 1 to zero.
     """
 
     n_neighbors: int = 15
     n_components: int = 5
-    metric: str = "cosine"
     min_dist: float = 0.1
-    spread: float = 1.0
     layout_epochs: int = 200
     negative_sample_rate: int = 5
-    learning_rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,20 +54,14 @@ class ReductionConfig:
             raise ValidationError(
                 f"n_components must be >= 1, got {self.n_components}"
             )
-        if self.metric not in _METRICS:
-            raise ValidationError(f"metric must be one of {_METRICS}")
         if self.min_dist < 0:
             raise ValidationError(f"min_dist must be >= 0, got {self.min_dist}")
-        if self.spread <= 0:
-            raise ValidationError(f"spread must be > 0, got {self.spread}")
         if self.layout_epochs < 1:
             raise ValidationError(
                 f"layout_epochs must be >= 1, got {self.layout_epochs}"
             )
         if self.negative_sample_rate < 0:
             raise ValidationError("negative_sample_rate must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -91,16 +80,13 @@ class FuzzyGraph:
     sigma: np.ndarray
 
 
-def knn_graph(
-    points: np.ndarray, n_neighbors: int, metric: str = "cosine"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest neighbors of every point, self excluded.
+def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors of every point under cosine distance.
 
     Returns ``(indices, distances)`` of shape ``(n, k)`` with each row
-    sorted by ascending distance, ties broken by the lower index.  Rows
-    must be finite.  Cosine distance is ``1 - cosine`` clamped at 0 and
-    rejects zero rows; euclidean distance is ``sqrt(|x|^2 + |y|^2 - 2 x.y)``
-    clamped at 0.
+    sorted by ascending distance, ties broken by the lower index, self
+    excluded.  Rows must be finite and non-zero.  Cosine distance is
+    ``1 - cosine`` clamped at 0.
     Distances are computed ``_KNN_BLOCK`` rows at a time, so memory grows
     with ``n`` times the block, never with ``n^2``.
     """
@@ -114,30 +100,20 @@ def knn_graph(
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"points must be finite (row {bad})")
-    if metric == "euclidean":
-        basis = points
-        sq = np.sum(points**2, axis=1)
-    else:
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.argmax(norms == 0.0))
-            raise ValidationError(
-                f"cosine distance is undefined for zero vectors (row {bad})"
-            )
-        basis = points / norms[:, None]
+    norms = np.linalg.norm(points, axis=1)
+    if np.any(norms == 0.0):
+        bad = int(np.argmax(norms == 0.0))
+        raise ValidationError(
+            f"cosine distance is undefined for zero vectors (row {bad})"
+        )
+    unit = points / norms[:, None]
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
     for start in range(0, n, _KNN_BLOCK):
         block = slice(start, start + _KNN_BLOCK)
-        dist = basis[block] @ basis.T
-        if metric == "euclidean":
-            dist *= 2.0
-            np.subtract(sq[block, None] + sq[None, :], dist, out=dist)
-            np.maximum(dist, 0.0, out=dist)
-            np.sqrt(dist, out=dist)
-        else:
-            np.subtract(1.0, dist, out=dist)
-            np.maximum(dist, 0.0, out=dist)
+        dist = unit[block] @ unit.T
+        np.subtract(1.0, dist, out=dist)
+        np.maximum(dist, 0.0, out=dist)
         for i, row in enumerate(dist, start):
             row[i] = np.inf
             # The columns within the k-th distance, in index order, then a
@@ -193,7 +169,7 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
     for a pair combine into ``a + b - a * b``.
     """
     n = len(points)
-    idx, dist = knn_graph(points, config.n_neighbors, config.metric)
+    idx, dist = knn_graph(points, config.n_neighbors)
     rho = np.empty(n)
     sigma = np.empty(n)
     for i in range(n):
@@ -219,18 +195,18 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
     )
 
 
-def find_ab_params(min_dist: float, spread: float = 1.0) -> tuple[float, float]:
+def find_ab_params(min_dist: float) -> tuple[float, float]:
     """Fit the low-dimensional membership curve ``1 / (1 + a x^(2b))``.
 
-    Least-squares fit against the target curve that is 1 up to min_dist
-    and decays as ``exp(-(x - min_dist) / spread)`` beyond it.
+    Least-squares fit over [0, 3] against the target curve that is 1 up
+    to min_dist and decays as ``exp(-(x - min_dist))`` beyond it.
     """
 
     def curve(x, a, b):
         return 1.0 / (1.0 + a * x ** (2.0 * b))
 
-    xv = np.linspace(0.0, spread * 3.0, 300)
-    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist) / spread))
+    xv = np.linspace(0.0, 3.0, 300)
+    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist)))
     params, _ = curve_fit(curve, xv, yv, p0=[1.0, 1.0])
     return float(params[0]), float(params[1])
 
@@ -270,7 +246,7 @@ def optimize_layout(
     coords = rng.uniform(-10.0, 10.0, (n, dim))
     if len(graph.weights) == 0:
         return coords
-    a, b = find_ab_params(config.min_dist, config.spread)
+    a, b = find_ab_params(config.min_dist)
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
@@ -279,7 +255,7 @@ def optimize_layout(
         due = next_sample <= epoch
         if not np.any(due):
             continue
-        lr = config.learning_rate * (1.0 - epoch / epochs)
+        lr = 1.0 - epoch / epochs
         heads = graph.heads[due]
         tails = graph.tails[due]
         diff = coords[heads] - coords[tails]

@@ -5,13 +5,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import topicforge
-from topicforge.cli import main
+from topicforge import ClusterConfig, EmbeddingConfig, ReductionConfig
+from topicforge.cli import _configs_from_args, build_parser, main
 
 from conftest import make_two_theme_docs
 
@@ -155,6 +157,41 @@ class TestTrain:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestTrainFlags:
+    """Each train flag is a config field, with the field's default."""
+
+    @staticmethod
+    def configs(*flags):
+        args = build_parser().parse_args(["train", "--corpus", "c", "--output", "o", *flags])
+        return _configs_from_args(args)
+
+    def test_defaults_are_the_config_defaults(self):
+        assert self.configs() == (EmbeddingConfig(), ReductionConfig(), ClusterConfig())
+
+    def test_seed_sets_both_seeds(self):
+        embedding_config, reduction_config, _ = self.configs("--seed", "7")
+        assert embedding_config.seed == 7
+        assert reduction_config.seed == 7
+
+    def test_min_samples_parses_as_int(self):
+        _, _, cluster_config = self.configs("--min-samples", "3")
+        assert cluster_config.min_samples == 3
+        assert type(cluster_config.min_samples) is int
+
+    def test_flag_names(self, capsys):
+        assert main(["train", "--help"]) == 0
+        text = capsys.readouterr().out
+        flags = set(re.findall(r"--[a-z-]+", text))
+        assert flags == {
+            "--help", "--corpus", "--corpus-format", "--output",
+            "--vector-size", "--window", "--epochs", "--min-count",
+            "--subsample-threshold", "--initial-lr", "--final-lr",
+            "--n-neighbors", "--n-components", "--min-dist", "--layout-epochs",
+            "--negative-sample-rate", "--min-cluster-size", "--min-samples",
+            "--seed",
+        }
 
 
 class TestTopics:

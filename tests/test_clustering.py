@@ -163,6 +163,49 @@ class TestBuildMst:
         assert np.array_equal(build_mst(rows), build_mst(stacked(rows)))
 
 
+def union_find_extract(tree):
+    """Reference labels and stabilities computed with a union-find.
+
+    Points join the cluster they fell out of and unselected clusters join
+    their parent, so the selected clusters cut the tree into labeled parts.
+    """
+    m, n = len(tree.parent), tree.n_points
+    selected = [False] + [True] * (m - 1)
+    winning = tree.stability.copy()
+    for c in range(m - 1, 0, -1):
+        if not tree.children[c]:
+            continue
+        child_sum = sum(winning[ch] for ch in tree.children[c])
+        if child_sum > tree.stability[c]:
+            selected[c] = False
+            winning[c] = child_sum
+        else:
+            stack = list(tree.children[c])
+            while stack:
+                d = stack.pop()
+                selected[d] = False
+                stack.extend(tree.children[d])
+    chosen = [c for c in range(1, m) if selected[c]]
+    if not chosen:
+        return np.zeros(n, dtype=np.int64), np.array([tree.stability[0]])
+    parent_uf = list(range(n + m))
+
+    def find(x):
+        while parent_uf[x] != x:
+            x = parent_uf[x]
+        return x
+
+    for c in range(1, m):
+        if not selected[c]:
+            parent_uf[find(n + c)] = find(n + tree.parent[c])
+    for c in range(m):
+        for p in tree.fallout_points[c]:
+            parent_uf[find(p)] = find(n + c)
+    label_of_root = {find(n + c): rank for rank, c in enumerate(chosen)}
+    labels = np.array([label_of_root.get(find(p), -1) for p in range(n)])
+    return labels, tree.stability[chosen]
+
+
 class TestCondenseAndExtract:
     def test_no_qualifying_split_sheds_everything(self):
         # Chain 0-1-2 at distance 1, point 3 dangling at 9.
@@ -197,6 +240,24 @@ class TestCondenseAndExtract:
     def test_rejects_small_min_cluster_size(self):
         with pytest.raises(ValidationError):
             condense_tree(4, np.array([[0, 1, 1.0]]), min_cluster_size=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_labels_match_union_find_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_blobs = int(rng.integers(2, 7))
+        centers = rng.uniform(-10.0, 10.0, (n_blobs, 2))
+        sizes = rng.integers(5, 40, n_blobs)
+        points = np.vstack(
+            [rng.normal(c, rng.uniform(0.2, 1.5), (s, 2)) for c, s in zip(centers, sizes)]
+            + [rng.uniform(-15.0, 15.0, (10, 2))]
+        )
+        mst = build_mst(mutual_reachability(points, core_distances(points, 4)))
+        for mcs in (2, 3, 5, 8, 15):
+            tree = condense_tree(len(points), mst, mcs)
+            labeling = extract_clusters(tree)
+            labels, stability = union_find_extract(tree)
+            assert np.array_equal(labeling.labels, labels)
+            assert np.array_equal(labeling.cluster_stability, stability)
 
 
 class TestCluster:
@@ -271,6 +332,13 @@ class TestCluster:
             tracemalloc.stop()
         assert labeling.n_clusters >= 2
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = np.random.default_rng(18).standard_normal((60, 2))
+        points[37, 1] = bad
+        with pytest.raises(ValidationError, match=r"points must be finite \(row 37\)"):
+            cluster(points, ClusterConfig(min_cluster_size=5))
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):

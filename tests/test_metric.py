@@ -118,17 +118,6 @@ class TestHandValues:
         )
         assert pwi_hard(with_b, stats) == pytest.approx(2.0)
 
-    def test_log_base_rescales(self):
-        _, _, stats = hand_stats()
-        spec = TopicSpec(
-            mode="hard",
-            topics=(("a",), ("c",)),
-            assignments={"d0": 0, "d1": 1},
-        )
-        assert pwi_hard(spec, stats, base=math.e) == pytest.approx(
-            2.0 * math.log(2.0)
-        )
-
     def test_one_hot_mixture_equals_hard(self):
         _, _, stats = hand_stats()
         hard = TopicSpec(

@@ -25,7 +25,7 @@ from topicforge import (
     train,
 )
 from topicforge.cli import _write_manifest
-from topicforge.persistence import archive_from_bytes, archive_to_bytes
+from topicforge.persistence import FORMAT_VERSION, archive_from_bytes, archive_to_bytes
 
 from conftest import make_two_theme_docs
 
@@ -173,11 +173,12 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
-        with pytest.raises(ArchiveError, match=f"version {version}"):
+        expected = rf"unsupported archive version {version} \(expected {FORMAT_VERSION}\)"
+        with pytest.raises(ArchiveError, match=expected):
             archive_from_bytes(stamped)
 
     def test_too_short(self):

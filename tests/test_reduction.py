@@ -19,28 +19,24 @@ from topicforge.reduction import (
 ANALYTIC_SIGMA_123 = -1.0 / math.log((math.sqrt(4.0 * math.log2(3.0) - 3.0) - 1.0) / 2.0)
 
 
-def dense_distances(points, metric):
-    """Whole n x n distance matrix by the formulas knn_graph uses per block."""
-    if metric == "euclidean":
-        sq = np.sum(points**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-        return np.sqrt(np.maximum(d2, 0.0))
+def dense_distances(points):
+    """Whole n x n distance matrix by the formula knn_graph uses per block."""
     unit = points / np.linalg.norm(points, axis=1)[:, None]
     return np.maximum(1.0 - unit @ unit.T, 0.0)
 
 
-def dense_knn(points, k, metric):
+def dense_knn(points, k):
     """Reference kNN: a stable sort of every full row of the dense matrix."""
-    dist = dense_distances(points, metric)
+    dist = dense_distances(points)
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return order, np.take_along_axis(dist, order, axis=1)
 
 
-def knn_matrix(points, metric):
+def knn_matrix(points):
     """Distance matrix read back from knn_graph with every other point."""
     n = len(points)
-    idx, dist = knn_graph(points, n - 1, metric)
+    idx, dist = knn_graph(points, n - 1)
     full = np.zeros((n, n))
     full[np.arange(n)[:, None], idx] = dist
     return full
@@ -52,12 +48,9 @@ class TestConfig:
         [
             {"n_neighbors": 1},
             {"n_components": 0},
-            {"metric": "manhattan"},
             {"min_dist": -0.1},
-            {"spread": 0.0},
             {"layout_epochs": 0},
             {"negative_sample_rate": -1},
-            {"learning_rate": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -70,41 +63,39 @@ class TestPairwiseDistances:
 
     def test_cosine_hand_values(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-2.0, 0.0], [3.0, 0.0]])
-        d = knn_matrix(pts, "cosine")
+        d = knn_matrix(pts)
         assert d[0, 1] == pytest.approx(1.0)
         assert d[0, 2] == pytest.approx(2.0)
         assert d[0, 3] == pytest.approx(0.0)
         assert np.allclose(d, d.T)
         assert np.allclose(np.diag(d), 0.0)
 
-    def test_euclidean_hand_values(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = knn_matrix(pts, "euclidean")
-        assert d[0, 1] == pytest.approx(5.0)
-
     def test_cosine_rejects_zero_rows(self):
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="row 1"):
-            knn_graph(pts, 1, "cosine")
+            knn_graph(pts, 1)
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((40, 8))
-        for metric in ("cosine", "euclidean"):
-            assert np.all(knn_graph(pts, 39, metric)[1] >= 0.0)
+        assert np.all(knn_graph(pts, 39)[1] >= 0.0)
 
 
 class TestKnnGraph:
+    # Axis-aligned rows scaled by powers of two have exact unit vectors,
+    # so every cosine distance is exactly 0, 1 or 2 and equal ones tie.
+
     def test_hand_case(self):
-        pts = np.array([[0.0], [1.0], [3.0]])
-        idx, dist = knn_graph(pts, 2, metric="euclidean")
+        pts = np.array([[1.0, 0.0], [0.0, 2.0], [-4.0, 0.0]])
+        idx, dist = knn_graph(pts, 2)
         assert idx.tolist() == [[1, 2], [0, 2], [1, 0]]
-        assert dist.tolist() == [[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]]
+        assert dist.tolist() == [[1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
 
     def test_tie_breaks_to_lower_index(self):
-        pts = np.array([[0.0], [1.0], [-1.0], [1.0]])
-        idx, _ = knn_graph(pts, 3, metric="euclidean")
-        assert idx[0].tolist() == [1, 2, 3]
+        pts = np.array([[1.0, 0], [0, 2.0], [-2.0, 0], [0, 4.0], [0, -8.0]])
+        idx, dist = knn_graph(pts, 4)
+        assert idx[0].tolist() == [1, 3, 4, 2]
+        assert dist[0].tolist() == [1.0, 1.0, 1.0, 2.0]
 
     def test_excludes_self(self):
         rng = np.random.default_rng(1)
@@ -113,12 +104,11 @@ class TestKnnGraph:
         for i in range(20):
             assert i not in idx[i]
 
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_rejects_non_finite_rows(self, metric):
+    def test_rejects_non_finite_rows(self):
         pts = np.random.default_rng(3).standard_normal((10, 3))
         pts[4, 1] = np.nan
         with pytest.raises(ValidationError, match="row 4"):
-            knn_graph(pts, 3, metric)
+            knn_graph(pts, 3)
 
     def test_rejects_bad_neighbor_counts(self):
         pts = np.random.default_rng(2).standard_normal((10, 3))
@@ -139,11 +129,10 @@ class TestBlockedKnn:
         pts[[510, 511, 512, n - 1]] = pts[3]
         return pts
 
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_equal_on_block_aligned_shape(self, metric):
+    def test_equal_on_block_aligned_shape(self):
         pts = self.points_with_duplicates(1024, 50, 20)
-        idx, dist = knn_graph(pts, 15, metric)
-        ref_idx, ref_dist = dense_knn(pts, 15, metric)
+        idx, dist = knn_graph(pts, 15)
+        ref_idx, ref_dist = dense_knn(pts, 15)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(dist, ref_dist)
 
@@ -151,31 +140,36 @@ class TestBlockedKnn:
         # A product over a ragged block may round differently from the
         # dense one; cosine distances lie in [0, 2], so two ulps of 1.
         pts = self.points_with_duplicates(700, 50, 21)
-        idx, dist = knn_graph(pts, 15, "cosine")
-        ref_idx, ref_dist = dense_knn(pts, 15, "cosine")
+        idx, dist = knn_graph(pts, 15)
+        ref_idx, ref_dist = dense_knn(pts, 15)
         assert np.array_equal(idx, ref_idx)
         assert np.allclose(dist, ref_dist, rtol=0.0, atol=4.5e-16)
 
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_peak_memory_stays_below_one_dense_matrix(self, metric):
+    def test_peak_memory_stays_below_one_dense_matrix(self):
         # One 4,000 x 4,000 float64 matrix alone is 128 MB.
         pts = np.random.default_rng(23).standard_normal((4000, 50))
         tracemalloc.start()
         try:
-            knn_graph(pts, 15, metric)
+            knn_graph(pts, 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
     def test_exact_ties_across_blocks_break_to_lower_index(self):
-        # Integer points make every distance exact, so the many equal
-        # distances are true ties wherever their rows and columns fall.
-        pts = np.random.default_rng(22).integers(0, 12, (1100, 2)).astype(float)
-        idx, dist = knn_graph(pts, 20, "euclidean")
-        ref_idx, ref_dist = dense_knn(pts, 20, "euclidean")
+        # Rows along +-e_i scaled by powers of two make every distance
+        # exactly 0, 1 or 2, so the many equal distances are true ties
+        # wherever their rows and columns fall among the three blocks.
+        rng = np.random.default_rng(22)
+        n, dim = 1100, 50
+        pts = np.zeros((n, dim))
+        scale = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-3, 4, n)
+        pts[np.arange(n), rng.integers(0, dim, n)] = scale
+        idx, dist = knn_graph(pts, 20)
+        ref_idx, ref_dist = dense_knn(pts, 20)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(dist, ref_dist)
+        assert set(np.unique(dist)) == {0.0, 1.0}
         assert np.any(dist[:, :-1] == dist[:, 1:])
 
 
@@ -238,7 +232,7 @@ class TestFuzzySimplicialSet:
         # memberships computed straight from the definitions.
         pts, config, graph = self.graph_and_parts()
         n = len(pts)
-        idx, dist = knn_graph(pts, config.n_neighbors, config.metric)
+        idx, dist = knn_graph(pts, config.n_neighbors)
         directed = np.zeros((n, n))
         for i in range(n):
             rho, sigma = smooth_knn_calibrate(dist[i])
@@ -251,7 +245,7 @@ class TestFuzzySimplicialSet:
 
     def test_nearest_neighbor_edge_has_full_weight(self):
         pts, config, graph = self.graph_and_parts()
-        idx, _ = knn_graph(pts, config.n_neighbors, config.metric)
+        idx, _ = knn_graph(pts, config.n_neighbors)
         dense = np.zeros((graph.n_points, graph.n_points))
         dense[graph.heads, graph.tails] = graph.weights
         dense[graph.tails, graph.heads] = graph.weights
@@ -261,20 +255,20 @@ class TestFuzzySimplicialSet:
 
 class TestFindAbParams:
     def test_reference_values(self):
-        a, b = find_ab_params(0.1, 1.0)
+        a, b = find_ab_params(0.1)
         assert a == pytest.approx(1.577, abs=2e-3)
         assert b == pytest.approx(0.8951, abs=2e-3)
 
     def test_fit_tracks_target_curve(self):
-        a, b = find_ab_params(0.1, 1.0)
+        a, b = find_ab_params(0.1)
         x = np.linspace(0.0, 3.0, 300)
         target = np.where(x < 0.1, 1.0, np.exp(-(x - 0.1)))
         fitted = 1.0 / (1.0 + a * x ** (2.0 * b))
         assert np.sqrt(np.mean((fitted - target) ** 2)) < 0.05
 
     def test_smaller_min_dist_steepens_the_curve(self):
-        a_tight, _ = find_ab_params(0.01, 1.0)
-        a_loose, _ = find_ab_params(0.5, 1.0)
+        a_tight, _ = find_ab_params(0.01)
+        a_loose, _ = find_ab_params(0.5)
         assert a_tight > a_loose
 
 
