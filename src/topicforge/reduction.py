@@ -35,9 +35,9 @@ class ReductionConfig:
     """Knobs for the reduction stage.
 
     Neighbors are found under cosine distance.  ``min_dist`` shapes the
-    low-dimensional membership curve; ``layout_epochs``
-    edges-proportional-to-weight passes of SGD run with a learning rate
-    decaying linearly from 1 to zero.
+    low-dimensional membership curve and lies in [0, 1], the curve's
+    spread; ``layout_epochs`` edges-proportional-to-weight passes of SGD
+    run with a learning rate decaying linearly from 1 to zero.
     """
 
     n_neighbors: int = 15
@@ -54,8 +54,8 @@ class ReductionConfig:
             raise ValidationError(
                 f"n_components must be >= 1, got {self.n_components}"
             )
-        if self.min_dist < 0:
-            raise ValidationError(f"min_dist must be >= 0, got {self.min_dist}")
+        if not 0.0 <= self.min_dist <= 1.0:
+            raise ValidationError(f"min_dist must be in [0, 1], got {self.min_dist}")
         if self.layout_epochs < 1:
             raise ValidationError(
                 f"layout_epochs must be >= 1, got {self.layout_epochs}"
@@ -138,27 +138,42 @@ def smooth_knn_calibrate(distances: np.ndarray) -> tuple[float, float]:
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValidationError("distances must be a non-empty 1-d array")
+    if not np.isfinite(d).all():
+        raise ValidationError("distances must be finite")
     if np.any(d < 0):
         raise ValidationError("distances must be non-negative")
-    positive = d[d > 0]
-    rho = float(positive.min()) if positive.size else 0.0
-    d_max = float(d.max())
-    if d_max <= rho:
-        return rho, (1000.0 * d_max if d_max > 0 else 1.0)
-    target = math.log2(d.size)
-    shifted = np.maximum(d - rho, 0.0)
-    lo, hi, mid = 0.0, np.inf, 1.0
+    rho, sigma = _calibrate_rows(d[None])
+    return float(rho[0]), float(sigma[0])
+
+
+def _calibrate_rows(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``smooth_knn_calibrate`` of every row of ``dist``, searched together.
+
+    Every row takes the scalar search's steps; a row leaves the active
+    set at the step where its residual drops below the tolerance.
+    """
+    rho = np.where(dist > 0, dist, np.inf).min(axis=1)
+    rho[rho == np.inf] = 0.0
+    d_max = dist.max(axis=1)
+    sigma = np.where(d_max > 0, 1000.0 * d_max, 1.0)
+    rows = np.flatnonzero(d_max > rho)
+    shifted = np.maximum(dist[rows] - rho[rows, None], 0.0)
+    target = math.log2(dist.shape[1])
+    lo, hi, mid = np.zeros(len(rows)), np.full(len(rows), np.inf), np.ones(len(rows))
     for _ in range(_SMOOTH_ITERATIONS):
-        psum = float(np.exp(-shifted / mid).sum())
-        if abs(psum - target) < _SMOOTH_TOLERANCE:
+        if rows.size == 0:
             break
-        if psum > target:
-            hi = mid
-            mid = (lo + hi) / 2.0
-        else:
-            lo = mid
-            mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
-    return rho, mid
+        psum = np.exp(-shifted / mid[:, None]).sum(axis=1)
+        live = np.abs(psum - target) >= _SMOOTH_TOLERANCE
+        sigma[rows[~live]] = mid[~live]
+        rows, shifted, psum = rows[live], shifted[live], psum[live]
+        lo, hi, mid = lo[live], hi[live], mid[live]
+        over = psum > target
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+        mid = np.where(hi == np.inf, mid * 2.0, (lo + hi) / 2.0)
+    sigma[rows] = mid
+    return rho, sigma
 
 
 def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGraph:
@@ -170,10 +185,7 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
     """
     n = len(points)
     idx, dist = knn_graph(points, config.n_neighbors)
-    rho = np.empty(n)
-    sigma = np.empty(n)
-    for i in range(n):
-        rho[i], sigma[i] = smooth_knn_calibrate(dist[i])
+    rho, sigma = _calibrate_rows(dist)
     memb = np.exp(-np.maximum(dist - rho[:, None], 0.0) / sigma[:, None])
     rows = np.repeat(np.arange(n), config.n_neighbors)
     directed = scipy.sparse.coo_matrix(
@@ -211,20 +223,13 @@ def find_ab_params(min_dist: float) -> tuple[float, float]:
     return float(params[0]), float(params[1])
 
 
-def _negative_forces(
-    coords: np.ndarray,
-    anchors: np.ndarray,
-    samples: np.ndarray,
-    a: float,
-    b: float,
-) -> np.ndarray:
-    """Summed repulsive updates for each anchor against its sampled points."""
-    diff = coords[anchors][:, None, :] - coords[samples]
-    r2 = np.sum(diff * diff, axis=2)
-    coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * r2**b))
-    coeff[samples == anchors[:, None]] = 0.0
-    grad = np.clip(coeff[:, :, None] * diff, -_GRAD_CLIP, _GRAD_CLIP)
-    return grad.sum(axis=1)
+def _sum_in_order(terms) -> np.ndarray:
+    """``((t0 + t1) + t2) + ...`` over an iterable of equal-shape arrays."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for term in terms:
+        total += term
+    return total
 
 
 def optimize_layout(
@@ -240,6 +245,9 @@ def optimize_layout(
     epoch are computed from the epoch-start positions and applied
     together, with every component clipped to +-4 before the learning
     rate is applied.
+
+    Components are handled one at a time; sums run left to right, and each
+    point's updates add in the order heads, tails, head pushes, tail pushes.
     """
     n = graph.n_points
     dim = config.n_components
@@ -251,6 +259,7 @@ def optimize_layout(
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
     nsr = config.negative_sample_rate
+    columns = np.ascontiguousarray(coords.T)
     for epoch in range(epochs):
         due = next_sample <= epoch
         if not np.any(due):
@@ -258,24 +267,34 @@ def optimize_layout(
         lr = 1.0 - epoch / epochs
         heads = graph.heads[due]
         tails = graph.tails[due]
-        diff = coords[heads] - coords[tails]
-        r2 = np.sum(diff * diff, axis=1)
+        diffs = [x[heads] - x[tails] for x in columns]
+        r2 = _sum_in_order(d * d for d in diffs)
         coeff = np.where(
             r2 > 0.0, (-2.0 * a * b * r2 ** (b - 1.0)) / (1.0 + a * r2**b), 0.0
         )
-        grad = np.clip(coeff[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP)
-        delta = np.zeros_like(coords)
-        np.add.at(delta, heads, grad)
-        np.add.at(delta, tails, -grad)
+        updates = []
+        for d in diffs:
+            grad = np.clip(coeff * d, -_GRAD_CLIP, _GRAD_CLIP)
+            updates.append([grad, -grad])
+        targets = [heads, tails]
         if nsr > 0:
             for anchors in (heads, tails):
-                samples = rng.integers(0, n, size=(len(anchors), nsr))
-                np.add.at(
-                    delta, anchors, _negative_forces(coords, anchors, samples, a, b)
-                )
-        coords += lr * delta
+                # One sample per row, so each anchor's pushes add left to
+                # right; an anchor drawn against itself gets a zero push.
+                samples = rng.integers(0, n, size=(len(anchors), nsr)).T.copy()
+                diffs = [x[anchors] - x[samples] for x in columns]
+                r2 = _sum_in_order(d * d for d in diffs)
+                coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * r2**b))
+                for parts, d in zip(updates, diffs):
+                    grad = np.multiply(coeff, d, out=d)
+                    np.clip(grad, -_GRAD_CLIP, _GRAD_CLIP, out=grad)
+                    parts.append(_sum_in_order(grad))
+                targets.append(anchors)
+        targets = np.concatenate(targets)
+        for x, parts in zip(columns, updates):
+            x += lr * np.bincount(targets, np.concatenate(parts), n)
         next_sample[due] += eps_per_sample[due]
-    return coords
+    return np.ascontiguousarray(columns.T)
 
 
 def reduce(points: np.ndarray, config: ReductionConfig) -> np.ndarray:

@@ -126,6 +126,17 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "5"])
+    def test_bad_min_dist_exits_1(self, env, tmp_path, capsys, value):
+        out = tmp_path / "x.tpfg"
+        rc = main(
+            ["train", "--corpus", str(env["corpus"]), "--output", str(out),
+             "--min-dist", value]
+        )
+        assert rc == 1
+        assert "min_dist must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tokenless_documents_exit_1(self, env, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         lines = open(env["corpus"], encoding="utf-8").read()

@@ -8,6 +8,7 @@ import pytest
 
 from topicforge import FuzzyGraph, ReductionConfig, ValidationError, reduce
 from topicforge.reduction import (
+    _calibrate_rows,
     find_ab_params,
     fuzzy_simplicial_set,
     knn_graph,
@@ -42,6 +43,74 @@ def knn_matrix(points):
     return full
 
 
+def scalar_calibrate(d):
+    """One row's kernel calibration as a plain binary search over floats."""
+    positive = d[d > 0]
+    rho = float(positive.min()) if positive.size else 0.0
+    d_max = float(d.max())
+    if d_max <= rho:
+        return rho, (1000.0 * d_max if d_max > 0 else 1.0)
+    target = math.log2(d.size)
+    shifted = np.maximum(d - rho, 0.0)
+    lo, hi, mid = 0.0, np.inf, 1.0
+    for _ in range(64):
+        psum = float(np.exp(-shifted / mid).sum())
+        if abs(psum - target) < 1e-5:
+            break
+        if psum > target:
+            hi = mid
+            mid = (lo + hi) / 2.0
+        else:
+            lo = mid
+            mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
+    return rho, mid
+
+
+def block_negative_forces(coords, anchors, samples, a, b):
+    """Summed repulsive updates of each anchor over (anchors, nsr, dim) blocks."""
+    diff = coords[anchors][:, None, :] - coords[samples]
+    r2 = np.sum(diff * diff, axis=2)
+    coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * r2**b))
+    coeff[samples == anchors[:, None]] = 0.0
+    grad = np.clip(coeff[:, :, None] * diff, -4.0, 4.0)
+    return grad.sum(axis=1)
+
+
+def block_layout(graph, config, rng):
+    """The layout loop on whole (edges, dim) blocks, updates added by np.add.at."""
+    n = graph.n_points
+    coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
+    a, b = find_ab_params(config.min_dist)
+    epochs = config.layout_epochs
+    eps_per_sample = graph.weights.max() / graph.weights
+    next_sample = eps_per_sample.copy()
+    nsr = config.negative_sample_rate
+    for epoch in range(epochs):
+        due = next_sample <= epoch
+        if not np.any(due):
+            continue
+        lr = 1.0 - epoch / epochs
+        heads = graph.heads[due]
+        tails = graph.tails[due]
+        diff = coords[heads] - coords[tails]
+        r2 = np.sum(diff * diff, axis=1)
+        coeff = np.where(
+            r2 > 0.0, (-2.0 * a * b * r2 ** (b - 1.0)) / (1.0 + a * r2**b), 0.0
+        )
+        grad = np.clip(coeff[:, None] * diff, -4.0, 4.0)
+        delta = np.zeros_like(coords)
+        np.add.at(delta, heads, grad)
+        np.add.at(delta, tails, -grad)
+        if nsr > 0:
+            for anchors in (heads, tails):
+                samples = rng.integers(0, n, size=(len(anchors), nsr))
+                push = block_negative_forces(coords, anchors, samples, a, b)
+                np.add.at(delta, anchors, push)
+        coords += lr * delta
+        next_sample[due] += eps_per_sample[due]
+    return coords
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,6 +120,9 @@ class TestConfig:
             {"min_dist": -0.1},
             {"layout_epochs": 0},
             {"negative_sample_rate": -1},
+            {"min_dist": float("nan")},
+            {"min_dist": float("inf")},
+            {"min_dist": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -210,6 +282,51 @@ class TestSmoothKnnCalibrate:
             smooth_knn_calibrate(np.array([]))
         with pytest.raises(ValidationError):
             smooth_knn_calibrate(np.array([-1.0, 2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="distances must be finite"):
+                smooth_knn_calibrate(np.array([0.5, bad, 2.0]))
+
+
+class TestCalibrateRows:
+    """All rows searched together against the scalar search, row by row."""
+
+    @staticmethod
+    def assert_rows_match(dist):
+        rho, sigma = _calibrate_rows(dist)
+        for i, row in enumerate(dist):
+            assert (rho[i], sigma[i]) == scalar_calibrate(row), i
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 15, 30])
+    def test_random_rows(self, k):
+        rng = np.random.default_rng(40 + k)
+        scale = rng.uniform(0.01, 5.0, (200, 1))
+        self.assert_rows_match(np.sort(rng.random((200, k)), axis=1) * scale)
+
+    def test_neighbor_distances(self):
+        pts = np.random.default_rng(41).standard_normal((300, 20))
+        self.assert_rows_match(knn_graph(pts, 15)[1])
+
+    def test_edge_rows(self):
+        rows = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],  # all zero: sigma 1.0
+                [0.7, 0.7, 0.7, 0.7],  # flat: the 1000 * max sentinel
+                [0.0, 0.0, 0.7, 0.7],  # zeros under a flat positive part
+                [0.0, 0.0, 0.3, 0.9],  # zeros mixed with positives
+                [0.0, 0.2, 0.5, 1.1],
+                [1e-30, 2e-30, 2e-30, 3e-30],  # halves 64 times: sigma 2**-64
+                [1.0, 1e300, 1e300, 1e300],  # doubles 64 times: sigma 2**64
+            ]
+        )
+        self.assert_rows_match(rows)
+        _, sigma = _calibrate_rows(rows)
+        assert sigma[:2].tolist() == [1.0, 700.0]
+        assert sigma[-2:].tolist() == [2.0**-64, 2.0**64]
+
+    def test_single_row_is_the_public_function(self):
+        d = np.array([0.1, 0.4, 0.45, 2.0])
+        rho, sigma = _calibrate_rows(d[None])
+        assert smooth_knn_calibrate(d) == (rho[0], sigma[0])
 
 
 class TestFuzzySimplicialSet:
@@ -313,6 +430,49 @@ class TestOptimizeLayout:
         coords = optimize_layout(graph, config, np.random.default_rng(0))
         assert coords.shape == (3, 2)
         assert np.all(np.abs(coords) <= 10.0)
+
+
+class TestLayoutEquality:
+    """optimize_layout against the block formulation with np.add.at."""
+
+    @staticmethod
+    def complete_graph(n=7, seed=30):
+        # Every pair is an edge, so each point is a head and a tail many
+        # times; with 7 points about one negative sample in seven is the
+        # anchor itself.
+        heads, tails = np.triu_indices(n, 1)
+        weights = np.random.default_rng(seed).uniform(0.05, 1.0, len(heads))
+        return FuzzyGraph(
+            n_points=n,
+            heads=heads.astype(np.int64),
+            tails=tails.astype(np.int64),
+            weights=weights,
+            rho=np.zeros(n),
+            sigma=np.ones(n),
+        )
+
+    @pytest.mark.parametrize("nsr", [0, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_bit_identical_on_small_graph(self, dim, nsr):
+        config = ReductionConfig(
+            n_neighbors=2,
+            n_components=dim,
+            layout_epochs=80,
+            negative_sample_rate=nsr,
+            seed=31,
+        )
+        graph = self.complete_graph()
+        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
+        want = block_layout(graph, config, np.random.default_rng(config.seed))
+        assert np.array_equal(got, want)
+
+    def test_bit_identical_on_neighbor_graph(self):
+        pts = np.random.default_rng(32).standard_normal((300, 20))
+        config = ReductionConfig(n_neighbors=10, layout_epochs=60, seed=33)
+        graph = fuzzy_simplicial_set(pts, config)
+        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
+        want = block_layout(graph, config, np.random.default_rng(config.seed))
+        assert np.array_equal(got, want)
 
 
 class TestReduce:
