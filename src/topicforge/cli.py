@@ -68,17 +68,15 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(
     artifact_path: str,
-    command: str,
-    argv: list[str],
+    invocation: dict,
     config: dict,
     inputs: list[str],
     timings: dict[str, float],
 ) -> None:
+    """Write the manifest; ``invocation`` is what ``main`` records at dispatch."""
     manifest = {
-        "command": command,
-        "argv": argv,
+        **invocation,
         "package_version": __version__,
-        "started_at": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
         "artifact": {artifact_path: _sha256(artifact_path)},
@@ -115,7 +113,7 @@ def _configs_from_args(args: argparse.Namespace):
     )
 
 
-def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_train(args: argparse.Namespace, invocation: dict) -> int:
     embedding_config, reduction_config, cluster_config = _configs_from_args(args)
     docs = load_corpus(args.corpus, args.corpus_format)
     timings: dict[str, float] = {}
@@ -142,7 +140,7 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
         "clustering": dataclasses.asdict(cluster_config),
     }
     _write_manifest(
-        args.output, "train", argv, config, [args.corpus], timings
+        args.output, invocation, config, [args.corpus], timings
     )
     print(
         f"{model.n_topics} topics across {len(docs)} documents "
@@ -151,7 +149,7 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def cmd_topics(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_topics(args: argparse.Namespace, invocation: dict) -> int:
     archive = load_model(args.model)
     listing = topics_to_dicts(archive.topic_model, args.top_n)
     if args.format == "json":
@@ -181,14 +179,14 @@ def cmd_topics(args: argparse.Namespace, argv: list[str]) -> int:
     if args.output:
         write_atomically(args.output, text.encode("utf-8"))
         _write_manifest(
-            args.output, "topics", argv, {"top_n": args.top_n}, [args.model], {}
+            args.output, invocation, {"top_n": args.top_n}, [args.model], {}
         )
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_reduce(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_reduce(args: argparse.Namespace, invocation: dict) -> int:
     archive = load_model(args.model)
     t0 = time.perf_counter()
     reduced_model = reduce_topics(archive.topic_model, args.to)
@@ -204,7 +202,7 @@ def cmd_reduce(args: argparse.Namespace, argv: list[str]) -> int:
     )
     save_model(new_archive, args.output)
     _write_manifest(
-        args.output, "reduce", argv, {"to": args.to}, [args.model], timings
+        args.output, invocation, {"to": args.to}, [args.model], timings
     )
     print(
         f"reduced to {reduced_model.n_topics} topics "
@@ -231,7 +229,7 @@ def _split_words(value: str | None) -> list[str]:
     return [w.strip().lower() for w in value.split(",") if w.strip()]
 
 
-def cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_search(args: argparse.Namespace, invocation: dict) -> int:
     archive = load_model(args.model)
     words = _split_words(args.words)
     not_words = _split_words(args.not_words)
@@ -247,7 +245,7 @@ def cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
     if bool(args.model) == bool(args.external):
         raise ValidationError("evaluate needs exactly one of --model or --external")
     docs = load_corpus(args.corpus, args.corpus_format)
@@ -280,14 +278,14 @@ def cmd_evaluate(args: argparse.Namespace, argv: list[str]) -> int:
     if args.output:
         write_atomically(args.output, text.encode("utf-8"))
         _write_manifest(
-            args.output, "evaluate", argv, {"top_n": args.top_n}, inputs, {}
+            args.output, invocation, {"top_n": args.top_n}, inputs, {}
         )
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_export(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_export(args: argparse.Namespace, invocation: dict) -> int:
     archive = load_model(args.model)
     doc_ids = archive.embedding.doc_ids
     labels = archive.labeling.labels
@@ -327,7 +325,7 @@ def cmd_export(args: argparse.Namespace, argv: list[str]) -> int:
             )
     write_atomically(args.output, buf.getvalue().encode("utf-8"))
     _write_manifest(
-        args.output, "export", argv, {"what": args.what}, [args.model], timings
+        args.output, invocation, {"what": args.what}, [args.model], timings
     )
     print(f"wrote {args.what} for {len(doc_ids)} documents to {args.output}")
     return 0
@@ -407,7 +405,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, argv)
+        invocation = {
+            "command": args.command,
+            "argv": argv,
+            "started_at": datetime.now(timezone.utc).isoformat(),
+        }
+        return args.func(args, invocation)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,10 +7,9 @@ points count as new clusters, and selecting the most stable clusters by
 excess of mass.  Points that fall out of the hierarchy above every
 selected cluster are noise.
 
-No n x n matrix is held: core distances are computed a block of rows at a
-time, and the spanning tree reads each mutual reachability row once, as
-it is computed.  Distances are summed one coordinate at a time, so every
-pair gets the same value in every block and row.
+No n x n matrix is held: core distances come from a KD-tree query, and
+the spanning tree reads each mutual reachability row once, as it is
+computed.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-
-# Rows of the distance matrix the core-distance search holds at a time.
-_CORE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ class CondensedTree:
     n_points: int
     parent: list[int]
     birth_lambda: list[float]
-    death_lambda: list[float]
     children: list[list[int]]
     size_at_birth: list[int]
     fallout_points: list[list[int]]
@@ -95,41 +91,24 @@ class ClusterLabeling:
         return int(np.sum(self.labels == -1))
 
 
-def _squared_distances(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances from each of ``rows`` to every point.
-
-    The squares of the component differences are summed one component at
-    a time, without a matrix product, so a pair gets the same value
-    whichever rows are computed together.
-    """
-    d2 = np.zeros((len(rows), len(points)))
-    diff = np.empty_like(d2)
-    for c in range(points.shape[1]):
-        np.subtract(rows[:, c, None], points[None, :, c], out=diff)
-        np.multiply(diff, diff, out=diff)
-        d2 += diff
-    return d2
-
-
 def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th nearest neighbor.
 
     The point itself is excluded, so ``min_samples`` must be at most
-    ``n - 1``.  Distances are computed ``_CORE_BLOCK`` rows at a time.
+    ``n - 1``.  Below 8 coordinates the KD-tree sums squared differences
+    one coordinate at a time, as the mutual reachability rows do, so the
+    two agree bit for bit; from 8 it sums in four partial sums and they
+    may differ in the last bits.
     """
     n = len(points)
     if not 1 <= min_samples <= n - 1:
         raise ValidationError(
             f"min_samples must be in [1, {n - 1}] for {n} points, got {min_samples}"
         )
-    core = np.empty(n)
-    for start in range(0, n, _CORE_BLOCK):
-        dist = np.sqrt(_squared_distances(points[start : start + _CORE_BLOCK], points))
-        for i, row in enumerate(dist, start):
-            row[i] = np.inf
-        kth = np.partition(dist, min_samples - 1, axis=1)[:, min_samples - 1]
-        core[start : start + len(dist)] = kth
-    return core
+    # The point is its own nearest neighbor at distance 0 (or ties with a
+    # duplicate at 0), so the last of k + 1 is the k-th excluding itself.
+    dist, _ = cKDTree(points).query(points, k=min_samples + 1)
+    return dist[:, -1]
 
 
 @dataclass(frozen=True)
@@ -138,17 +117,25 @@ class ReachabilityRows:
 
     ``rows[j]`` is a fresh array of ``max(euclidean(j, i), core_j, core_i)``
     over every point i, with 0 at i = j; ``len(rows)`` is the point count.
-    Each row is computed when it is read and is not kept.
+    ``columns`` holds the points one coordinate per row, and each row's
+    squared differences are summed one coordinate at a time.  Each row is
+    computed when it is read and is not kept.
     """
 
-    points: np.ndarray
+    columns: np.ndarray
     core: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.columns.shape[1]
 
     def __getitem__(self, j: int) -> np.ndarray:
-        row = np.sqrt(_squared_distances(self.points[j : j + 1], self.points)[0])
+        row = np.zeros(len(self))
+        diff = np.empty_like(row)
+        for col in self.columns:
+            np.subtract(col[j], col, out=diff)
+            np.multiply(diff, diff, out=diff)
+            row += diff
+        np.sqrt(row, out=row)
         np.maximum(row, self.core, out=row)
         np.maximum(row, self.core[j], out=row)
         row[j] = 0.0
@@ -157,7 +144,7 @@ class ReachabilityRows:
 
 def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRows:
     """Row view of the pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix."""
-    return ReachabilityRows(points, core)
+    return ReachabilityRows(np.ascontiguousarray(points.T), core)
 
 
 def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
@@ -251,7 +238,6 @@ def condense_tree(
     children, dist, size = _single_linkage(n_points, mst_edges)
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
-    death: list[float] = [np.inf]
     kids: list[list[int]] = [[]]
     size_at_birth: list[int] = [n_points]
     fallout_points: list[list[int]] = [[]]
@@ -266,12 +252,10 @@ def condense_tree(
         big_left = size[left] >= min_cluster_size
         big_right = size[right] >= min_cluster_size
         if big_left and big_right:
-            death[cluster] = lam
             for side in (left, right):
                 cid = len(parent)
                 parent.append(cluster)
                 birth.append(lam)
-                death.append(np.inf)
                 kids.append([])
                 size_at_birth.append(int(size[side]))
                 fallout_points.append([])
@@ -285,7 +269,6 @@ def condense_tree(
                 fallout_lambdas[cluster].append(lam)
             stack.append((int(keep), cluster))
         else:
-            death[cluster] = lam
             for side in (left, right):
                 for p in _leaves_below(int(side), n_points, children):
                     fallout_points[cluster].append(p)
@@ -294,7 +277,6 @@ def condense_tree(
         n_points=n_points,
         parent=parent,
         birth_lambda=birth,
-        death_lambda=death,
         children=kids,
         size_at_birth=size_at_birth,
         fallout_points=fallout_points,

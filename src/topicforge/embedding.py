@@ -353,16 +353,19 @@ def _rank_by_cosine(
 
     Ties rank the lower row index first.  Rows with zero norm sink to the
     bottom.  Returns one (indices, similarities) pair per query, with
-    top_n clamped to the row count.  The row norms, and the cast of
-    ``matrix`` to the queries' precision, are computed once per call;
-    each query is still scored with its own matrix-vector product, so a
-    block of queries ranks exactly as the same queries one at a time.
+    top_n clamped to the row count; top_n below 1 is rejected.  The row
+    norms, and the cast of ``matrix`` to the queries' precision, are
+    computed once per call; each query is still scored with its own
+    matrix-vector product, so a block of queries ranks exactly as the
+    same queries one at a time.
     """
+    if top_n < 1:
+        raise ValidationError(f"top_n must be >= 1, got {top_n}")
     queries = np.asarray(queries)
     norms = np.linalg.norm(matrix, axis=1)
     scaled_norms = np.maximum(norms, 1e-300)
     rows = matrix.astype(np.result_type(matrix, queries), copy=False)
-    k = max(0, min(top_n, len(matrix)))
+    k = min(top_n, len(matrix))
     ranked = []
     for query in queries:
         qn = float(np.linalg.norm(query))

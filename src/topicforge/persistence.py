@@ -295,11 +295,13 @@ def _parse_archive(data: bytes) -> ModelArchive:
     n_docs = len(header["doc_ids"])
     n_words = len(words)
     dim = embedding_config.vector_size
+    n_topics = len(blocks["topic_vectors"])
     shape_checks = (
         ("doc_vectors", (n_docs, dim)),
         ("word_vectors", (n_words, dim)),
         ("inner_node_vectors", (max(n_words - 1, 0), dim)),
         ("reduced_coords", (n_docs, reduction_config.n_components)),
+        ("topic_vectors", (n_topics, dim)),
     )
     for name, shape in shape_checks:
         _require(
@@ -319,7 +321,6 @@ def _parse_archive(data: bytes) -> ModelArchive:
         "cluster labels out of range",
     )
     assignment = np.array(header["assignment"], dtype=np.int64)
-    n_topics = len(blocks["topic_vectors"])
     _require(len(assignment) == n_docs, "assignment does not cover every document")
     _require(
         len(header["topic_words"]) == n_topics

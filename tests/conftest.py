@@ -1,5 +1,7 @@
 """Shared fixtures: synthetic corpora and one session-scoped trained pipeline."""
 
+import json
+import struct
 import time
 
 import numpy as np
@@ -209,3 +211,18 @@ def fail_writes(monkeypatch):
             monkeypatch.setattr(module, "open", failing_open, raising=False)
 
     return fail
+
+
+def halve_topic_columns(data):
+    """Archive bytes whose last block, ``topic_vectors``, is declared with
+    half its columns and cut to match, so every offset and length agrees
+    and only the block's shape is wrong."""
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    block = header["matrices"][-1]
+    assert block["name"] == "topic_vectors"
+    cut = block["rows"] * (block["cols"] - block["cols"] // 2) * 4
+    block["cols"] //= 2
+    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    blocks = data[12 + header_len : len(data) - cut]
+    return data[:8] + struct.pack("<I", len(hb)) + hb + blocks

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -15,7 +16,7 @@ import topicforge
 from topicforge import ClusterConfig, EmbeddingConfig, ReductionConfig
 from topicforge.cli import _configs_from_args, build_parser, main
 
-from conftest import make_two_theme_docs
+from conftest import halve_topic_columns, make_two_theme_docs
 
 TRAIN_FLAGS = [
     "--vector-size", "12",
@@ -102,6 +103,22 @@ class TestTrain:
             )
             outputs.append(sha256(out))
         assert outputs[0] == outputs[1] == sha256(env["model"])
+
+    def test_manifest_start_precedes_the_timed_stages(self, env, tmp_path, capsys):
+        out = tmp_path / "timed.tpfg"
+        rc = main(
+            ["train", "--corpus", str(env["corpus"]), "--output", str(out)]
+            + TRAIN_FLAGS
+        )
+        returned = datetime.now(timezone.utc)
+        assert rc == 0
+        capsys.readouterr()
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        timings = manifest["timings_seconds"]
+        # Each timing is rounded to the millisecond, so allow half of one each.
+        stages = sum(timings.values()) - 0.0005 * len(timings)
+        started = datetime.fromisoformat(manifest["started_at"])
+        assert started + timedelta(seconds=stages) <= returned
 
     def test_reports_summary(self, env, tmp_path, capsys):
         out = tmp_path / "c.tpfg"
@@ -241,6 +258,24 @@ class TestTopics:
         assert main(["topics", "--model", str(tmp_path / "no.tpfg")]) == 2
         capsys.readouterr()
 
+    def test_garbage_model_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "garbage.tpfg"
+        path.write_bytes(b"this is not an archive at all")
+        assert main(["topics", "--model", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_topic_block_of_the_wrong_width_exits_1(self, env, tmp_path, capsys):
+        path = tmp_path / "narrow.tpfg"
+        path.write_bytes(halve_topic_columns(env["model"].read_bytes()))
+        assert main(["topics", "--model", str(path)]) == 1
+        assert "'topic_vectors' has shape" in capsys.readouterr().err
+
+    def test_top_n_below_one_exits_1(self, env, capsys):
+        assert main(["topics", "--model", str(env["model"]), "--top-n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "top_n must be >= 1, got 0" in captured.err
+
 
 class TestReduceCommand:
     def test_reduces_and_saves(self, env, tmp_path, capsys):
@@ -312,6 +347,13 @@ class TestSearch:
     def test_no_words_exits_1(self, env, capsys):
         assert main(["search", "--model", str(env["model"])]) == 1
         capsys.readouterr()
+
+    def test_top_n_below_one_exits_1(self, env, capsys):
+        argv = ["search", "--model", str(env["model"]), "--words", "ocean"]
+        assert main(argv + ["--top-n", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "top_n must be >= 1, got -2" in captured.err
 
 
 class TestEvaluate:

@@ -52,6 +52,47 @@ class TestCoreDistances:
         with pytest.raises(ValidationError):
             core_distances(self.line, 4)
 
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7])
+    def test_equals_the_blocked_all_pairs_search(self, dim):
+        # 700 rows leave a ragged last block of 188; runs of equal rows
+        # straddle both block boundaries, so ties meet the block edges.
+        rng = np.random.default_rng(7)
+        pts = rng.standard_normal((700, dim)) * rng.uniform(0.01, 50.0, dim)
+        pts[250:262] = pts[3]
+        pts[508:516] = pts[600]
+        pts[640:] = np.round(pts[640:])
+        for k in (1, 6, 15):
+            assert np.array_equal(core_distances(pts, k), blocked_core_distances(pts, k))
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_close_to_the_blocked_search_from_8_coordinates(self, dim):
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((700, dim))
+        pts[250:262] = pts[3]
+        for k in (1, 15):
+            assert core_distances(pts, k) == pytest.approx(
+                blocked_core_distances(pts, k), rel=1e-12
+            )
+
+
+def blocked_core_distances(points, min_samples, block=256):
+    """All-pairs reference: ``block`` rows of distances at a time, with
+    squared differences summed one coordinate at a time."""
+    n = len(points)
+    core = np.empty(n)
+    for start in range(0, n, block):
+        rows = points[start : start + block]
+        d2 = np.zeros((len(rows), n))
+        for c in range(points.shape[1]):
+            diff = rows[:, c, None] - points[None, :, c]
+            d2 += diff * diff
+        dist = np.sqrt(d2)
+        dist[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
+        core[start : start + len(rows)] = np.partition(dist, min_samples - 1, axis=1)[
+            :, min_samples - 1
+        ]
+    return core
+
 
 def stacked(rows):
     """The rows of a mutual reachability view as one dense matrix."""
@@ -93,17 +134,21 @@ class TestMutualReachability:
                 expected = 0.0 if i == j else max(core[i], core[j], dist)
                 assert row[j] == pytest.approx(expected, rel=0.0, abs=1e-12)
 
-    def test_rows_do_not_depend_on_the_rows_computed_with_them(self):
-        # Core distances come from blocks of rows and the view from one
-        # row at a time; each pair must get one distance either way.
+    @pytest.mark.parametrize("dim", [1, 2, 5, 7])
+    def test_rows_do_not_depend_on_the_rows_computed_with_them(self, dim):
+        # Core distances come from a KD-tree and the view from one row at
+        # a time; below 8 coordinates each pair must get one distance.
         rng = np.random.default_rng(5)
-        pts = rng.standard_normal((600, 5))
+        pts = rng.standard_normal((600, dim))
         core = core_distances(pts, 7)
         mr = stacked(mutual_reachability(pts, core))
         assert np.array_equal(mr, mr.T)
         own = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
         np.fill_diagonal(own, np.inf)
         assert np.array_equal(core, np.sort(own, axis=1)[:, 6])
+        off = ~np.eye(len(pts), dtype=bool)
+        expected = np.maximum(own, np.maximum(core[:, None], core[None, :]))
+        assert np.array_equal(mr[off], expected[off])
 
 
 class TestBuildMst:

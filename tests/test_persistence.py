@@ -27,7 +27,7 @@ from topicforge import (
 from topicforge.cli import _write_manifest
 from topicforge.persistence import FORMAT_VERSION, archive_from_bytes, archive_to_bytes
 
-from conftest import make_two_theme_docs
+from conftest import halve_topic_columns, make_two_theme_docs
 
 
 @functools.cache
@@ -256,6 +256,11 @@ class TestRejection:
         with pytest.raises(ArchiveError):
             archive_from_bytes(data)
 
+    def test_topic_block_of_the_wrong_width(self, archive):
+        data = halve_topic_columns(archive_to_bytes(archive))
+        with pytest.raises(ArchiveError, match="'topic_vectors' has shape"):
+            archive_from_bytes(data)
+
     def test_empty_vocabulary(self, archive):
         def empty(h):
             h["vocabulary"]["words"] = []
@@ -340,11 +345,12 @@ class TestAtomicWrite:
         artifact = tmp_path / "topics.txt"
         artifact.write_text("topic 0\n")
         manifest = tmp_path / "topics.txt.manifest.json"
-        _write_manifest(str(artifact), "topics", [], {}, [], {})
+        run = {"command": "topics", "argv": [], "started_at": "2026-01-01T00:00:00"}
+        _write_manifest(str(artifact), run, {}, [], {})
         before = manifest.read_bytes()
         fail_writes()
         with pytest.raises(OSError, match="no space"):
-            _write_manifest(str(artifact), "topics", ["again"], {}, [], {})
+            _write_manifest(str(artifact), dict(run, argv=["again"]), {}, [], {})
         assert manifest.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == [
             "topics.txt",
