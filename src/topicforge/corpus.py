@@ -175,12 +175,17 @@ def load_corpus(path: str, fmt: str = "jsonl") -> list[Document]:
     JSON lines must be objects with a string ``text`` field and an
     optional string ``id``; missing ids are synthesized from the
     zero-based line number.  In plain format every line is one document
-    with its line number as id.
+    with its line number as id.  Lines end at a line feed, a carriage
+    return or both; other Unicode line separators, such as U+2028, are
+    text.  A file that is not UTF-8 raises ``CorpusError``.
     """
     if fmt not in ("jsonl", "plain"):
         raise ValidationError(f"unknown corpus format {fmt!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.removesuffix("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     docs: list[Document] = []
     if fmt == "plain":
         for i, line in enumerate(lines):

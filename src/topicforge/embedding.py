@@ -62,6 +62,8 @@ class EmbeddingConfig:
                 f"need 0 < final_lr <= initial_lr, got "
                 f"{self.final_lr} and {self.initial_lr}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -267,6 +267,8 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
     mode = data.get("mode")

@@ -8,7 +8,9 @@ memory) as float32, so a save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
 unsupported version, a truncated file, or inconsistent shapes raise
-``ArchiveError`` and never yield a partially loaded model.  Older
+``ArchiveError`` and never yield a partially loaded model.  Block sizes
+are checked against the file length before any block is allocated, and
+each block is read straight into its own array.  Older
 versions are rejected, not converted: version 1 stored the word matrix
 twice, and version 2's reduction config carried three options that no
 longer exist.
@@ -16,12 +18,13 @@ longer exist.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import io
 import json
 import os
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .embedding import (
 )
 from .errors import ArchiveError
 from .reduction import ReductionConfig
-from .topics import MergeRecord, TopicModel, make_topics
+from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
 FORMAT_VERSION = 3
@@ -55,10 +58,13 @@ class ModelArchive:
     embedding_config: EmbeddingConfig
     reduction_config: ReductionConfig
     cluster_config: ClusterConfig
-    embedding: SemanticEmbedding
     reduced_coords: np.ndarray
     labeling: ClusterLabeling
     topic_model: TopicModel
+
+    @property
+    def embedding(self) -> SemanticEmbedding:
+        return self.topic_model.embedding
 
     @classmethod
     def from_pipeline(
@@ -73,55 +79,44 @@ class ModelArchive:
     ) -> "ModelArchive":
         """Cast a pipeline's float64 results down to storage precision."""
         f4 = lambda a: np.ascontiguousarray(a, dtype=np.float32)  # noqa: E731
-        coding = copy.copy(embedding.coding)
-        coding.inner_node_vectors = f4(coding.inner_node_vectors)
-        stored = SemanticEmbedding(
+        stored = dataclasses.replace(
+            embedding,
             doc_vectors=f4(embedding.doc_vectors),
             word_vectors=f4(embedding.word_vectors),
-            coding=coding,
-            vocabulary=embedding.vocabulary,
-            doc_ids=embedding.doc_ids,
+            coding=dataclasses.replace(
+                embedding.coding,
+                inner_node_vectors=f4(embedding.coding.inner_node_vectors),
+            ),
             epoch_losses=list(embedding.epoch_losses),
-        )
-        assignment = topic_model.assignment.astype(np.int64)
-        topics = make_topics(
-            embedding.doc_ids,
-            f4(topic_model.topic_vector_matrix()),
-            assignment,
-            [t.provenance for t in topic_model.topics],
-            [t.words for t in topic_model.topics],
-        )
-        model = TopicModel(
-            topics=topics,
-            assignment=assignment,
-            embedding=stored,
-            merge_history=topic_model.merge_history,
         )
         return cls(
             embedding_config=embedding_config,
             reduction_config=reduction_config,
             cluster_config=cluster_config,
-            embedding=stored,
             reduced_coords=f4(reduced_coords),
             labeling=labeling,
-            topic_model=model,
+            topic_model=dataclasses.replace(
+                topic_model,
+                vectors=f4(topic_model.vectors),
+                assignment=topic_model.assignment.astype(np.int64, copy=False),
+                embedding=stored,
+            ),
         )
 
 
-def _matrices(archive: ModelArchive) -> dict[str, np.ndarray]:
-    return {
-        "doc_vectors": archive.embedding.doc_vectors,
-        "word_vectors": archive.embedding.word_vectors,
-        "inner_node_vectors": archive.embedding.coding.inner_node_vectors,
+def _archive_parts(archive: ModelArchive) -> list:
+    """The archive as a sequence of buffers: the magic, version and header
+    bytes, then each matrix block as a little-endian float32 array."""
+    topic_model = archive.topic_model
+    embedding = topic_model.embedding
+    matrices = {
+        "doc_vectors": embedding.doc_vectors,
+        "word_vectors": embedding.word_vectors,
+        "inner_node_vectors": embedding.coding.inner_node_vectors,
         "reduced_coords": archive.reduced_coords,
-        "topic_vectors": archive.topic_model.topic_vector_matrix(),
+        "topic_vectors": topic_model.vectors,
     }
-
-
-def archive_to_bytes(archive: ModelArchive) -> bytes:
-    """Serialize an archive to its on-disk byte sequence."""
-    matrices = _matrices(archive)
-    vocab = archive.embedding.vocabulary
+    vocab = embedding.vocabulary
     header = {
         "embedding_config": dataclasses.asdict(archive.embedding_config),
         "reduction_config": dataclasses.asdict(archive.reduction_config),
@@ -133,18 +128,16 @@ def archive_to_bytes(archive: ModelArchive) -> bytes:
             "min_count": vocab.min_count,
             "subsample_threshold": vocab.subsample_threshold,
         },
-        "doc_ids": list(archive.embedding.doc_ids),
-        "epoch_losses": [float(x) for x in archive.embedding.epoch_losses],
+        "doc_ids": list(embedding.doc_ids),
+        "epoch_losses": [float(x) for x in embedding.epoch_losses],
         "labels": [int(x) for x in archive.labeling.labels],
         "n_clusters": archive.labeling.n_clusters,
         "cluster_stability": [float(x) for x in archive.labeling.cluster_stability],
-        "assignment": [int(x) for x in archive.topic_model.assignment],
+        "assignment": [int(x) for x in topic_model.assignment],
         "topic_words": [
-            [[w, float(s)] for w, s in t.words] for t in archive.topic_model.topics
+            [[w, float(s)] for w, s in words] for words in topic_model.words
         ],
-        "topic_provenance": [
-            list(t.provenance) for t in archive.topic_model.topics
-        ],
+        "topic_provenance": [list(p) for p in topic_model.provenance],
         "merge_history": [
             {
                 "absorbed": r.absorbed,
@@ -153,7 +146,7 @@ def archive_to_bytes(archive: ModelArchive) -> bytes:
                 "absorbing_size": r.absorbing_size,
                 "vector": [float(x) for x in r.vector],
             }
-            for r in archive.topic_model.merge_history
+            for r in topic_model.merge_history
         ],
         "matrices": [
             {"name": name, "rows": int(m.shape[0]), "cols": int(m.shape[1])}
@@ -161,28 +154,32 @@ def archive_to_bytes(archive: ModelArchive) -> bytes:
         ],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    parts = [
+    return [
         MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<I", len(header_bytes)),
+        struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
         header_bytes,
+        *(np.ascontiguousarray(m, dtype="<f4") for m in matrices.values()),
     ]
-    for m in matrices.values():
-        parts.append(np.ascontiguousarray(m, dtype="<f4").tobytes())
-    return b"".join(parts)
 
 
-def write_atomically(path: str, data: bytes) -> None:
-    """Replace the file at ``path`` with ``data`` in one step.
+def archive_to_bytes(archive: ModelArchive) -> bytes:
+    """Serialize an archive to its on-disk byte sequence."""
+    return b"".join(_archive_parts(archive))
 
-    The bytes go to a temporary file beside ``path`` that is renamed over
-    it only once fully written, so a failed write leaves any existing file
-    untouched; the temporary file is removed on failure.
+
+def write_atomically(path: str, *parts) -> None:
+    """Replace the file at ``path`` with the concatenated ``parts``.
+
+    Each part is a bytes-like object written as it is.  The bytes go to a
+    temporary file beside ``path`` that is renamed over it only once fully
+    written, so a failed write leaves any existing file untouched; the
+    temporary file is removed on failure.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -191,8 +188,8 @@ def write_atomically(path: str, data: bytes) -> None:
 
 
 def save_model(archive: ModelArchive, path: str) -> None:
-    """Write the archive to disk atomically."""
-    write_atomically(path, archive_to_bytes(archive))
+    """Write the archive to disk atomically, one block at a time."""
+    write_atomically(path, *_archive_parts(archive))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -201,32 +198,44 @@ def _require(condition: bool, message: str) -> None:
 
 
 def archive_from_bytes(data: bytes) -> ModelArchive:
-    """Parse and validate an archive byte sequence.
+    """Parse and validate an archive byte sequence, as ``load_model`` does."""
+    return _read_archive(io.BytesIO(data))
 
-    Bytes that do not form a valid archive raise ``ArchiveError`` and no
-    other exception; header values of the wrong type or shape are reported
-    as failed validation.
+
+def load_model(path: str) -> ModelArchive:
+    """Read and validate an archive from disk.
+
+    Each matrix block is read from the file straight into its own array.
     """
+    with open(path, "rb") as fh:
+        return _read_archive(fh)
+
+
+def _read_archive(fh: BinaryIO) -> ModelArchive:
+    """Bytes that do not form a valid archive raise ``ArchiveError`` and no
+    other exception; header values of the wrong type or shape are reported
+    as failed validation."""
     try:
-        return _parse_archive(data)
+        return _parse_archive(fh)
     except ArchiveError:
         raise
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ArchiveError(f"archive header failed validation: {exc}") from exc
 
 
-def _parse_archive(data: bytes) -> ModelArchive:
-    _require(len(data) >= 12, "archive is truncated before the header")
-    _require(data[:4] == MAGIC, "not a topicforge archive (bad magic bytes)")
-    (version,) = struct.unpack("<I", data[4:8])
+def _parse_archive(fh: BinaryIO) -> ModelArchive:
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    _require(size >= 12, "archive is truncated before the header")
+    magic, version, header_len = struct.unpack("<4sII", fh.read(12))
+    _require(magic == MAGIC, "not a topicforge archive (bad magic bytes)")
     _require(
         version == FORMAT_VERSION,
         f"unsupported archive version {version} (expected {FORMAT_VERSION})",
     )
-    (header_len,) = struct.unpack("<I", data[8:12])
-    _require(len(data) >= 12 + header_len, "archive is truncated inside the header")
+    _require(size >= 12 + header_len, "archive is truncated inside the header")
     try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"archive header is not valid JSON: {exc}") from exc
     _require(isinstance(header, dict), "archive header must be a JSON object")
@@ -255,24 +264,16 @@ def _parse_archive(data: bytes) -> ModelArchive:
         and tuple(m.get("name") for m in manifest) == _MATRIX_NAMES,
         f"archive must declare matrices {list(_MATRIX_NAMES)}",
     )
+    shapes: dict[str, tuple[int, int]] = {}
     offset = 12 + header_len
-    blocks: dict[str, np.ndarray] = {}
     for m in manifest:
         rows, cols = int(m["rows"]), int(m["cols"])
         _require(rows >= 0 and cols >= 0, f"matrix {m['name']} has negative shape")
-        nbytes = rows * cols * 4
-        _require(
-            len(data) >= offset + nbytes,
-            f"archive is truncated inside matrix {m['name']!r}",
-        )
-        block = np.frombuffer(
-            data, dtype="<f4", count=rows * cols, offset=offset
-        ).reshape(rows, cols)
-        blocks[m["name"]] = block.copy()
-        offset += nbytes
+        offset += rows * cols * 4
+        _require(size >= offset, f"archive is truncated inside matrix {m['name']!r}")
+        shapes[m["name"]] = (rows, cols)
     _require(
-        offset == len(data),
-        f"archive has {len(data) - offset} unexpected trailing bytes",
+        offset == size, f"archive has {size - offset} unexpected trailing bytes"
     )
     embedding_config = EmbeddingConfig(**header["embedding_config"])
     reduction_config = ReductionConfig(**header["reduction_config"])
@@ -292,10 +293,13 @@ def _parse_archive(data: bytes) -> ModelArchive:
         subsample_threshold=threshold,
         keep_probability=keep_probabilities(counts, threshold),
     )
-    n_docs = len(header["doc_ids"])
+    _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
+    doc_ids = tuple(header["doc_ids"])
+    _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
+    n_docs = len(doc_ids)
     n_words = len(words)
     dim = embedding_config.vector_size
-    n_topics = len(blocks["topic_vectors"])
+    n_topics = shapes["topic_vectors"][0]
     shape_checks = (
         ("doc_vectors", (n_docs, dim)),
         ("word_vectors", (n_words, dim)),
@@ -305,13 +309,8 @@ def _parse_archive(data: bytes) -> ModelArchive:
     )
     for name, shape in shape_checks:
         _require(
-            blocks[name].shape == shape,
-            f"matrix {name!r} has shape {blocks[name].shape}, expected {shape}",
-        )
-    for name, block in blocks.items():
-        _require(
-            bool(np.isfinite(block).all()),
-            f"matrix {name!r} contains non-finite values",
+            shapes[name] == shape,
+            f"matrix {name!r} has shape {shapes[name]}, expected {shape}",
         )
     labels = np.array(header["labels"], dtype=np.int64)
     n_clusters = int(header["n_clusters"])
@@ -319,6 +318,11 @@ def _parse_archive(data: bytes) -> ModelArchive:
     _require(
         bool(np.all((labels >= -1) & (labels < n_clusters))),
         "cluster labels out of range",
+    )
+    stability = np.array(header["cluster_stability"], dtype=np.float64)
+    _require(
+        stability.shape == (n_clusters,),
+        "cluster stabilities do not match the cluster count",
     )
     assignment = np.array(header["assignment"], dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
@@ -331,27 +335,11 @@ def _parse_archive(data: bytes) -> ModelArchive:
         n_topics > 0 and bool(np.all((assignment >= 0) & (assignment < n_topics))),
         "topic assignment out of range",
     )
-    coding = build_huffman_coding(vocab, dim)
-    coding.inner_node_vectors = blocks["inner_node_vectors"]
-    embedding = SemanticEmbedding(
-        doc_vectors=blocks["doc_vectors"],
-        word_vectors=blocks["word_vectors"],
-        coding=coding,
-        vocabulary=vocab,
-        doc_ids=tuple(header["doc_ids"]),
-        epoch_losses=[float(x) for x in header["epoch_losses"]],
+    topic_words = tuple(
+        tuple((str(w), float(s)) for w, s in ranked) for ranked in header["topic_words"]
     )
-    labeling = ClusterLabeling(
-        labels=labels,
-        n_clusters=n_clusters,
-        cluster_stability=np.array(header["cluster_stability"], dtype=np.float64),
-    )
-    topics = make_topics(
-        embedding.doc_ids,
-        blocks["topic_vectors"],
-        assignment,
-        header["topic_provenance"],
-        header["topic_words"],
+    provenance = tuple(
+        tuple(int(p) for p in merged) for merged in header["topic_provenance"]
     )
     history = tuple(
         MergeRecord(
@@ -363,25 +351,41 @@ def _parse_archive(data: bytes) -> ModelArchive:
         )
         for r in header["merge_history"]
     )
-    topic_model = TopicModel(
-        topics=topics,
-        assignment=assignment,
-        embedding=embedding,
-        merge_history=history,
+    blocks: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        blocks[name] = block = np.empty(shape, dtype="<f4")
+        _require(
+            fh.readinto(block) == block.nbytes,
+            f"archive is truncated inside matrix {name!r}",
+        )
+        _require(
+            bool(np.isfinite(block).all()),
+            f"matrix {name!r} contains non-finite values",
+        )
+    coding = build_huffman_coding(vocab, dim)
+    coding.inner_node_vectors = blocks["inner_node_vectors"]
+    embedding = SemanticEmbedding(
+        doc_vectors=blocks["doc_vectors"],
+        word_vectors=blocks["word_vectors"],
+        coding=coding,
+        vocabulary=vocab,
+        doc_ids=doc_ids,
+        epoch_losses=[float(x) for x in header["epoch_losses"]],
     )
     return ModelArchive(
         embedding_config=embedding_config,
         reduction_config=reduction_config,
         cluster_config=cluster_config,
-        embedding=embedding,
         reduced_coords=blocks["reduced_coords"],
-        labeling=labeling,
-        topic_model=topic_model,
+        labeling=ClusterLabeling(
+            labels=labels, n_clusters=n_clusters, cluster_stability=stability
+        ),
+        topic_model=TopicModel(
+            vectors=blocks["topic_vectors"],
+            words=topic_words,
+            provenance=provenance,
+            assignment=assignment,
+            embedding=embedding,
+            merge_history=history,
+        ),
     )
-
-
-def load_model(path: str) -> ModelArchive:
-    """Read and validate an archive from disk."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return archive_from_bytes(data)

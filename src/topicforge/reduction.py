@@ -62,6 +62,8 @@ class ReductionConfig:
             )
         if self.negative_sample_rate < 0:
             raise ValidationError("negative_sample_rate must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,8 @@ from .metric import TopicSpec
 
 @dataclass(frozen=True)
 class Topic:
-    """One topic: its vector, demographics, and describing words.
-
-    ``provenance`` lists the pre-reduction topic ids folded into this one
-    (a never-merged topic lists only itself).
-    """
+    """One row of a ``TopicModel``: its vector, size, member documents,
+    describing words and provenance."""
 
     vector: np.ndarray
     size: int
@@ -55,28 +52,52 @@ class MergeRecord:
 
 @dataclass(frozen=True)
 class TopicModel:
-    """Immutable topic inventory over one embedding.
+    """Immutable topic table over one embedding.
 
-    ``assignment[i]`` is the topic index of document i; sizes always sum
-    to the document count.  ``merge_history`` is empty for a freshly
-    built model and grows by one record per merge during reduction.
+    Row k of ``vectors`` is topic k's vector; ``words[k]`` holds its
+    ranked describing words as (word, similarity) pairs and
+    ``provenance[k]`` the pre-reduction topic ids folded into it (a
+    never-merged topic lists only itself).  ``assignment[i]`` is the topic
+    index of document i, so sizes always sum to the document count.
+    ``merge_history`` is empty for a freshly built model and grows by one
+    record per merge during reduction.
     """
 
-    topics: tuple[Topic, ...]
+    vectors: np.ndarray
+    words: tuple[tuple[tuple[str, float], ...], ...]
+    provenance: tuple[tuple[int, ...], ...]
     assignment: np.ndarray
     embedding: SemanticEmbedding
     merge_history: tuple[MergeRecord, ...] = ()
 
     @property
     def n_topics(self) -> int:
-        return len(self.topics)
+        return len(self.vectors)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
         return self.embedding.doc_ids
 
-    def topic_vector_matrix(self) -> np.ndarray:
-        return np.stack([t.vector for t in self.topics])
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.assignment, minlength=self.n_topics)
+
+    @property
+    def topics(self) -> tuple[Topic, ...]:
+        """One ``Topic`` view per row of the table."""
+        sizes = self.sizes
+        return tuple(
+            Topic(
+                vector=self.vectors[k],
+                size=int(sizes[k]),
+                words=self.words[k],
+                member_doc_ids=tuple(
+                    self.doc_ids[i] for i in np.flatnonzero(self.assignment == k)
+                ),
+                provenance=self.provenance[k],
+            )
+            for k in range(self.n_topics)
+        )
 
 
 def compute_topic_vectors(doc_vectors: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -116,41 +137,24 @@ def assign_documents(
     return _nearest_topics(_unit_rows(doc_vectors), topic_vectors)
 
 
-def make_topics(
-    doc_ids: tuple[str, ...],
-    topic_vectors: np.ndarray,
+def _ranked_model(
+    embedding: SemanticEmbedding,
+    vectors: np.ndarray,
     assignment: np.ndarray,
     provenance: Sequence[Sequence[int]],
-    words: Sequence[Sequence[tuple[str, float]]],
-) -> tuple[Topic, ...]:
-    """One topic per row of ``topic_vectors``, with the given words.
-
-    Sizes and member documents come from ``assignment``.
-    """
-    topics = []
-    for k in range(len(topic_vectors)):
-        member_idx = np.flatnonzero(assignment == k)
-        topics.append(
-            Topic(
-                vector=topic_vectors[k].copy(),
-                size=len(member_idx),
-                words=tuple((str(w), float(s)) for w, s in words[k]),
-                member_doc_ids=tuple(doc_ids[i] for i in member_idx),
-                provenance=tuple(int(p) for p in provenance[k]),
-            )
-        )
-    return tuple(topics)
-
-
-def _build_topics(
-    embedding: SemanticEmbedding,
-    topic_vectors: np.ndarray,
-    assignment: np.ndarray,
-    provenance: list[list[int]],
     words_per_topic: int,
-) -> tuple[Topic, ...]:
-    words = nearest_words_each(embedding, topic_vectors, words_per_topic)
-    return make_topics(embedding.doc_ids, topic_vectors, assignment, provenance, words)
+    merge_history: tuple[MergeRecord, ...] = (),
+) -> TopicModel:
+    """The topic table over ``vectors``, each row described by its nearest words."""
+    ranked = nearest_words_each(embedding, vectors, words_per_topic)
+    return TopicModel(
+        vectors=vectors,
+        words=tuple(tuple(words) for words in ranked),
+        provenance=tuple(tuple(p) for p in provenance),
+        assignment=assignment,
+        embedding=embedding,
+        merge_history=merge_history,
+    )
 
 
 def build_topic_model(
@@ -171,13 +175,7 @@ def build_topic_model(
     vectors = compute_topic_vectors(embedding.doc_vectors, labeling.labels)
     assignment = assign_documents(embedding.doc_vectors, vectors)
     provenance = [[k] for k in range(len(vectors))]
-    return TopicModel(
-        topics=_build_topics(
-            embedding, vectors, assignment, provenance, words_per_topic
-        ),
-        assignment=assignment,
-        embedding=embedding,
-    )
+    return _ranked_model(embedding, vectors, assignment, provenance, words_per_topic)
 
 
 def reduce_topics(
@@ -199,9 +197,9 @@ def reduce_topics(
     if target == model.n_topics:
         return model
     embedding = model.embedding
-    vectors = model.topic_vector_matrix().astype(np.float64)
-    assignment = model.assignment.copy()
-    provenance = [list(t.provenance) for t in model.topics]
+    vectors = model.vectors.astype(np.float64)
+    assignment = model.assignment
+    provenance = [list(p) for p in model.provenance]
     history = list(model.merge_history)
     unit_docs = _unit_rows(embedding.doc_vectors).astype(vectors.dtype)
     while len(vectors) > target:
@@ -222,7 +220,7 @@ def reduce_topics(
                 absorbing=t,
                 absorbed_size=int(sizes[s]),
                 absorbing_size=int(sizes[t]),
-                vector=merged.copy(),
+                vector=merged,
             )
         )
         vectors[t] = merged
@@ -230,13 +228,8 @@ def reduce_topics(
         vectors = np.delete(vectors, s, axis=0)
         del provenance[s]
         assignment = _nearest_topics(unit_docs, vectors)
-    return TopicModel(
-        topics=_build_topics(
-            embedding, vectors, assignment, provenance, words_per_topic
-        ),
-        assignment=assignment,
-        embedding=embedding,
-        merge_history=tuple(history),
+    return _ranked_model(
+        embedding, vectors, assignment, provenance, words_per_topic, tuple(history)
     )
 
 
@@ -252,15 +245,13 @@ def search_topics(
     model: TopicModel, query: np.ndarray, top_n: int = 10
 ) -> list[tuple[int, float]]:
     """Topics nearest the query vector, as (topic index, similarity)."""
-    [(order, sims)] = _rank_by_cosine(model.topic_vector_matrix(), [query], top_n)
+    [(order, sims)] = _rank_by_cosine(model.vectors, [query], top_n)
     return [(int(i), float(s)) for i, s in zip(order, sims)]
 
 
 def model_topic_spec(model: TopicModel, words_per_topic: int = 10) -> TopicSpec:
     """Hard-assignment evaluation view of a topic model."""
-    ranked = nearest_words_each(
-        model.embedding, model.topic_vector_matrix(), words_per_topic
-    )
+    ranked = nearest_words_each(model.embedding, model.vectors, words_per_topic)
     words = [tuple(w for w, _ in topic) for topic in ranked]
     assignments = {
         doc_id: int(t) for doc_id, t in zip(model.doc_ids, model.assignment)
@@ -270,22 +261,17 @@ def model_topic_spec(model: TopicModel, words_per_topic: int = 10) -> TopicSpec:
 
 def topics_to_dicts(model: TopicModel, top_n: int = 10) -> list[dict]:
     """JSON-ready topic listing, largest topic first."""
-    order = sorted(
-        range(model.n_topics), key=lambda k: (-model.topics[k].size, k)
-    )
-    ranked = nearest_words_each(model.embedding, model.topic_vector_matrix(), top_n)
-    out = []
-    for k in order:
-        topic = model.topics[k]
-        out.append(
-            {
-                "topic_id": k,
-                "size": topic.size,
-                "words": [
-                    {"word": w, "similarity": round(float(s), 6)}
-                    for w, s in ranked[k]
-                ],
-                "merged_from": list(topic.provenance),
-            }
-        )
-    return out
+    sizes = model.sizes
+    order = sorted(range(model.n_topics), key=lambda k: (-sizes[k], k))
+    ranked = nearest_words_each(model.embedding, model.vectors, top_n)
+    return [
+        {
+            "topic_id": k,
+            "size": int(sizes[k]),
+            "words": [
+                {"word": w, "similarity": round(float(s), 6)} for w, s in ranked[k]
+            ],
+            "merged_from": list(model.provenance[k]),
+        }
+        for k in order
+    ]

@@ -377,7 +377,7 @@ def test_c09_reduction_invariants_along_the_whole_chain(five_theme_pipeline):
 
         record = nxt.merge_history[-1]
         sizes = np.bincount(prev.assignment, minlength=prev.n_topics)
-        vectors = prev.topic_vector_matrix()
+        vectors = prev.vectors
         s, t = record.absorbed, record.absorbing
         assert record.absorbed_size == sizes[s]
         assert record.absorbing_size == sizes[t]

@@ -167,6 +167,29 @@ class TestTrain:
         assert "2 documents have no in-vocabulary token (first: oov-a, oov-b)" in err
         assert not out.exists()
 
+    def test_negative_seed_exits_1(self, env, tmp_path, capsys):
+        out = tmp_path / "x.tpfg"
+        rc = main(
+            ["train", "--corpus", str(env["corpus"]), "--output", str(out),
+             "--seed", "-1"]
+        )
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "plain"])
+    def test_undecodable_corpus_exits_1(self, tmp_path, capsys, fmt):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes('{"text": "caf\xe9 au lait"}\n'.encode("latin-1"))
+        out = tmp_path / "x.tpfg"
+        rc = main(
+            ["train", "--corpus", str(corpus), "--corpus-format", fmt,
+             "--output", str(out)] + TRAIN_FLAGS
+        )
+        assert rc == 1
+        assert f"{corpus}: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main(
             [
@@ -442,6 +465,19 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "d0000" in captured.err and "non-finite" in captured.err
+
+    def test_undecodable_external_topics_exit_1(self, env, tmp_path, capsys):
+        path = tmp_path / "external.json"
+        path.write_bytes(
+            '{"mode": "hard", "topics": [{"words": ["caf\xe9"]}]}'.encode("latin-1")
+        )
+        rc = main(
+            ["evaluate", "--external", str(path), "--corpus", str(env["corpus"])]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: not valid UTF-8" in captured.err
 
     def test_model_and_external_together_exit_1(self, env, tmp_path, capsys):
         rc = main(

@@ -187,6 +187,35 @@ class TestLoadCorpus:
         docs = load_corpus(str(path), fmt="plain")
         assert [(d.id, d.raw) for d in docs] == [("0", "line one"), ("1", "line two")]
 
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"]
+    )
+    def test_jsonl_record_keeps_unicode_line_separators(self, tmp_path, separator):
+        path = tmp_path / "corpus.jsonl"
+        text = f"one{separator}two"
+        record = json.dumps({"id": "a", "text": text}, ensure_ascii=False)
+        path.write_text(
+            record + "\n" + json.dumps({"text": "b"}) + "\n", encoding="utf-8"
+        )
+        docs = load_corpus(str(path))
+        assert [(d.id, d.raw) for d in docs] == [("a", text), ("1", "b")]
+
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u0085"], ids=["U+2028", "U+0085"]
+    )
+    def test_plain_line_keeps_unicode_line_separators(self, tmp_path, separator):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(f"one{separator}two\r\nthree\rfour\n".encode("utf-8"))
+        docs = load_corpus(str(path), fmt="plain")
+        assert [d.raw for d in docs] == [f"one{separator}two", "three", "four"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "plain"])
+    def test_invalid_utf8_names_the_file(self, tmp_path, fmt):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes('{"text": "caf\xe9"}\n'.encode("latin-1"))
+        with pytest.raises(CorpusError, match="latin1.txt: not valid UTF-8"):
+            load_corpus(str(path), fmt=fmt)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "ok"}\n{not json}\n')

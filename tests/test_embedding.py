@@ -66,6 +66,7 @@ class TestConfig:
             {"subsample_threshold": 0.0},
             {"initial_lr": 0.01, "final_lr": 0.02},
             {"final_lr": 0.0},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,9 +1,11 @@
 """Archive format: round trips, field fidelity, and corruption rejection."""
 
 import functools
+import gc
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +15,13 @@ from hypothesis import strategies as st
 from topicforge import (
     ArchiveError,
     ClusterConfig,
+    ClusterLabeling,
     EmbeddingConfig,
     ModelArchive,
     ReductionConfig,
+    SemanticEmbedding,
+    Vocabulary,
+    build_huffman_coding,
     build_topic_model,
     cluster,
     load_model,
@@ -133,8 +139,8 @@ class TestRoundTrip:
         )
         assert np.array_equal(loaded.reduced_coords, archive.reduced_coords)
         assert np.array_equal(
-            loaded.topic_model.topic_vector_matrix(),
-            archive.topic_model.topic_vector_matrix(),
+            loaded.topic_model.vectors,
+            archive.topic_model.vectors,
         )
 
     def test_huffman_paths_rebuilt_identically(self, archive):
@@ -261,6 +267,25 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="'topic_vectors' has shape"):
             archive_from_bytes(data)
 
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda h: h["doc_ids"].__setitem__(1, h["doc_ids"][0]), "document ids"),
+            (
+                lambda h: h["vocabulary"]["words"].__setitem__(
+                    1, h["vocabulary"]["words"][0]
+                ),
+                "repeats a word",
+            ),
+            (lambda h: h["cluster_stability"].append(1.0), "stabilities"),
+        ],
+        ids=["duplicate_doc_id", "duplicate_word", "extra_stability"],
+    )
+    def test_self_inconsistent_header(self, archive, tamper, message):
+        data = mutate_header(archive_to_bytes(archive), tamper)
+        with pytest.raises(ArchiveError, match=message):
+            archive_from_bytes(data)
+
     def test_empty_vocabulary(self, archive):
         def empty(h):
             h["vocabulary"]["words"] = []
@@ -290,6 +315,104 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(str(tmp_path / "nope.tpfg"))
+
+
+@functools.cache
+def wide_archive():
+    """4,000 documents of 512 dimensions over a 2-word vocabulary, so the
+    matrix blocks outweigh the header and the rest of what a load builds."""
+    rng = np.random.default_rng(4)
+    n_docs, dim = 4000, 512
+    vocab = Vocabulary(
+        words=("a", "b"),
+        counts=np.array([2, 1]),
+        total_tokens=3,
+        min_count=1,
+        subsample_threshold=1e-2,
+        keep_probability=np.ones(2),
+    )
+    embedding = SemanticEmbedding(
+        doc_vectors=rng.standard_normal((n_docs, dim)),
+        word_vectors=rng.standard_normal((2, dim)),
+        coding=build_huffman_coding(vocab, dim),
+        vocabulary=vocab,
+        doc_ids=tuple(f"d{i}" for i in range(n_docs)),
+    )
+    labeling = ClusterLabeling(
+        labels=np.arange(n_docs) % 2, n_clusters=2, cluster_stability=np.ones(2)
+    )
+    return ModelArchive.from_pipeline(
+        embedding,
+        rng.standard_normal((n_docs, 5)),
+        labeling,
+        build_topic_model(embedding, labeling),
+        EmbeddingConfig(vector_size=dim, min_count=1),
+        ReductionConfig(),
+        ClusterConfig(),
+    )
+
+
+def block_bytes(archive):
+    embedding = archive.embedding
+    return sum(
+        m.nbytes
+        for m in (
+            embedding.doc_vectors,
+            embedding.word_vectors,
+            embedding.coding.inner_node_vectors,
+            archive.reduced_coords,
+            archive.topic_model.vectors,
+        )
+    )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockIO:
+    """Blocks go between file and arrays without intermediate buffers."""
+
+    def test_load_holds_each_block_once(self, tmp_path):
+        archive = wide_archive()
+        path = str(tmp_path / "wide.tpfg")
+        save_model(archive, path)
+        assert traced_peak(load_model, path) < 1.5 * block_bytes(archive)
+
+    def test_save_streams_the_blocks(self, tmp_path):
+        archive = wide_archive()
+        path = str(tmp_path / "wide.tpfg")
+        assert traced_peak(save_model, archive, path) < 0.5 * block_bytes(archive)
+
+    def test_file_and_bytes_load_alike(self, archive, tmp_path):
+        path = tmp_path / "model.tpfg"
+        save_model(archive, str(path))
+        from_file = load_model(str(path))
+        from_bytes = archive_from_bytes(path.read_bytes())
+        assert archive_to_bytes(from_file) == archive_to_bytes(from_bytes)
+        assert archive_to_bytes(from_file) == path.read_bytes()
+
+    def test_oversized_block_rejected_before_allocation(self, tmp_path):
+        archive = wide_archive()
+
+        def inflate(h):
+            h["matrices"][-1]["rows"] = 10**9
+
+        path = tmp_path / "inflated.tpfg"
+        path.write_bytes(mutate_header(archive_to_bytes(archive), inflate))
+
+        def load():
+            with pytest.raises(ArchiveError, match="truncated inside matrix"):
+                load_model(str(path))
+
+        assert traced_peak(load) < 0.1 * block_bytes(archive)
 
 
 def load_or_archive_error(data):

@@ -123,6 +123,7 @@ class TestConfig:
             {"min_dist": float("nan")},
             {"min_dist": float("inf")},
             {"min_dist": 1.5},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

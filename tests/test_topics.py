@@ -183,7 +183,7 @@ def three_cluster_model():
 class TestReduceTopics:
     def test_smallest_merges_into_most_similar(self):
         model = three_cluster_model()
-        v = model.topic_vector_matrix()
+        v = model.vectors
         reduced = reduce_topics(model, 2)
         assert reduced.n_topics == 2
         record = reduced.merge_history[-1]
@@ -219,9 +219,9 @@ class TestReduceTopics:
 
     def test_original_model_is_untouched(self):
         model = three_cluster_model()
-        before = model.topic_vector_matrix().copy()
+        before = model.vectors.copy()
         reduce_topics(model, 1)
-        assert np.array_equal(model.topic_vector_matrix(), before)
+        assert np.array_equal(model.vectors, before)
         assert model.n_topics == 3
         assert model.merge_history == ()
 
@@ -337,5 +337,5 @@ class TestRankingBlocksOfTopics:
             assert list(topic.words) == nearest_words(emb, topic.vector, 12)
         assert np.array_equal(
             reduced.assignment,
-            assign_documents(emb.doc_vectors, reduced.topic_vector_matrix()),
+            assign_documents(emb.doc_vectors, reduced.vectors),
         )
