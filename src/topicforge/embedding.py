@@ -147,17 +147,24 @@ def _huffman_tree(
     return tuple(paths), tuple(codes)
 
 
-def build_huffman_coding(vocab: Vocabulary, vector_size: int) -> HuffmanCoding:
-    """Huffman coding of the vocabulary counts, with zero inner-node vectors.
+def build_huffman_coding(
+    vocab: Vocabulary, vector_size: int, inner_node_vectors: np.ndarray | None = None
+) -> HuffmanCoding:
+    """Huffman coding of the vocabulary counts.
 
-    The tree is built on first use of its paths or codes.
+    The inner-node vectors start at zero unless ``inner_node_vectors`` gives
+    a stored block of shape ``(len(vocab) - 1, vector_size)``, which is used
+    as it is.  The tree is built on first use of its paths or codes.
     """
-    return HuffmanCoding(
-        counts=vocab.counts,
-        inner_node_vectors=np.zeros(
-            (max(len(vocab) - 1, 0), vector_size), dtype=np.float64
-        ),
-    )
+    shape = (max(len(vocab) - 1, 0), vector_size)
+    if inner_node_vectors is None:
+        inner_node_vectors = np.zeros(shape, dtype=np.float64)
+    elif inner_node_vectors.shape != shape:
+        raise ValidationError(
+            f"inner-node vectors must have shape {shape}, "
+            f"got {inner_node_vectors.shape}"
+        )
+    return HuffmanCoding(counts=vocab.counts, inner_node_vectors=inner_node_vectors)
 
 
 def hs_loss_gradients(

@@ -1,0 +1,139 @@
+"""Build, cache and call the compiled kernels in ``_kernels.c``.
+
+The C source ships inside the package and is compiled on first use with
+the local ``gcc``.  The library is cached like bytecode, in the
+``__pycache__`` beside the source, under a name that carries the SHA-256
+of the source bytes and the compiler flags, and is written atomically, so
+concurrent first uses leave one complete library.  When that directory is
+read-only the library is built in a private temporary directory instead.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ValidationError
+
+COMPILER = "gcc"
+# No -march=native and no -ffast-math, and no FMA contraction: the bytes must
+# not depend on the CPU the library is built on.
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def library_name(source: bytes, flags: tuple[str, ...] = FLAGS) -> str:
+    """Cache file name of the library built from ``source`` with ``flags``."""
+    digest = hashlib.sha256(source + b"\0" + "\0".join(flags).encode()).hexdigest()
+    return f"_kernels.{digest}.so"
+
+
+def _compile(source: bytes, target: Path) -> None:
+    if shutil.which(COMPILER) is None:
+        raise ValidationError(
+            f"the layout kernel is compiled on first use, but the C compiler "
+            f"{COMPILER!r} is not on PATH"
+        )
+    partial = target.with_name(
+        f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        done = subprocess.run(
+            [COMPILER, *FLAGS, "-x", "c", "-", "-o", str(partial)],
+            input=source,
+            capture_output=True,
+        )
+        if done.returncode != 0:
+            raise ValidationError(
+                f"{COMPILER} failed to build the kernel library: "
+                f"{done.stderr.decode(errors='replace').strip()}"
+            )
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+@functools.cache
+def load():
+    """The kernel library, built on first use; later calls return it again."""
+    import ctypes
+
+    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
+    cache = Path(__file__).with_name("__pycache__")
+    try:
+        cache.mkdir(exist_ok=True)
+        writable = os.access(cache, os.W_OK)
+    except OSError:
+        writable = False
+    if writable:
+        path = cache / library_name(source)
+        if not path.exists():
+            _compile(source, path)
+        lib = ctypes.CDLL(str(path))
+    else:
+        with tempfile.TemporaryDirectory(prefix="topicforge-") as private:
+            path = Path(private) / library_name(source)
+            _compile(source, path)
+            lib = ctypes.CDLL(str(path))
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.tf_optimize_layout.argtypes = [
+        pointer, i64, i64, pointer, pointer, pointer, i64, i64, i64, f64, f64,
+        ctypes.c_uint64,
+    ]
+    lib.tf_optimize_layout.restype = ctypes.c_int
+    lib.tf_power.argtypes = [pointer, i64, f64, pointer]
+    lib.tf_power.restype = None
+    return lib
+
+
+def optimize_layout(
+    coords: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    weights: np.ndarray,
+    epochs: int,
+    negative_sample_rate: int,
+    a: float,
+    b: float,
+    seed: int,
+) -> np.ndarray:
+    """Run ``epochs`` layout epochs on a copy of ``coords`` and return it.
+
+    ``tf_optimize_layout`` in ``_kernels.c`` documents the update; the
+    negative samples come from ``seed`` alone.
+    """
+    n, dim = coords.shape
+    if n >= 2**32:
+        raise ValidationError(f"the layout supports fewer than 2**32 points, got {n}")
+    coords = np.array(coords, dtype=np.float64, order="C")
+    heads = np.ascontiguousarray(heads, dtype=np.int64)
+    tails = np.ascontiguousarray(tails, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    m = len(weights)
+    if heads.shape != (m,) or tails.shape != (m,):
+        raise ValidationError("heads, tails and weights must be 1-d of equal length")
+    if m and (min(heads.min(), tails.min()) < 0 or max(heads.max(), tails.max()) >= n):
+        raise ValidationError(f"edge endpoints must lie in [0, {n})")
+    status = load().tf_optimize_layout(
+        coords.ctypes.data, n, dim, heads.ctypes.data, tails.ctypes.data,
+        weights.ctypes.data, m, epochs, negative_sample_rate, a, b, seed,
+    )
+    if status != 0:
+        raise MemoryError("the layout kernel could not allocate its buffers")
+    return coords
+
+
+def power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """``x ** exponent`` elementwise, by the kernel's portable exp and log."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    load().tf_power(x.ctypes.data, x.size, exponent, out.ctypes.data)
+    return out

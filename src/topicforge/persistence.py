@@ -362,8 +362,7 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             bool(np.isfinite(block).all()),
             f"matrix {name!r} contains non-finite values",
         )
-    coding = build_huffman_coding(vocab, dim)
-    coding.inner_node_vectors = blocks["inner_node_vectors"]
+    coding = build_huffman_coding(vocab, dim, blocks["inner_node_vectors"])
     embedding = SemanticEmbedding(
         doc_vectors=blocks["doc_vectors"],
         word_vectors=blocks["word_vectors"],

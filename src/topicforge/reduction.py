@@ -21,11 +21,11 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize import curve_fit
 
+from . import kernels
 from .errors import ValidationError
 
 _SMOOTH_TOLERANCE = 1e-5
 _SMOOTH_ITERATIONS = 64
-_GRAD_CLIP = 4.0
 # Rows of the distance matrix the neighbor search holds at a time.
 _KNN_BLOCK = 512
 
@@ -225,15 +225,6 @@ def find_ab_params(min_dist: float) -> tuple[float, float]:
     return float(params[0]), float(params[1])
 
 
-def _sum_in_order(terms) -> np.ndarray:
-    """``((t0 + t1) + t2) + ...`` over an iterable of equal-shape arrays."""
-    terms = iter(terms)
-    total = next(terms).copy()
-    for term in terms:
-        total += term
-    return total
-
-
 def optimize_layout(
     graph: FuzzyGraph, config: ReductionConfig, rng: np.random.Generator
 ) -> np.ndarray:
@@ -243,60 +234,32 @@ def optimize_layout(
     proportionally to its weight (the heaviest edge once per epoch);
     scheduled edges pull their endpoints together along the fitted
     membership-curve gradient, and each endpoint is pushed away from
-    ``negative_sample_rate`` uniformly sampled points.  Updates within an
-    epoch are computed from the epoch-start positions and applied
-    together, with every component clipped to +-4 before the learning
-    rate is applied.
+    ``negative_sample_rate`` sampled points.  Updates within an epoch are
+    computed from the epoch-start positions and applied together, with
+    every component clipped to +-4 before the learning rate is applied.
 
-    Components are handled one at a time; sums run left to right, and each
-    point's updates add in the order heads, tails, head pushes, tail pushes.
+    The epochs run in the compiled kernel (``kernels.optimize_layout``).
+    Its negative samples are a counter-based stream keyed by one seed that
+    ``rng`` draws after the coordinates, and its powers are portable, so
+    given ``a`` and ``b`` the layout's bytes do not depend on the CPU.
     """
     n = graph.n_points
-    dim = config.n_components
-    coords = rng.uniform(-10.0, 10.0, (n, dim))
+    coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
     if len(graph.weights) == 0:
         return coords
+    seed = int(rng.integers(0, 2**63))
     a, b = find_ab_params(config.min_dist)
-    epochs = config.layout_epochs
-    eps_per_sample = graph.weights.max() / graph.weights
-    next_sample = eps_per_sample.copy()
-    nsr = config.negative_sample_rate
-    columns = np.ascontiguousarray(coords.T)
-    for epoch in range(epochs):
-        due = next_sample <= epoch
-        if not np.any(due):
-            continue
-        lr = 1.0 - epoch / epochs
-        heads = graph.heads[due]
-        tails = graph.tails[due]
-        diffs = [x[heads] - x[tails] for x in columns]
-        r2 = _sum_in_order(d * d for d in diffs)
-        coeff = np.where(
-            r2 > 0.0, (-2.0 * a * b * r2 ** (b - 1.0)) / (1.0 + a * r2**b), 0.0
-        )
-        updates = []
-        for d in diffs:
-            grad = np.clip(coeff * d, -_GRAD_CLIP, _GRAD_CLIP)
-            updates.append([grad, -grad])
-        targets = [heads, tails]
-        if nsr > 0:
-            for anchors in (heads, tails):
-                # One sample per row, so each anchor's pushes add left to
-                # right; an anchor drawn against itself gets a zero push.
-                samples = rng.integers(0, n, size=(len(anchors), nsr)).T.copy()
-                diffs = [x[anchors] - x[samples] for x in columns]
-                r2 = _sum_in_order(d * d for d in diffs)
-                coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * r2**b))
-                for parts, d in zip(updates, diffs):
-                    grad = np.multiply(coeff, d, out=d)
-                    np.clip(grad, -_GRAD_CLIP, _GRAD_CLIP, out=grad)
-                    parts.append(_sum_in_order(grad))
-                targets.append(anchors)
-        targets = np.concatenate(targets)
-        for x, parts in zip(columns, updates):
-            x += lr * np.bincount(targets, np.concatenate(parts), n)
-        next_sample[due] += eps_per_sample[due]
-    return np.ascontiguousarray(columns.T)
+    return kernels.optimize_layout(
+        coords,
+        graph.heads,
+        graph.tails,
+        graph.weights,
+        config.layout_epochs,
+        config.negative_sample_rate,
+        a,
+        b,
+        seed,
+    )
 
 
 def reduce(points: np.ndarray, config: ReductionConfig) -> np.ndarray:

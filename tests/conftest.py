@@ -1,12 +1,15 @@
 """Shared fixtures: synthetic corpora and one session-scoped trained pipeline."""
 
 import json
+import shutil
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topicforge
 from topicforge import (
     ClusterConfig,
     EmbeddingConfig,
@@ -17,6 +20,19 @@ from topicforge import (
     train,
 )
 from topicforge.corpus import Document
+
+
+def copy_package(root):
+    """Copy the topicforge sources under ``root``, without any cache, and
+    return the directory to put on ``PYTHONPATH``: a first use there builds
+    the kernel library from nothing."""
+    shutil.copytree(
+        Path(topicforge.__file__).parent,
+        Path(root) / "topicforge",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return str(root)
+
 
 THEME_WORDS = {
     "ocean": [

@@ -16,7 +16,7 @@ import topicforge
 from topicforge import ClusterConfig, EmbeddingConfig, ReductionConfig
 from topicforge.cli import _configs_from_args, build_parser, main
 
-from conftest import halve_topic_columns, make_two_theme_docs
+from conftest import copy_package, halve_topic_columns, make_two_theme_docs
 
 TRAIN_FLAGS = [
     "--vector-size", "12",
@@ -548,6 +548,65 @@ class TestExport:
             float(row[2])
             assert int(row[3]) >= -1
         assert (tmp_path / "coords.csv.manifest.json").exists()
+
+
+class TestKernelBuild:
+    """The layout kernel is built on first use, and only where a layout runs."""
+
+    def run_cli(self, pythonpath, argv, **env):
+        run = "from topicforge.cli import entry_point; entry_point()"
+        return subprocess.run(
+            [sys.executable, "-c", run] + argv,
+            env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_no_compiler_exits_1_naming_it(self, env, tmp_path):
+        path = copy_package(tmp_path / "pkg")
+        no_gcc = tmp_path / "bin"
+        no_gcc.mkdir()
+        commands = [
+            ["train", "--corpus", str(env["corpus"]), "--output", str(tmp_path / "m.tpfg")]
+            + TRAIN_FLAGS,
+            ["export", "--model", str(env["model"]), "--what", "coords2d",
+             "--output", str(tmp_path / "coords.csv")],
+        ]
+        for argv in commands:
+            done = self.run_cli(path, argv, PATH=str(no_gcc))
+            assert done.returncode == 1, done.stderr
+            assert "'gcc'" in done.stderr
+        assert not (tmp_path / "m.tpfg").exists()
+        assert not (tmp_path / "coords.csv").exists()
+
+    def test_read_commands_do_not_load_the_kernel(self, env, tmp_path):
+        model = str(env["model"])
+        commands = [
+            ["search", "--model", model, "--words", "ocean", "--what", "topics"],
+            ["topics", "--model", model, "--format", "json"],
+            ["evaluate", "--model", model, "--corpus", str(env["corpus"])],
+            ["reduce", "--model", model, "--to", "1",
+             "--output", str(tmp_path / "reduced.tpfg")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from topicforge import kernels\n"
+            "from topicforge.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(kernels.load.cache_info().currsize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(topicforge.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "0"
 
 
 class TestAtomicOutput:

@@ -141,6 +141,13 @@ class TestHuffman:
         for ca, cb in zip(a.codes, b.codes):
             assert np.array_equal(ca, cb)
 
+    def test_takes_a_stored_inner_node_block(self):
+        vocab = make_vocab("abcd", [4, 2, 1, 1])
+        block = np.arange(6.0).reshape(3, 2)
+        assert build_huffman_coding(vocab, 2, block).inner_node_vectors is block
+        with pytest.raises(ValidationError):
+            build_huffman_coding(vocab, 3, block)
+
     def test_single_word_vocabulary(self):
         coding = build_huffman_coding(make_vocab(["only"], [7]), 3)
         assert coding.paths[0].size == 0

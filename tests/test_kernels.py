@@ -1,0 +1,110 @@
+"""Building, caching and loading the compiled kernels."""
+
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from topicforge import ValidationError, kernels
+
+from conftest import copy_package
+
+# A small layout whose bytes a child process prints.
+LAYOUT = """
+import hashlib
+import numpy as np
+from topicforge import kernels
+rng = np.random.default_rng(40)
+n, m = 300, 2000
+heads = rng.integers(0, n, m)
+tails = (heads + 1 + rng.integers(0, n - 1, m)) % n
+coords = kernels.optimize_layout(
+    rng.uniform(-10.0, 10.0, (n, 3)), heads, tails, rng.uniform(0.05, 1.0, m),
+    30, 5, 1.5769434602697652, 0.8950608778515733, 41,
+)
+print(hashlib.sha256(coords.tobytes()).hexdigest())
+"""
+
+
+def run_layout(pythonpath):
+    return subprocess.Popen(
+        [sys.executable, "-c", LAYOUT],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def finish(child):
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    return out.strip()
+
+
+def built_library_digest():
+    """The layout's digest with the package under test, built already."""
+    kernels.load()
+    return finish(run_layout(str(Path(kernels.__file__).parents[1])))
+
+
+class TestCache:
+    def test_name_follows_source_and_flags(self):
+        source = b"int f(void) { return 1; }\n"
+        name = kernels.library_name(source)
+        assert name == kernels.library_name(source, kernels.FLAGS)
+        assert name != kernels.library_name(source + b" ")
+        assert name != kernels.library_name(source, kernels.FLAGS + ("-g",))
+        assert name != kernels.library_name(source, kernels.FLAGS[1:])
+
+    def test_two_first_uses_at_once_leave_one_complete_library(self, tmp_path):
+        path = copy_package(tmp_path)
+        children = [run_layout(path) for _ in range(2)]
+        digests = [finish(child) for child in children]
+        assert digests == [built_library_digest()] * 2
+        package = tmp_path / "topicforge"
+        built = sorted(p.name for p in (package / "__pycache__").glob("_kernels*"))
+        source = (package / "_kernels.c").read_bytes()
+        assert built == [kernels.library_name(source)]
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path):
+        path = copy_package(tmp_path)
+        # A file where the cache directory should be: nothing can be cached.
+        (tmp_path / "topicforge" / "__pycache__").write_text("")
+        assert finish(run_layout(path)) == built_library_digest()
+        assert (tmp_path / "topicforge" / "__pycache__").read_text() == ""
+
+
+class TestPackaging:
+    def test_source_resolves_as_a_package_resource(self):
+        source = resources.files("topicforge").joinpath("_kernels.c")
+        assert source.is_file()
+        assert b"tf_optimize_layout" in source.read_bytes()
+
+    def test_source_is_declared_package_data(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = '[tool.setuptools.package-data]\ntopicforge = ["_kernels.c"]\n'
+        assert declared in pyproject.read_text()
+
+
+class TestArguments:
+    def test_rejects_endpoints_outside_the_points(self):
+        for heads in ([0, 3], [-1, 1]):
+            with pytest.raises(ValidationError, match=r"\[0, 3\)"):
+                kernels.optimize_layout(
+                    np.zeros((3, 2)), np.array(heads), np.array([1, 2]),
+                    np.ones(2), 5, 1, 1.0, 1.0, 0,
+                )
+
+    def test_input_coordinates_are_not_changed(self):
+        coords = np.random.default_rng(42).uniform(-1.0, 1.0, (4, 2))
+        before = coords.copy()
+        out = kernels.optimize_layout(
+            coords, np.array([0, 1]), np.array([2, 3]), np.ones(2), 5, 1, 1.0, 1.0, 0
+        )
+        assert np.array_equal(coords, before)
+        assert not np.array_equal(out, before)

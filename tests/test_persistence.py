@@ -352,6 +352,43 @@ def wide_archive():
     )
 
 
+@functools.cache
+def wide_vocabulary_archive():
+    """A 4,000-word vocabulary of 512 dimensions over 20 documents, so the
+    inner-node block is as large as the word block and the rest is small."""
+    rng = np.random.default_rng(5)
+    n_words, n_docs, dim = 4000, 20, 512
+    vocab = Vocabulary(
+        words=tuple(f"w{i}" for i in range(n_words)),
+        counts=np.arange(n_words, 0, -1),
+        total_tokens=n_words * (n_words + 1) // 2,
+        min_count=1,
+        subsample_threshold=1e-2,
+        keep_probability=np.ones(n_words),
+    )
+    embedding = SemanticEmbedding(
+        doc_vectors=rng.standard_normal((n_docs, dim)),
+        word_vectors=rng.standard_normal((n_words, dim)),
+        coding=build_huffman_coding(
+            vocab, dim, rng.standard_normal((n_words - 1, dim))
+        ),
+        vocabulary=vocab,
+        doc_ids=tuple(f"d{i}" for i in range(n_docs)),
+    )
+    labeling = ClusterLabeling(
+        labels=np.arange(n_docs) % 2, n_clusters=2, cluster_stability=np.ones(2)
+    )
+    return ModelArchive.from_pipeline(
+        embedding,
+        rng.standard_normal((n_docs, 5)),
+        labeling,
+        build_topic_model(embedding, labeling),
+        EmbeddingConfig(vector_size=dim, min_count=1),
+        ReductionConfig(),
+        ClusterConfig(),
+    )
+
+
 def block_bytes(archive):
     embedding = archive.embedding
     return sum(
@@ -385,6 +422,15 @@ class TestBlockIO:
         path = str(tmp_path / "wide.tpfg")
         save_model(archive, path)
         assert traced_peak(load_model, path) < 1.5 * block_bytes(archive)
+
+    def test_load_reads_the_inner_nodes_into_the_coding(self, tmp_path):
+        # The coding takes the stored block: no zero matrix of the inner
+        # nodes is allocated on the way.
+        path = str(tmp_path / "vocab.tpfg")
+        save_model(wide_vocabulary_archive(), path)
+        loaded = load_model(path)
+        inner = loaded.embedding.coding.inner_node_vectors.nbytes
+        assert traced_peak(load_model, path) < block_bytes(loaded) + inner
 
     def test_save_streams_the_blocks(self, tmp_path):
         archive = wide_archive()

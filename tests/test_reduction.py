@@ -1,12 +1,15 @@
 """Neighbor graphs, kernel calibration, and the low-dimensional layout."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from topicforge import FuzzyGraph, ReductionConfig, ValidationError, reduce
+from topicforge import FuzzyGraph, ReductionConfig, ValidationError, kernels, reduce
 from topicforge.reduction import (
     _calibrate_rows,
     find_ab_params,
@@ -66,25 +69,213 @@ def scalar_calibrate(d):
     return rho, mid
 
 
+# The numpy twins of the kernel's negative sampler and portable power in
+# src/topicforge/_kernels.c: every operation is repeated in the same order,
+# so results must be bit-equal.  ln 2 is split as fdlibm splits it.
+LN2_HI = float.fromhex("0x1.62e42feep-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+ROUND_2M16 = float.fromhex("0x1.8p36")
+ROUND_INT = float.fromhex("0x1.8p52")
+TABLE = 128
+
+
+def series_log(x):
+    s = (x - 1.0) / (x + 1.0)
+    s2 = s * s
+    t = 1.0 / 41.0
+    for i in range(19, -1, -1):
+        t = 1.0 / (2 * i + 1) + s2 * t
+    return 2.0 * s * t
+
+
+def series_exp(v):
+    t = 1.0
+    for i in range(24, 0, -1):
+        t = 1.0 + v * t / i
+    return t
+
+
+def round_2m16(x):
+    return (x + ROUND_2M16) - ROUND_2M16
+
+
+LOG_C = np.array([1.0 + (j + 0.5) / TABLE for j in range(TABLE)])
+LOG_INV_C = 1.0 / LOG_C
+LOG_C_FULL = np.array([series_log(float(c)) for c in LOG_C])
+LOG_C_HI = np.array([round_2m16(x) for x in LOG_C_FULL])
+LOG_C_LO = LOG_C_FULL - LOG_C_HI
+EXP_T = np.array([series_exp((j * LN2_HI + j * LN2_LO) / TABLE) for j in range(TABLE)])
+LN2_HI16 = round_2m16(LN2_HI)
+LN2_LO16 = (LN2_HI - LN2_HI16) + LN2_LO
+INV_LN2_N = TABLE / (LN2_HI + LN2_LO)
+
+
+def pow2i(e):
+    return ((e + 1023).astype(np.uint64) << 52).view(np.float64)
+
+
+def log_parts(x):
+    """``log x`` as a head that is a multiple of 2^-16 plus a small tail."""
+    u = x.view(np.uint64)
+    subnormal = u < (1 << 52)
+    u = np.where(subnormal, (x * 2.0**52).view(np.uint64), u)
+    k = (u >> 52).astype(np.int64) - 1023 - np.where(subnormal, 52, 0)
+    j = ((u >> 45) & 127).astype(np.intp)
+    m = ((u & ((1 << 52) - 1)) | (1023 << 52)).view(np.float64)
+    r = (m - LOG_C[j]) * LOG_INV_C[j]
+    q = r * r * (-0.5 + r * (1.0 / 3 + r * (-0.25 + r * (0.2 + r * (-1.0 / 6)))))
+    hi = k * LN2_HI16 + LOG_C_HI[j]
+    lo = (k * LN2_LO16 + LOG_C_LO[j]) + (r + q)
+    return hi, lo
+
+
+def exp_parts(y_hi, y_lo):
+    """``exp(y_hi + y_lo)``; inf above 710, 0 below -746, NaN kept."""
+    y = y_hi + y_lo
+    live = (y < 710.0) & ~(y < -746.0)
+    h, l, yl = (np.where(live, v, 0.0) for v in (y_hi, y_lo, y))
+    kd = (yl * INV_LN2_N + ROUND_INT) - ROUND_INT
+    ki = kd.astype(np.int64)
+    r = (h - kd * (LN2_HI / TABLE)) + (l - kd * (LN2_LO / TABLE))
+    q = r + r * r * (0.5 + r * (1.0 / 6 + r * (1.0 / 24 + r * (1.0 / 120))))
+    t = EXP_T[ki & (TABLE - 1)]
+    v = t + t * q
+    e = ki >> 7
+    out = np.select(
+        [e > 1023, e < -1022],
+        [
+            (v * 2.0**1023) * pow2i(np.clip(e - 1023, -1022, 1023)),
+            (v * pow2i(np.clip(e + 1022, -1022, 1023))) * 2.0**-1022,
+        ],
+        v * pow2i(np.clip(e, -1022, 1023)),
+    )
+    dead = np.where(y < -746.0, 0.0, np.where(y > 0.0, np.inf, y))
+    return np.where(live, out, dead)
+
+
+def portable_power(x, e):
+    """``x ** e`` as the kernel computes it: exp(e log x) in head-tail steps."""
+    x = np.asarray(x, dtype=np.float64)
+    c = 134217729.0 * e
+    e_hi = c - (c - e)
+    e_lo = e - e_hi
+    normal = (x > 0.0) & (x < np.inf)
+    with np.errstate(all="ignore"):
+        hi, lo = log_parts(np.where(normal, x, 1.0))
+        out = exp_parts(e_hi * hi, e_lo * hi + e * lo)
+    if e == 0.0:
+        special = np.ones_like(x)
+    else:
+        special = np.where((e > 0.0) == (x == 0.0), 0.0, np.inf)
+    special = np.where((x == 0.0) | (x == np.inf), special, np.nan)
+    return np.where(normal, out, special)
+
+
+def negative_samples(seed, start, count, n):
+    """Draws ``start`` to ``start + count - 1`` of the kernel's sample stream."""
+    z = np.uint64(seed) + np.arange(start + 1, start + count + 1, dtype=np.uint64) * (
+        np.uint64(0x9E3779B97F4A7C15)
+    )
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    n = np.uint64(n)
+    return (((z >> 32) * n + (((z & 0xFFFFFFFF) * n) >> 32)) >> 32).astype(np.int64)
+
+
+def _sum_in_order(terms):
+    """``((t0 + t1) + t2) + ...`` over an iterable of equal-shape arrays."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for term in terms:
+        total += term
+    return total
+
+
+def loop_layout(graph, config, rng):
+    """The layout as numpy loops, one component at a time, with the
+    kernel's sampler and power: the reference the kernel must equal.
+
+    Sums run left to right, and each point's updates add in the order
+    heads, tails, head pushes, tail pushes, as ``np.bincount`` adds them.
+    """
+    n = graph.n_points
+    coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
+    if len(graph.weights) == 0:
+        return coords
+    seed = int(rng.integers(0, 2**63))
+    a, b = find_ab_params(config.min_dist)
+    epochs = config.layout_epochs
+    eps_per_sample = graph.weights.max() / graph.weights
+    next_sample = eps_per_sample.copy()
+    nsr = config.negative_sample_rate
+    drawn = 0
+    columns = np.ascontiguousarray(coords.T)
+    for epoch in range(epochs):
+        due = next_sample <= epoch
+        if not np.any(due):
+            continue
+        lr = 1.0 - epoch / epochs
+        heads = graph.heads[due]
+        tails = graph.tails[due]
+        diffs = [x[heads] - x[tails] for x in columns]
+        r2 = _sum_in_order(d * d for d in diffs)
+        with np.errstate(all="ignore"):
+            coeff = np.where(
+                r2 > 0.0,
+                (-2.0 * a * b * portable_power(r2, b - 1.0))
+                / (1.0 + a * portable_power(r2, b)),
+                0.0,
+            )
+        updates = []
+        for d in diffs:
+            grad = np.clip(coeff * d, -4.0, 4.0)
+            updates.append([grad, -grad])
+        targets = [heads, tails]
+        if nsr > 0:
+            for anchors in (heads, tails):
+                # One sample per row, so each anchor's pushes add left to
+                # right; an anchor drawn against itself gets a zero push.
+                count = len(anchors) * nsr
+                samples = negative_samples(seed, drawn, count, n)
+                samples = samples.reshape(len(anchors), nsr).T.copy()
+                drawn += count
+                diffs = [x[anchors] - x[samples] for x in columns]
+                r2 = _sum_in_order(d * d for d in diffs)
+                coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * portable_power(r2, b)))
+                for parts, d in zip(updates, diffs):
+                    grad = np.multiply(coeff, d, out=d)
+                    np.clip(grad, -4.0, 4.0, out=grad)
+                    parts.append(_sum_in_order(grad))
+                targets.append(anchors)
+        targets = np.concatenate(targets)
+        for x, parts in zip(columns, updates):
+            x += lr * np.bincount(targets, np.concatenate(parts), n)
+        next_sample[due] += eps_per_sample[due]
+    return np.ascontiguousarray(columns.T)
+
+
 def block_negative_forces(coords, anchors, samples, a, b):
     """Summed repulsive updates of each anchor over (anchors, nsr, dim) blocks."""
     diff = coords[anchors][:, None, :] - coords[samples]
-    r2 = np.sum(diff * diff, axis=2)
-    coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * r2**b))
+    r2 = _sum_in_order(diff[:, :, c] * diff[:, :, c] for c in range(diff.shape[2]))
+    coeff = (2.0 * b) / ((0.001 + r2) * (1.0 + a * portable_power(r2, b)))
     coeff[samples == anchors[:, None]] = 0.0
     grad = np.clip(coeff[:, :, None] * diff, -4.0, 4.0)
-    return grad.sum(axis=1)
+    return _sum_in_order(grad[:, s] for s in range(grad.shape[1]))
 
 
 def block_layout(graph, config, rng):
     """The layout loop on whole (edges, dim) blocks, updates added by np.add.at."""
     n = graph.n_points
     coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
+    seed = int(rng.integers(0, 2**63))
     a, b = find_ab_params(config.min_dist)
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
     nsr = config.negative_sample_rate
+    drawn = 0
     for epoch in range(epochs):
         due = next_sample <= epoch
         if not np.any(due):
@@ -93,18 +284,26 @@ def block_layout(graph, config, rng):
         heads = graph.heads[due]
         tails = graph.tails[due]
         diff = coords[heads] - coords[tails]
-        r2 = np.sum(diff * diff, axis=1)
-        coeff = np.where(
-            r2 > 0.0, (-2.0 * a * b * r2 ** (b - 1.0)) / (1.0 + a * r2**b), 0.0
-        )
+        r2 = _sum_in_order(diff[:, c] * diff[:, c] for c in range(diff.shape[1]))
+        with np.errstate(all="ignore"):
+            coeff = np.where(
+                r2 > 0.0,
+                (-2.0 * a * b * portable_power(r2, b - 1.0))
+                / (1.0 + a * portable_power(r2, b)),
+                0.0,
+            )
         grad = np.clip(coeff[:, None] * diff, -4.0, 4.0)
         delta = np.zeros_like(coords)
         np.add.at(delta, heads, grad)
         np.add.at(delta, tails, -grad)
         if nsr > 0:
             for anchors in (heads, tails):
-                samples = rng.integers(0, n, size=(len(anchors), nsr))
-                push = block_negative_forces(coords, anchors, samples, a, b)
+                count = len(anchors) * nsr
+                samples = negative_samples(seed, drawn, count, n)
+                drawn += count
+                push = block_negative_forces(
+                    coords, anchors, samples.reshape(len(anchors), nsr), a, b
+                )
                 np.add.at(delta, anchors, push)
         coords += lr * delta
         next_sample[due] += eps_per_sample[due]
@@ -434,7 +633,8 @@ class TestOptimizeLayout:
 
 
 class TestLayoutEquality:
-    """optimize_layout against the block formulation with np.add.at."""
+    """The compiled layout against the numpy loop and the block formulation
+    with np.add.at, both with the kernel's sampler and power."""
 
     @staticmethod
     def complete_graph(n=7, seed=30):
@@ -452,8 +652,16 @@ class TestLayoutEquality:
             sigma=np.ones(n),
         )
 
-    @pytest.mark.parametrize("nsr", [0, 5])
-    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @staticmethod
+    def assert_all_equal(graph, config):
+        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
+        want = loop_layout(graph, config, np.random.default_rng(config.seed))
+        blocks = block_layout(graph, config, np.random.default_rng(config.seed))
+        assert np.array_equal(got, want)
+        assert np.array_equal(blocks, want)
+
+    @pytest.mark.parametrize("nsr", [0, 1, 5, 9])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
     def test_bit_identical_on_small_graph(self, dim, nsr):
         config = ReductionConfig(
             n_neighbors=2,
@@ -462,18 +670,87 @@ class TestLayoutEquality:
             negative_sample_rate=nsr,
             seed=31,
         )
-        graph = self.complete_graph()
-        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
-        want = block_layout(graph, config, np.random.default_rng(config.seed))
-        assert np.array_equal(got, want)
+        self.assert_all_equal(self.complete_graph(), config)
 
     def test_bit_identical_on_neighbor_graph(self):
         pts = np.random.default_rng(32).standard_normal((300, 20))
         config = ReductionConfig(n_neighbors=10, layout_epochs=60, seed=33)
-        graph = fuzzy_simplicial_set(pts, config)
-        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
-        want = block_layout(graph, config, np.random.default_rng(config.seed))
-        assert np.array_equal(got, want)
+        self.assert_all_equal(fuzzy_simplicial_set(pts, config), config)
+
+
+class TestPortablePower:
+    """The kernel's ``x ** e`` against its numpy twin and numpy's ``**``."""
+
+    R2 = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308],
+            np.geomspace(1e-12, 1e6, 3001),
+            np.random.default_rng(34).uniform(0.0, 50.0, 3000),
+        ]
+    )
+
+    @pytest.mark.parametrize("min_dist", [0.0, 0.1, 0.5, 1.0])
+    def test_bit_equal_to_twin_and_close_to_numpy(self, min_dist):
+        _, b = find_ab_params(min_dist)
+        for e in (b, b - 1.0):
+            got = kernels.power(self.R2, e)
+            assert np.array_equal(got, portable_power(self.R2, e))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = self.R2**e
+                close = np.abs(got - want) <= 1e-14 * np.abs(want)
+            assert np.all((got == want) | close), e
+
+    def test_zero_and_infinity_as_numpy(self):
+        x = np.array([0.0, np.inf])
+        for e in (0.5, -0.5, 0.0):
+            with np.errstate(divide="ignore"):
+                want = x**e
+            assert np.array_equal(kernels.power(x, e), want)
+            assert np.array_equal(portable_power(x, e), want)
+
+
+class TestKernelPortability:
+    """Given a, b and a seed, the layout kernel's bytes do not depend on
+    which CPU features numpy, OpenBLAS or glibc pick in the process."""
+
+    SCRIPT = """
+import hashlib
+import numpy as np
+from topicforge import kernels
+rng = np.random.default_rng(35)
+n, m = 400, 3000
+heads = rng.integers(0, n, m)
+tails = (heads + 1 + rng.integers(0, n - 1, m)) % n
+coords = kernels.optimize_layout(
+    rng.uniform(-10.0, 10.0, (n, 5)), heads, tails, rng.uniform(0.05, 1.0, m),
+    40, 5, 1.5769434602697652, 0.8950608778515733, 36,
+)
+print(hashlib.sha256(coords.tobytes()).hexdigest())
+"""
+
+    SETTINGS = [
+        {},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
+    ]
+
+    def test_bytes_equal_under_every_setting(self):
+        kernels.load()  # build the library once, before the children start
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        digests = []
+        for setting in self.SETTINGS:
+            env = dict(os.environ, PYTHONPATH=src, **setting)
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, (setting, done.stderr)
+            digests.append(done.stdout.strip())
+        assert len(set(digests)) == 1, digests
 
 
 class TestReduce:
