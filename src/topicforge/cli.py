@@ -427,3 +427,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -34,11 +34,11 @@ class ClusterConfig:
     min_samples: int | None = None
 
     def __post_init__(self) -> None:
-        if self.min_cluster_size < 2:
+        if not self.min_cluster_size >= 2:
             raise ValidationError(
                 f"min_cluster_size must be >= 2, got {self.min_cluster_size}"
             )
-        if self.min_samples is not None and self.min_samples < 1:
+        if self.min_samples is not None and not self.min_samples >= 1:
             raise ValidationError(
                 f"min_samples must be >= 1, got {self.min_samples}"
             )

@@ -62,8 +62,6 @@ class Vocabulary:
     words: tuple[str, ...]
     counts: np.ndarray
     total_tokens: int
-    min_count: int
-    subsample_threshold: float
     keep_probability: np.ndarray
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -90,11 +88,11 @@ def subsample_keep_probability(frequency_ratio: float, threshold: float) -> floa
     the corpus is at or below the threshold are always kept, and the keep
     probability decays with the square root of the excess frequency.
     """
-    if frequency_ratio <= 0.0:
+    if not frequency_ratio > 0.0:
         raise ValidationError(
             f"frequency ratio must be positive, got {frequency_ratio}"
         )
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValidationError(f"subsample threshold must be positive, got {threshold}")
     return min(1.0, math.sqrt(threshold / frequency_ratio))
 
@@ -105,9 +103,9 @@ def keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
     Element ``i`` equals ``subsample_keep_probability(counts[i] /
     counts.sum(), threshold)`` bit for bit.
     """
-    if np.any(counts <= 0):
+    if not np.all(counts > 0):
         raise ValidationError("word counts must be positive")
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValidationError(f"subsample threshold must be positive, got {threshold}")
     ratios = counts / counts.sum()
     return np.minimum(1.0, np.sqrt(threshold / ratios))
@@ -125,7 +123,7 @@ def build_vocabulary(
     """
     if min_count < 1:
         raise ValidationError(f"min_count must be at least 1, got {min_count}")
-    if subsample_threshold <= 0.0:
+    if not subsample_threshold > 0.0:
         raise ValidationError(
             f"subsample threshold must be positive, got {subsample_threshold}"
         )
@@ -148,8 +146,6 @@ def build_vocabulary(
         words=words,
         counts=counts,
         total_tokens=total,
-        min_count=min_count,
-        subsample_threshold=subsample_threshold,
         keep_probability=keep_probabilities(counts, subsample_threshold),
     )
 

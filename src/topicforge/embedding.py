@@ -25,12 +25,16 @@ from scipy.special import expit
 from .corpus import Document, Vocabulary, build_vocabulary, index_documents
 from .errors import ValidationError
 
+# The learning rate decays linearly between these over a whole training run.
+INITIAL_LR = 0.025
+FINAL_LR = 1e-4
+
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Knobs for embedding training.
 
-    The learning rate decays linearly from ``initial_lr`` to ``final_lr``
+    The learning rate decays linearly from ``INITIAL_LR`` to ``FINAL_LR``
     over all scheduled center positions.  A seed fully determines the
     trained matrices.
     """
@@ -40,29 +44,22 @@ class EmbeddingConfig:
     epochs: int = 40
     min_count: int = 50
     subsample_threshold: float = 1e-5
-    initial_lr: float = 0.025
-    final_lr: float = 1e-4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.vector_size < 1:
+        if not self.vector_size >= 1:
             raise ValidationError(f"vector_size must be >= 1, got {self.vector_size}")
-        if self.window < 1:
+        if not self.window >= 1:
             raise ValidationError(f"window must be >= 1, got {self.window}")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.min_count < 1:
+        if not self.min_count >= 1:
             raise ValidationError(f"min_count must be >= 1, got {self.min_count}")
-        if self.subsample_threshold <= 0:
+        if not self.subsample_threshold > 0:
             raise ValidationError(
                 f"subsample_threshold must be > 0, got {self.subsample_threshold}"
             )
-        if not 0 < self.final_lr <= self.initial_lr:
-            raise ValidationError(
-                f"need 0 < final_lr <= initial_lr, got "
-                f"{self.final_lr} and {self.initial_lr}"
-            )
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -317,9 +314,7 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
     )
     keep = vocab.keep_probability
     window = config.window
-    lr0 = config.initial_lr
-    final_lr = config.final_lr
-    lr_span = lr0 - final_lr
+    lr_span = INITIAL_LR - FINAL_LR
     total_positions = max(1, config.epochs * sum(len(t) for t in token_arrays))
     pos = 0
     for _ in range(config.epochs):
@@ -327,7 +322,7 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
         steps = 0
         for di, toks in enumerate(token_arrays):
             for p in range(len(toks)):
-                lr = max(final_lr, lr0 - lr_span * (pos / total_positions))
+                lr = max(FINAL_LR, INITIAL_LR - lr_span * (pos / total_positions))
                 pos += 1
                 left = toks[max(0, p - window) : p]
                 right = toks[p + 1 : p + 1 + window]

@@ -12,8 +12,10 @@ unsupported version, a truncated file, or inconsistent shapes raise
 are checked against the file length before any block is allocated, and
 each block is read straight into its own array.  Older
 versions are rejected, not converted: version 1 stored the word matrix
-twice, and version 2's reduction config carried three options that no
-longer exist.
+twice, version 2's reduction config carried three options that no
+longer exist, and version 3's configs carried ``min_dist``,
+``initial_lr`` and ``final_lr``, and its vocabulary repeated the
+embedding config's ``min_count`` and ``subsample_threshold``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -125,8 +127,6 @@ def _archive_parts(archive: ModelArchive) -> list:
             "words": list(vocab.words),
             "counts": [int(c) for c in vocab.counts],
             "total_tokens": vocab.total_tokens,
-            "min_count": vocab.min_count,
-            "subsample_threshold": vocab.subsample_threshold,
         },
         "doc_ids": list(embedding.doc_ids),
         "epoch_losses": [float(x) for x in embedding.epoch_losses],
@@ -284,14 +284,13 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
-    threshold = float(v["subsample_threshold"])
     vocab = Vocabulary(
         words=words,
         counts=counts,
         total_tokens=int(v["total_tokens"]),
-        min_count=int(v["min_count"]),
-        subsample_threshold=threshold,
-        keep_probability=keep_probabilities(counts, threshold),
+        keep_probability=keep_probabilities(
+            counts, embedding_config.subsample_threshold
+        ),
     )
     _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
     doc_ids = tuple(header["doc_ids"])

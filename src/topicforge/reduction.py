@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import curve_fit
 
 from . import kernels
 from .errors import ValidationError
@@ -28,41 +27,40 @@ _SMOOTH_TOLERANCE = 1e-5
 _SMOOTH_ITERATIONS = 64
 # Rows of the distance matrix the neighbor search holds at a time.
 _KNN_BLOCK = 512
+# a, b of UMAP's membership curve at min_dist 0.1, as scipy's curve_fit fits them.
+CURVE_A = 1.5769434602697652
+CURVE_B = 0.8950608778515733
 
 
 @dataclass(frozen=True)
 class ReductionConfig:
     """Knobs for the reduction stage.
 
-    Neighbors are found under cosine distance.  ``min_dist`` shapes the
-    low-dimensional membership curve and lies in [0, 1], the curve's
-    spread; ``layout_epochs`` edges-proportional-to-weight passes of SGD
-    run with a learning rate decaying linearly from 1 to zero.
+    Neighbors are found under cosine distance; ``layout_epochs``
+    edges-proportional-to-weight passes of SGD run with a learning rate
+    decaying linearly from 1 to zero.
     """
 
     n_neighbors: int = 15
     n_components: int = 5
-    min_dist: float = 0.1
     layout_epochs: int = 200
     negative_sample_rate: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_neighbors < 2:
+        if not self.n_neighbors >= 2:
             raise ValidationError(f"n_neighbors must be >= 2, got {self.n_neighbors}")
-        if self.n_components < 1:
+        if not self.n_components >= 1:
             raise ValidationError(
                 f"n_components must be >= 1, got {self.n_components}"
             )
-        if not 0.0 <= self.min_dist <= 1.0:
-            raise ValidationError(f"min_dist must be in [0, 1], got {self.min_dist}")
-        if self.layout_epochs < 1:
+        if not self.layout_epochs >= 1:
             raise ValidationError(
                 f"layout_epochs must be >= 1, got {self.layout_epochs}"
             )
-        if self.negative_sample_rate < 0:
+        if not self.negative_sample_rate >= 0:
             raise ValidationError("negative_sample_rate must be >= 0")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -71,15 +69,12 @@ class FuzzyGraph:
     """Symmetric weighted neighborhood graph.
 
     Edges are stored once with ``heads < tails`` and weights in (0, 1].
-    ``rho`` and ``sigma`` are the per-point calibration results.
     """
 
     n_points: int
     heads: np.ndarray
     tails: np.ndarray
     weights: np.ndarray
-    rho: np.ndarray
-    sigma: np.ndarray
 
 
 def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,25 +199,7 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
         heads=heads[keep].astype(np.int64),
         tails=tails[keep].astype(np.int64),
         weights=weights[keep],
-        rho=rho,
-        sigma=sigma,
     )
-
-
-def find_ab_params(min_dist: float) -> tuple[float, float]:
-    """Fit the low-dimensional membership curve ``1 / (1 + a x^(2b))``.
-
-    Least-squares fit over [0, 3] against the target curve that is 1 up
-    to min_dist and decays as ``exp(-(x - min_dist))`` beyond it.
-    """
-
-    def curve(x, a, b):
-        return 1.0 / (1.0 + a * x ** (2.0 * b))
-
-    xv = np.linspace(0.0, 3.0, 300)
-    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist)))
-    params, _ = curve_fit(curve, xv, yv, p0=[1.0, 1.0])
-    return float(params[0]), float(params[1])
 
 
 def optimize_layout(
@@ -232,23 +209,23 @@ def optimize_layout(
 
     Coordinates start uniform in [-10, 10].  Each edge is scheduled
     proportionally to its weight (the heaviest edge once per epoch);
-    scheduled edges pull their endpoints together along the fitted
-    membership-curve gradient, and each endpoint is pushed away from
-    ``negative_sample_rate`` sampled points.  Updates within an epoch are
-    computed from the epoch-start positions and applied together, with
-    every component clipped to +-4 before the learning rate is applied.
+    scheduled edges pull their endpoints together along the gradient of
+    the membership curve ``1 / (1 + a x^(2b))`` (``CURVE_A``, ``CURVE_B``),
+    and each endpoint is pushed away from ``negative_sample_rate`` sampled
+    points.  Updates within an epoch are computed from the epoch-start
+    positions and applied together, with every component clipped to +-4
+    before the learning rate is applied.
 
     The epochs run in the compiled kernel (``kernels.optimize_layout``).
     Its negative samples are a counter-based stream keyed by one seed that
     ``rng`` draws after the coordinates, and its powers are portable, so
-    given ``a`` and ``b`` the layout's bytes do not depend on the CPU.
+    given the graph the layout's bytes do not depend on the CPU.
     """
     n = graph.n_points
     coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
     if len(graph.weights) == 0:
         return coords
     seed = int(rng.integers(0, 2**63))
-    a, b = find_ab_params(config.min_dist)
     return kernels.optimize_layout(
         coords,
         graph.heads,
@@ -256,8 +233,8 @@ def optimize_layout(
         graph.weights,
         config.layout_epochs,
         config.negative_sample_rate,
-        a,
-        b,
+        CURVE_A,
+        CURVE_B,
         seed,
     )
 

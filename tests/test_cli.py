@@ -143,15 +143,15 @@ class TestTrain:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "5"])
-    def test_bad_min_dist_exits_1(self, env, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", ["nan", "0", "-0.5"])
+    def test_bad_subsample_threshold_exits_1(self, env, tmp_path, capsys, value):
         out = tmp_path / "x.tpfg"
         rc = main(
             ["train", "--corpus", str(env["corpus"]), "--output", str(out),
-             "--min-dist", value]
+             "--subsample-threshold", value]
         )
         assert rc == 1
-        assert "min_dist must be in [0, 1]" in capsys.readouterr().err
+        assert "subsample_threshold must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tokenless_documents_exit_1(self, env, tmp_path, capsys):
@@ -238,8 +238,8 @@ class TestTrainFlags:
         assert flags == {
             "--help", "--corpus", "--corpus-format", "--output",
             "--vector-size", "--window", "--epochs", "--min-count",
-            "--subsample-threshold", "--initial-lr", "--final-lr",
-            "--n-neighbors", "--n-components", "--min-dist", "--layout-epochs",
+            "--subsample-threshold",
+            "--n-neighbors", "--n-components", "--layout-epochs",
             "--negative-sample-rate", "--min-cluster-size", "--min-samples",
             "--seed",
         }
@@ -607,6 +607,33 @@ class TestKernelBuild:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split()[-1] == "0"
+
+
+class TestModule:
+    """The CLI module run as a program, and what importing it loads."""
+
+    @staticmethod
+    def run(*args):
+        src = os.path.dirname(os.path.dirname(topicforge.__file__))
+        return subprocess.run(
+            [sys.executable, *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_run_as_module_parses_its_arguments(self):
+        done = self.run("-m", "topicforge.cli", "train", "--bogus")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: topicforge train:")
+
+    def test_import_leaves_scipy_optimize_out(self):
+        done = self.run(
+            "-c", "import sys, topicforge.cli; print('scipy.optimize' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestAtomicOutput:

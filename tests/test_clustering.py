@@ -35,6 +35,10 @@ class TestConfig:
             ClusterConfig(min_cluster_size=1)
         with pytest.raises(ValidationError):
             ClusterConfig(min_cluster_size=5, min_samples=0)
+        with pytest.raises(ValidationError):
+            ClusterConfig(min_cluster_size=float("nan"))
+        with pytest.raises(ValidationError):
+            ClusterConfig(min_cluster_size=5, min_samples=float("nan"))
 
 
 class TestCoreDistances:

@@ -72,6 +72,10 @@ class TestKeepProbability:
             subsample_keep_probability(0.0, 1e-5)
         with pytest.raises(ValidationError):
             subsample_keep_probability(0.1, 0.0)
+        with pytest.raises(ValidationError):
+            subsample_keep_probability(0.1, float("nan"))
+        with pytest.raises(ValidationError):
+            subsample_keep_probability(float("nan"), 1e-5)
 
     @pytest.mark.parametrize("threshold", [1e-5, 1e-3, 7e-3, 0.5, 1 / 3])
     def test_vectorised_form_is_bit_equal(self, threshold):
@@ -90,6 +94,10 @@ class TestKeepProbability:
             keep_probabilities(np.array([3, 0, 1]), 1e-5)
         with pytest.raises(ValidationError):
             keep_probabilities(np.array([3, 2, 1]), 0.0)
+        with pytest.raises(ValidationError):
+            keep_probabilities(np.array([3, 2, 1]), float("nan"))
+        with pytest.raises(ValidationError):
+            keep_probabilities(np.array([3.0, np.nan, 1.0]), 1e-5)
 
 
 class TestBuildVocabulary:
@@ -136,6 +144,8 @@ class TestBuildVocabulary:
             build_vocabulary(self.docs(), min_count=0)
         with pytest.raises(ValidationError):
             build_vocabulary(self.docs(), subsample_threshold=0.0)
+        with pytest.raises(ValidationError):
+            build_vocabulary(self.docs(), subsample_threshold=float("nan"))
 
 
 class TestIndexDocuments:

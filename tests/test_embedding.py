@@ -32,8 +32,6 @@ def make_vocab(words, counts):
         words=tuple(words),
         counts=counts,
         total_tokens=total,
-        min_count=1,
-        subsample_threshold=1e-2,
         keep_probability=np.ones(len(words)),
     )
 
@@ -64,8 +62,8 @@ class TestConfig:
             {"epochs": 0},
             {"min_count": 0},
             {"subsample_threshold": 0.0},
-            {"initial_lr": 0.01, "final_lr": 0.02},
-            {"final_lr": 0.0},
+            {"subsample_threshold": float("nan")},
+            {"vector_size": float("nan")},
             {"seed": -1},
         ],
     )

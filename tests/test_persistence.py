@@ -97,6 +97,12 @@ class TestRoundTrip:
             "topic_vectors",
         ]
 
+    def test_vocabulary_repeats_no_config_value(self, archive):
+        data = archive_to_bytes(archive)
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + header_len])
+        assert set(header["vocabulary"]) == {"words", "counts", "total_tokens"}
+
     def test_file_round_trip(self, archive, tmp_path):
         path = str(tmp_path / "model.tpfg")
         save_model(archive, path)
@@ -112,6 +118,10 @@ class TestRoundTrip:
         assert loaded.embedding.vocabulary.words == archive.embedding.vocabulary.words
         assert np.array_equal(
             loaded.embedding.vocabulary.counts, archive.embedding.vocabulary.counts
+        )
+        assert np.array_equal(
+            loaded.embedding.vocabulary.keep_probability,
+            archive.embedding.vocabulary.keep_probability,
         )
         assert loaded.embedding.epoch_losses == archive.embedding.epoch_losses
         assert np.array_equal(loaded.labeling.labels, archive.labeling.labels)
@@ -179,7 +189,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -312,6 +322,14 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="validation"):
             archive_from_bytes(data)
 
+        def nan_neighbors(h):
+            # JSON as Python reads it admits NaN, which a `<` check lets by.
+            h["reduction_config"]["n_neighbors"] = float("nan")
+
+        data = mutate_header(archive_to_bytes(archive), nan_neighbors)
+        with pytest.raises(ArchiveError, match="n_neighbors must be >= 2"):
+            archive_from_bytes(data)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(str(tmp_path / "nope.tpfg"))
@@ -327,8 +345,6 @@ def wide_archive():
         words=("a", "b"),
         counts=np.array([2, 1]),
         total_tokens=3,
-        min_count=1,
-        subsample_threshold=1e-2,
         keep_probability=np.ones(2),
     )
     embedding = SemanticEmbedding(
@@ -362,8 +378,6 @@ def wide_vocabulary_archive():
         words=tuple(f"w{i}" for i in range(n_words)),
         counts=np.arange(n_words, 0, -1),
         total_tokens=n_words * (n_words + 1) // 2,
-        min_count=1,
-        subsample_threshold=1e-2,
         keep_probability=np.ones(n_words),
     )
     embedding = SemanticEmbedding(

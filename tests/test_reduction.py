@@ -8,11 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
 from topicforge import FuzzyGraph, ReductionConfig, ValidationError, kernels, reduce
 from topicforge.reduction import (
+    CURVE_A,
+    CURVE_B,
     _calibrate_rows,
-    find_ab_params,
     fuzzy_simplicial_set,
     knn_graph,
     optimize_layout,
@@ -21,6 +23,20 @@ from topicforge.reduction import (
 
 # Solves 1 + x + x^2 = log2(3) for x = exp(-1/sigma) on distances [1, 2, 3].
 ANALYTIC_SIGMA_123 = -1.0 / math.log((math.sqrt(4.0 * math.log2(3.0) - 3.0) - 1.0) / 2.0)
+
+
+def find_ab_params(min_dist):
+    """UMAP's membership curve ``1 / (1 + a x^(2b))``, least-squares fitted
+    over [0, 3] to the curve that is 1 up to min_dist and decays as
+    ``exp(-(x - min_dist))`` beyond it: the reference for CURVE_A, CURVE_B."""
+
+    def curve(x, a, b):
+        return 1.0 / (1.0 + a * x ** (2.0 * b))
+
+    xv = np.linspace(0.0, 3.0, 300)
+    yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist)))
+    params, _ = curve_fit(curve, xv, yv, p0=[1.0, 1.0])
+    return float(params[0]), float(params[1])
 
 
 def dense_distances(points):
@@ -204,7 +220,7 @@ def loop_layout(graph, config, rng):
     if len(graph.weights) == 0:
         return coords
     seed = int(rng.integers(0, 2**63))
-    a, b = find_ab_params(config.min_dist)
+    a, b = CURVE_A, CURVE_B
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
@@ -270,7 +286,7 @@ def block_layout(graph, config, rng):
     n = graph.n_points
     coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
     seed = int(rng.integers(0, 2**63))
-    a, b = find_ab_params(config.min_dist)
+    a, b = CURVE_A, CURVE_B
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
@@ -316,13 +332,14 @@ class TestConfig:
         [
             {"n_neighbors": 1},
             {"n_components": 0},
-            {"min_dist": -0.1},
             {"layout_epochs": 0},
             {"negative_sample_rate": -1},
-            {"min_dist": float("nan")},
-            {"min_dist": float("inf")},
-            {"min_dist": 1.5},
             {"seed": -1},
+            {"n_neighbors": float("nan")},
+            {"n_components": float("nan")},
+            {"layout_epochs": float("nan")},
+            {"negative_sample_rate": float("nan")},
+            {"seed": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -541,8 +558,6 @@ class TestFuzzySimplicialSet:
         assert np.all(graph.heads < graph.tails)
         assert np.all(graph.weights > 0.0)
         assert np.all(graph.weights <= 1.0 + 1e-12)
-        assert len(graph.rho) == graph.n_points
-        assert len(graph.sigma) == graph.n_points
 
     def test_matches_directed_combination(self):
         # Rebuild the symmetrization dense: a + b - a*b over directed
@@ -571,13 +586,17 @@ class TestFuzzySimplicialSet:
 
 
 class TestFindAbParams:
+    """The stored curve constants against the fit they were taken from."""
+
     def test_reference_values(self):
         a, b = find_ab_params(0.1)
+        assert CURVE_A == pytest.approx(a, rel=1e-8)
+        assert CURVE_B == pytest.approx(b, rel=1e-8)
         assert a == pytest.approx(1.577, abs=2e-3)
         assert b == pytest.approx(0.8951, abs=2e-3)
 
     def test_fit_tracks_target_curve(self):
-        a, b = find_ab_params(0.1)
+        a, b = CURVE_A, CURVE_B
         x = np.linspace(0.0, 3.0, 300)
         target = np.where(x < 0.1, 1.0, np.exp(-(x - 0.1)))
         fitted = 1.0 / (1.0 + a * x ** (2.0 * b))
@@ -596,8 +615,6 @@ class TestOptimizeLayout:
             heads=np.array([0]),
             tails=np.array([1]),
             weights=np.array([1.0]),
-            rho=np.zeros(2),
-            sigma=np.ones(2),
         )
 
     def test_single_edge_attracts(self):
@@ -623,8 +640,6 @@ class TestOptimizeLayout:
             heads=np.array([], dtype=np.int64),
             tails=np.array([], dtype=np.int64),
             weights=np.array([]),
-            rho=np.zeros(3),
-            sigma=np.ones(3),
         )
         config = ReductionConfig(n_neighbors=2, n_components=2)
         coords = optimize_layout(graph, config, np.random.default_rng(0))
@@ -648,8 +663,6 @@ class TestLayoutEquality:
             heads=heads.astype(np.int64),
             tails=tails.astype(np.int64),
             weights=weights,
-            rho=np.zeros(n),
-            sigma=np.ones(n),
         )
 
     @staticmethod
@@ -710,21 +723,20 @@ class TestPortablePower:
 
 
 class TestKernelPortability:
-    """Given a, b and a seed, the layout kernel's bytes do not depend on
-    which CPU features numpy, OpenBLAS or glibc pick in the process."""
+    """Given the graph and a generator, the layout's bytes do not depend
+    on which CPU features numpy, OpenBLAS or glibc pick in the process."""
 
     SCRIPT = """
 import hashlib
 import numpy as np
-from topicforge import kernels
+from topicforge.reduction import FuzzyGraph, ReductionConfig, optimize_layout
 rng = np.random.default_rng(35)
 n, m = 400, 3000
 heads = rng.integers(0, n, m)
 tails = (heads + 1 + rng.integers(0, n - 1, m)) % n
-coords = kernels.optimize_layout(
-    rng.uniform(-10.0, 10.0, (n, 5)), heads, tails, rng.uniform(0.05, 1.0, m),
-    40, 5, 1.5769434602697652, 0.8950608778515733, 36,
-)
+graph = FuzzyGraph(n, heads, tails, rng.uniform(0.05, 1.0, m))
+config = ReductionConfig(layout_epochs=40, seed=36)
+coords = optimize_layout(graph, config, np.random.default_rng(config.seed))
 print(hashlib.sha256(coords.tobytes()).hexdigest())
 """
 

@@ -34,8 +34,6 @@ def make_vocab(words):
         words=tuple(words),
         counts=counts,
         total_tokens=int(counts.sum()),
-        min_count=1,
-        subsample_threshold=1e-2,
         keep_probability=np.ones(len(words)),
     )
 
