@@ -9,6 +9,7 @@ embedding training.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -20,6 +21,10 @@ import numpy as np
 from .errors import CorpusError, EmptyVocabularyError, ValidationError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# In ASCII, ``[^\W_]`` is exactly ``str.isalnum``: blank out everything else.
+_ASCII_SEPARATORS = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not c.isalnum()}
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -27,9 +32,13 @@ def tokenize(text: str) -> list[str]:
 
     Punctuation and underscores separate tokens; anything matching a run
     of Unicode letters or digits survives.  Applying tokenize to the
-    space-join of its own output returns the same tokens.
+    space-join of its own output returns the same tokens.  ASCII text
+    takes a translate-and-split path that gives the regex's tokens.
     """
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(text)
 
 
 @dataclass(frozen=True)
@@ -156,12 +165,14 @@ def index_documents(docs: list[Document], vocab: Vocabulary) -> list[Document]:
     Tokens outside the vocabulary are dropped.  Documents may end up
     empty; they stay in the corpus so downstream indexing lines up.
     """
+    lookup = vocab.index.get
     indexed = []
     for doc in docs:
-        ids = [vocab.index[t] for t in tokenize(doc.raw) if t in vocab.index]
-        indexed.append(
-            Document(id=doc.id, raw=doc.raw, tokens=np.array(ids, dtype=np.int64))
+        tokens = tokenize(doc.raw)
+        ids = np.fromiter(
+            map(lookup, tokens, itertools.repeat(-1)), np.int64, len(tokens)
         )
+        indexed.append(Document(id=doc.id, raw=doc.raw, tokens=ids[ids >= 0]))
     return indexed
 
 

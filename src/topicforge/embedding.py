@@ -376,7 +376,14 @@ def _rank_by_cosine(
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")
         sims = np.where(norms > 0.0, (rows @ query) / (scaled_norms * qn), -np.inf)
-        order = np.argsort(-sims, kind="stable")[:k]
+        neg = -sims
+        # The entries within the k-th value, in index order, then a stable
+        # sort: the first k are those of a stable sort of all (NaN sorts last).
+        if k < len(neg) and not np.isnan(kth := np.partition(neg, k - 1)[k - 1]):
+            near = np.flatnonzero(neg <= kth)
+        else:
+            near = np.arange(len(neg))
+        order = near[np.argsort(neg[near], kind="stable")[:k]]
         ranked.append((order, sims[order]))
     return ranked
 

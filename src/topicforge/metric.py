@@ -142,7 +142,7 @@ class TopicSpec:
                         f"document {doc_id!r} has {len(row)} proportions, "
                         f"expected {k}"
                     )
-                if not all(math.isfinite(p) and p >= 0 for p in row):
+                if not (all(map(math.isfinite, row)) and min(row) >= 0):
                     raise ValidationError(
                         f"document {doc_id!r} has a negative or non-finite "
                         f"proportion"
@@ -315,13 +315,12 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
         raise ValidationError(f"{path}: mixture mode requires a 'proportions' object")
     rows = {}
     for doc_id, row in proportions.items():
-        if not isinstance(row, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in row
-        ):
+        # Exact types: JSON numbers are int or float, and bool is excluded.
+        if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
             raise ValidationError(
                 f"{path}: proportions[{doc_id!r}] must be a list of numbers"
             )
-        rows[str(doc_id)] = tuple(float(p) for p in row)
+        rows[str(doc_id)] = tuple(map(float, row))
     return TopicSpec(mode="mixture", topics=tuple(topics), proportions=rows)
 
 

@@ -223,6 +223,28 @@ def _read_archive(fh: BinaryIO) -> ModelArchive:
         raise ArchiveError(f"archive header failed validation: {exc}") from exc
 
 
+# The JSON values each config field annotation admits, by exact type, so
+# that neither ``true`` nor ``15.5`` passes for an integer.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+}
+
+
+def _parse_config(cls: type, header: dict, key: str):
+    values = header[key]
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            types, expected = _FIELD_TYPES[f.type]
+            _require(
+                type(values[f.name]) in types,
+                f"archive {key}.{f.name} must be {expected}, "
+                f"got {values[f.name]!r}",
+            )
+    return cls(**values)
+
+
 def _parse_archive(fh: BinaryIO) -> ModelArchive:
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
@@ -275,9 +297,9 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(
         offset == size, f"archive has {size - offset} unexpected trailing bytes"
     )
-    embedding_config = EmbeddingConfig(**header["embedding_config"])
-    reduction_config = ReductionConfig(**header["reduction_config"])
-    cluster_config = ClusterConfig(**header["cluster_config"])
+    embedding_config = _parse_config(EmbeddingConfig, header, "embedding_config")
+    reduction_config = _parse_config(ReductionConfig, header, "reduction_config")
+    cluster_config = _parse_config(ClusterConfig, header, "cluster_config")
     v = header["vocabulary"]
     words = tuple(v["words"])
     counts = np.array(v["counts"], dtype=np.int64)

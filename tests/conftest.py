@@ -229,6 +229,15 @@ def fail_writes(monkeypatch):
     return fail
 
 
+def mutate_header(data, mutate):
+    """Rewrite the header JSON in place, keeping the matrix blocks."""
+    (header_len,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12 : 12 + header_len])
+    mutate(header)
+    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return data[:8] + struct.pack("<I", len(hb)) + hb + data[12 + header_len :]
+
+
 def halve_topic_columns(data):
     """Archive bytes whose last block, ``topic_vectors``, is declared with
     half its columns and cut to match, so every offset and length agrees

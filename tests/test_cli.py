@@ -16,7 +16,12 @@ import topicforge
 from topicforge import ClusterConfig, EmbeddingConfig, ReductionConfig
 from topicforge.cli import _configs_from_args, build_parser, main
 
-from conftest import copy_package, halve_topic_columns, make_two_theme_docs
+from conftest import (
+    copy_package,
+    halve_topic_columns,
+    make_two_theme_docs,
+    mutate_header,
+)
 
 TRAIN_FLAGS = [
     "--vector-size", "12",
@@ -292,6 +297,26 @@ class TestTopics:
         path.write_bytes(halve_topic_columns(env["model"].read_bytes()))
         assert main(["topics", "--model", str(path)]) == 1
         assert "'topic_vectors' has shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("n_neighbors", 15.5), ("n_components", True)]
+    )
+    @pytest.mark.parametrize("command", [["topics"], ["export", "--what", "coords2d"]])
+    def test_config_value_of_the_wrong_type_exits_1(
+        self, env, tmp_path, capsys, key, value, command
+    ):
+        def poison(h):
+            h["reduction_config"][key] = value
+
+        path = tmp_path / "typed.tpfg"
+        path.write_bytes(mutate_header(env["model"].read_bytes(), poison))
+        args = command + ["--model", str(path)]
+        if command[0] == "export":
+            args += ["--output", str(tmp_path / "coords.csv")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"reduction_config.{key} must be an integer" in captured.err
 
     def test_top_n_below_one_exits_1(self, env, capsys):
         assert main(["topics", "--model", str(env["model"]), "--top-n", "0"]) == 1

@@ -2,9 +2,13 @@
 
 import json
 import math
+import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topicforge import (
     CorpusError,
@@ -44,6 +48,32 @@ class TestTokenize:
             )
             toks = tokenize(text)
             assert tokenize(" ".join(toks)) == toks
+
+    @given(st.text())
+    def test_matches_the_unicode_regex(self, text):
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
+
+    @given(
+        st.text(
+            alphabet=string.ascii_letters + string.digits + string.punctuation
+            + " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+        )
+    )
+    def test_ascii_text_matches_the_unicode_regex(self, text):
+        assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
+
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [
+            ("İstanbul_café", ["i", "stanbul", "café"]),
+            ("Kelvin \u212a sign", ["kelvin", "k", "sign"]),
+            ("naïve—résumé_ABC", ["naïve", "résumé", "abc"]),
+            ("\ufb01le x\u00b2 \uff13\uff14", ["\ufb01le", "x\u00b2", "\uff13\uff14"]),
+            ("straße\u00a0x\u2028y_Z", ["straße", "x", "y", "z"]),
+        ],
+    )
+    def test_mixed_ascii_and_other_text(self, text, tokens):
+        assert tokenize(text) == tokens
 
 
 class TestKeepProbability:
@@ -148,7 +178,38 @@ class TestBuildVocabulary:
             build_vocabulary(self.docs(), subsample_threshold=float("nan"))
 
 
+def index_by_comprehension(docs, vocab):
+    """Token ids of each document, one Python lookup per token."""
+    return [
+        np.array(
+            [vocab.index[t] for t in tokenize(d.raw) if t in vocab.index],
+            dtype=np.int64,
+        )
+        for d in docs
+    ]
+
+
 class TestIndexDocuments:
+    def test_equals_the_comprehension(self):
+        docs = [
+            Document(id="a", raw="Apple, banana_apple! cherry"),
+            Document(id="b", raw="zzz yyy unseen"),
+            Document(id="c", raw=""),
+            Document(id="d", raw="!!! ---"),
+            Document(id="e", raw="café Straße apple café banana"),
+            Document(id="f", raw="İstanbul_café cherry"),
+        ]
+        train_docs = [
+            Document(id="v", raw="apple banana cherry café straße"),
+            Document(id="w", raw="apple banana cherry café straße"),
+        ]
+        vocab = build_vocabulary(train_docs, min_count=2)
+        indexed = index_documents(docs, vocab)
+        for doc, expected in zip(indexed, index_by_comprehension(docs, vocab)):
+            assert doc.tokens.dtype == np.int64
+            assert np.array_equal(doc.tokens, expected)
+        assert [len(d) for d in indexed] == [4, 0, 0, 0, 5, 2]
+
     def test_maps_tokens_and_drops_oov(self):
         docs = [
             Document(id="a", raw="apple banana apple"),

@@ -20,7 +20,7 @@ from topicforge import (
     train_step_dbow,
     train_step_skipgram,
 )
-from topicforge.embedding import hs_loss_gradients
+from topicforge.embedding import _rank_by_cosine, hs_loss_gradients
 
 from conftest import make_two_theme_docs
 
@@ -373,6 +373,66 @@ class TestTrain:
             [cosine_similarity(d, music) for d in ocean_docs]
         )
         assert to_ocean > to_music
+
+
+def rank_by_full_sort(matrix, query, top_n):
+    """Top-n rows by cosine from a stable argsort of every row."""
+    norms = np.linalg.norm(matrix, axis=1)
+    rows = matrix.astype(np.result_type(matrix, query), copy=False)
+    qn = float(np.linalg.norm(query))
+    sims = np.where(
+        norms > 0.0, (rows @ query) / (np.maximum(norms, 1e-300) * qn), -np.inf
+    )
+    order = np.argsort(-sims, kind="stable")[:top_n]
+    return order, sims[order]
+
+
+# Zero, NaN and infinite rows divide 0 by 0 or inf by inf before np.where
+# masks or keeps the result.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestRankByCosine:
+    def matrix(self, dtype=np.float64):
+        rng = np.random.default_rng(4)
+        # Small integer entries make exact cosine ties between distinct rows.
+        m = rng.integers(-2, 3, size=(40, 3)).astype(dtype)
+        m[7] = m[3]
+        m[21] = m[3]
+        m[[0, 11, 30]] = 0.0
+        return m
+
+    def check(self, matrix, queries, top_n):
+        ranked = _rank_by_cosine(matrix, queries, top_n)
+        assert len(ranked) == len(queries)
+        for (order, sims), query in zip(ranked, queries):
+            ref_order, ref_sims = rank_by_full_sort(matrix, query, top_n)
+            assert np.array_equal(order, ref_order)
+            assert np.array_equal(sims, ref_sims, equal_nan=True)
+            assert sims.dtype == ref_sims.dtype
+
+    @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
+    def test_equals_the_full_sort(self, top_n):
+        matrix = self.matrix()
+        queries = np.vstack([matrix[3], matrix[5], [1.0, -0.5, 0.25]])
+        self.check(matrix, queries, top_n)
+
+    @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
+    def test_float32_queries(self, top_n):
+        for matrix in (self.matrix(np.float32), self.matrix()):
+            queries = np.vstack([matrix[3], matrix[8]]).astype(np.float32)
+            self.check(matrix, queries, top_n)
+
+    @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
+    def test_nan_and_infinite_rows(self, top_n):
+        matrix = self.matrix()
+        matrix[5] = np.nan
+        # An infinite row scores NaN, which sorts after every number.
+        matrix[[9, 17, 25]] = [np.inf, 1.0, 0.0]
+        self.check(matrix, np.vstack([matrix[3], matrix[12]]), top_n)
+
+    @pytest.mark.parametrize("top_n", [1, 36, 37, 38, 39, 40, 45])
+    def test_kth_value_nan(self, top_n):
+        # A NaN query scores every row NaN but the zero rows' -inf.
+        self.check(self.matrix(), np.array([[np.nan, 1.0, 0.0]]), top_n)
 
 
 class TestSimilarity:

@@ -495,3 +495,43 @@ class TestLoadExternalTopics:
         path = self.write(tmp_path, payload)
         with pytest.raises(ValidationError, match=match):
             load_external_topics(path, self.vocab())
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ([True, 0.0], "{path}: proportions['d1'] must be a list of numbers"),
+            (["0.5", 0.5], "{path}: proportions['d1'] must be a list of numbers"),
+            ([None, 1.0], "{path}: proportions['d1'] must be a list of numbers"),
+            ({"a": 1.0}, "{path}: proportions['d1'] must be a list of numbers"),
+            ([math.nan, 1.0], "document 'd1' has a negative or non-finite proportion"),
+            ([math.inf, 1.0], "document 'd1' has a negative or non-finite proportion"),
+            ([1.5, -0.5], "document 'd1' has a negative or non-finite proportion"),
+            ([0.5, 0.4], "proportions for document 'd1' sum to 0.9, not 1"),
+            ([1], "document 'd1' has 1 proportions, expected 2"),
+        ],
+    )
+    def test_mixture_row_messages(self, tmp_path, row, message):
+        path = self.write(
+            tmp_path,
+            {
+                "mode": "mixture",
+                "topics": [{"words": ["a"]}, {"words": ["c"]}],
+                "proportions": {"d0": [1, 0], "d1": row},
+            },
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            load_external_topics(path, self.vocab())
+        assert str(excinfo.value) == message.format(path=path)
+
+    def test_mixture_rows_become_float_tuples(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            {
+                "mode": "mixture",
+                "topics": [{"words": ["a"]}, {"words": ["c"]}],
+                "proportions": {"d0": [1, 0], "d1": [0.25, 0.75]},
+            },
+        )
+        proportions = load_external_topics(path, self.vocab()).proportions
+        assert proportions == {"d0": (1.0, 0.0), "d1": (0.25, 0.75)}
+        assert {type(p) for row in proportions.values() for p in row} == {float}

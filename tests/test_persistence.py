@@ -33,7 +33,7 @@ from topicforge import (
 from topicforge.cli import _write_manifest
 from topicforge.persistence import FORMAT_VERSION, archive_from_bytes, archive_to_bytes
 
-from conftest import halve_topic_columns, make_two_theme_docs
+from conftest import halve_topic_columns, make_two_theme_docs, mutate_header
 
 
 @functools.cache
@@ -68,15 +68,6 @@ def archive():
 @functools.cache
 def archive_bytes():
     return archive_to_bytes(build_archive())
-
-
-def mutate_header(data, mutate):
-    """Rewrite the header JSON in place, keeping the matrix blocks."""
-    (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
-    mutate(header)
-    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return data[:8] + struct.pack("<I", len(hb)) + hb + data[12 + header_len :]
 
 
 class TestRoundTrip:
@@ -323,12 +314,49 @@ class TestRejection:
             archive_from_bytes(data)
 
         def nan_neighbors(h):
-            # JSON as Python reads it admits NaN, which a `<` check lets by.
+            # JSON as Python reads it admits NaN, which is a float, not an int.
             h["reduction_config"]["n_neighbors"] = float("nan")
 
         data = mutate_header(archive_to_bytes(archive), nan_neighbors)
-        with pytest.raises(ArchiveError, match="n_neighbors must be >= 2"):
+        with pytest.raises(
+            ArchiveError,
+            match="reduction_config.n_neighbors must be an integer, got nan",
+        ):
             archive_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "section,key,value,expected",
+        [
+            ("reduction_config", "n_neighbors", 15.5, "an integer"),
+            ("reduction_config", "n_components", True, "an integer"),
+            ("embedding_config", "window", "5", "an integer"),
+            ("cluster_config", "min_samples", 2.0, "an integer or null"),
+            ("cluster_config", "min_samples", False, "an integer or null"),
+            ("embedding_config", "subsample_threshold", True, "a number"),
+            ("embedding_config", "subsample_threshold", "0.01", "a number"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(
+        self, archive, section, key, value, expected
+    ):
+        def poison(h):
+            h[section][key] = value
+
+        data = mutate_header(archive_to_bytes(archive), poison)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        assert str(excinfo.value) == (
+            f"archive {section}.{key} must be {expected}, got {value!r}"
+        )
+
+    def test_config_values_of_every_admitted_type(self, archive):
+        def widen(h):
+            h["cluster_config"]["min_samples"] = None
+            h["embedding_config"]["subsample_threshold"] = 1
+
+        loaded = archive_from_bytes(mutate_header(archive_to_bytes(archive), widen))
+        assert loaded.cluster_config.min_samples is None
+        assert loaded.embedding_config.subsample_threshold == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
