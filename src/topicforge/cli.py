@@ -102,8 +102,9 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", required=True, help="path of the model archive")
     fields = {f.name: f for cls in _TRAIN_CONFIGS for f in dataclasses.fields(cls)}
     for name, f in fields.items():
-        kind = int if f.default is None else type(f.default)
-        p.add_argument("--" + name.replace("_", "-"), type=kind, default=f.default)
+        p.add_argument(
+            "--" + name.replace("_", "-"), type=type(f.default), default=f.default
+        )
 
 
 def _configs_from_args(args: argparse.Namespace):

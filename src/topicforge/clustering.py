@@ -26,26 +26,17 @@ from .errors import ValidationError
 class ClusterConfig:
     """Knobs for the clustering stage.
 
-    ``min_samples`` controls how conservative the density estimate is and
-    defaults to ``min_cluster_size`` when unset.
+    ``min_cluster_size`` is also the neighbor count of the core distances,
+    as in HDBSCAN when ``min_samples`` is left unset.
     """
 
     min_cluster_size: int = 15
-    min_samples: int | None = None
 
     def __post_init__(self) -> None:
         if not self.min_cluster_size >= 2:
             raise ValidationError(
                 f"min_cluster_size must be >= 2, got {self.min_cluster_size}"
             )
-        if self.min_samples is not None and not self.min_samples >= 1:
-            raise ValidationError(
-                f"min_samples must be >= 1, got {self.min_samples}"
-            )
-
-    @property
-    def effective_min_samples(self) -> int:
-        return self.min_samples if self.min_samples is not None else self.min_cluster_size
 
 
 @dataclass
@@ -343,13 +334,11 @@ def cluster(points: np.ndarray, config: ClusterConfig) -> ClusterLabeling:
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         raise ValidationError(f"points must be finite (row {int(np.argmin(finite))})")
-    ms = config.effective_min_samples
-    if len(points) <= max(ms, config.min_cluster_size):
+    if len(points) <= config.min_cluster_size:
         raise ValidationError(
-            f"need more than {max(ms, config.min_cluster_size)} points, "
-            f"got {len(points)}"
+            f"need more than {config.min_cluster_size} points, got {len(points)}"
         )
-    core = core_distances(points, ms)
+    core = core_distances(points, config.min_cluster_size)
     mr = mutual_reachability(points, core)
     mst = build_mst(mr)
     tree = condense_tree(len(points), mst, config.min_cluster_size)

@@ -367,7 +367,7 @@ def _rank_by_cosine(
         raise ValidationError(f"top_n must be >= 1, got {top_n}")
     queries = np.asarray(queries)
     norms = np.linalg.norm(matrix, axis=1)
-    scaled_norms = np.maximum(norms, 1e-300)
+    nonzero = norms > 0.0
     rows = matrix.astype(np.result_type(matrix, queries), copy=False)
     k = min(top_n, len(matrix))
     ranked = []
@@ -375,7 +375,9 @@ def _rank_by_cosine(
         qn = float(np.linalg.norm(query))
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")
-        sims = np.where(norms > 0.0, (rows @ query) / (scaled_norms * qn), -np.inf)
+        dots = rows @ query
+        sims = np.full_like(dots, -np.inf)
+        np.divide(dots, norms * qn, out=sims, where=nonzero)
         neg = -sims
         # The entries within the k-th value, in index order, then a stable
         # sort: the first k are those of a stable sort of all (NaN sorts last).

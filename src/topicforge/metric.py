@@ -316,11 +316,15 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
     rows = {}
     for doc_id, row in proportions.items():
         # Exact types: JSON numbers are int or float, and bool is excluded.
-        if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
-            raise ValidationError(
-                f"{path}: proportions[{doc_id!r}] must be a list of numbers"
-            )
-        rows[str(doc_id)] = tuple(map(float, row))
+        if isinstance(row, list) and set(map(type, row)) <= {int, float}:
+            try:
+                rows[str(doc_id)] = tuple(map(float, row))
+                continue
+            except OverflowError:  # an integer too large for a double
+                pass
+        raise ValidationError(
+            f"{path}: proportions[{doc_id!r}] must be a list of numbers"
+        )
     return TopicSpec(mode="mixture", topics=tuple(topics), proportions=rows)
 
 

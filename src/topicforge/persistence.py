@@ -13,9 +13,11 @@ are checked against the file length before any block is allocated, and
 each block is read straight into its own array.  Older
 versions are rejected, not converted: version 1 stored the word matrix
 twice, version 2's reduction config carried three options that no
-longer exist, and version 3's configs carried ``min_dist``,
-``initial_lr`` and ``final_lr``, and its vocabulary repeated the
-embedding config's ``min_count`` and ``subsample_threshold``.
+longer exist, version 3's configs carried ``min_dist``, ``initial_lr``
+and ``final_lr``, and its vocabulary repeated the embedding config's
+``min_count`` and ``subsample_threshold``, and version 4 stored each
+topic's ranked words, the cluster count beside the stabilities, and a
+``min_samples`` cluster setting.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -131,12 +133,8 @@ def _archive_parts(archive: ModelArchive) -> list:
         "doc_ids": list(embedding.doc_ids),
         "epoch_losses": [float(x) for x in embedding.epoch_losses],
         "labels": [int(x) for x in archive.labeling.labels],
-        "n_clusters": archive.labeling.n_clusters,
         "cluster_stability": [float(x) for x in archive.labeling.cluster_stability],
         "assignment": [int(x) for x in topic_model.assignment],
-        "topic_words": [
-            [[w, float(s)] for w, s in words] for words in topic_model.words
-        ],
         "topic_provenance": [list(p) for p in topic_model.provenance],
         "merge_history": [
             {
@@ -227,7 +225,6 @@ def _read_archive(fh: BinaryIO) -> ModelArchive:
 # that neither ``true`` nor ``15.5`` passes for an integer.
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
 }
 
@@ -243,6 +240,20 @@ def _parse_config(cls: type, header: dict, key: str):
                 f"got {values[f.name]!r}",
             )
     return cls(**values)
+
+
+# The integer fields of a merge record.
+_MERGE_COUNTS = ("absorbed", "absorbing", "absorbed_size", "absorbing_size")
+
+
+def _integers(values, key: str) -> list:
+    """``values`` if it is a list of JSON integers, which ``true``, ``0.9``
+    and ``"3"`` are not, though ``np.int64`` would cast them."""
+    _require(
+        isinstance(values, list) and set(map(type, values)) <= {int},
+        f"archive {key} must be a list of integers",
+    )
+    return values
 
 
 def _parse_archive(fh: BinaryIO) -> ModelArchive:
@@ -269,10 +280,8 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         "doc_ids",
         "epoch_losses",
         "labels",
-        "n_clusters",
         "cluster_stability",
         "assignment",
-        "topic_words",
         "topic_provenance",
         "merge_history",
         "matrices",
@@ -333,45 +342,40 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             shapes[name] == shape,
             f"matrix {name!r} has shape {shapes[name]}, expected {shape}",
         )
-    labels = np.array(header["labels"], dtype=np.int64)
-    n_clusters = int(header["n_clusters"])
+    labels = np.array(_integers(header["labels"], "labels"), dtype=np.int64)
+    stability = np.array(header["cluster_stability"], dtype=np.float64)
+    _require(stability.ndim == 1, "cluster stabilities must be a flat list")
+    n_clusters = len(stability)
     _require(len(labels) == n_docs, "label count does not match document count")
     _require(
         bool(np.all((labels >= -1) & (labels < n_clusters))),
         "cluster labels out of range",
     )
-    stability = np.array(header["cluster_stability"], dtype=np.float64)
-    _require(
-        stability.shape == (n_clusters,),
-        "cluster stabilities do not match the cluster count",
-    )
-    assignment = np.array(header["assignment"], dtype=np.int64)
+    assignment = np.array(_integers(header["assignment"], "assignment"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
     _require(
-        len(header["topic_words"]) == n_topics
-        and len(header["topic_provenance"]) == n_topics,
-        "topic metadata does not match the topic vector count",
+        len(header["topic_provenance"]) == n_topics,
+        "topic provenance does not match the topic vector count",
     )
     _require(
         n_topics > 0 and bool(np.all((assignment >= 0) & (assignment < n_topics))),
         "topic assignment out of range",
     )
-    topic_words = tuple(
-        tuple((str(w), float(s)) for w, s in ranked) for ranked in header["topic_words"]
-    )
     provenance = tuple(
-        tuple(int(p) for p in merged) for merged in header["topic_provenance"]
+        tuple(_integers(merged, f"topic_provenance[{k}]"))
+        for k, merged in enumerate(header["topic_provenance"])
     )
-    history = tuple(
-        MergeRecord(
-            absorbed=int(r["absorbed"]),
-            absorbing=int(r["absorbing"]),
-            absorbed_size=int(r["absorbed_size"]),
-            absorbing_size=int(r["absorbing_size"]),
-            vector=np.array(r["vector"], dtype=np.float64),
+    history = []
+    for i, r in enumerate(header["merge_history"]):
+        counts = {name: r[name] for name in _MERGE_COUNTS}
+        for name, value in counts.items():
+            _require(
+                type(value) is int,
+                f"archive merge_history[{i}].{name} must be an integer, got {value!r}",
+            )
+        history.append(
+            MergeRecord(**counts, vector=np.array(r["vector"], dtype=np.float64))
         )
-        for r in header["merge_history"]
-    )
     blocks: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         blocks[name] = block = np.empty(shape, dtype="<f4")
@@ -402,10 +406,9 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         ),
         topic_model=TopicModel(
             vectors=blocks["topic_vectors"],
-            words=topic_words,
             provenance=provenance,
             assignment=assignment,
             embedding=embedding,
-            merge_history=history,
+            merge_history=tuple(history),
         ),
     )

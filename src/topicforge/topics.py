@@ -11,7 +11,6 @@ similar neighbor with a size-weighted mean.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,9 @@ from .embedding import (
 )
 from .errors import ValidationError
 from .metric import TopicSpec
+
+# Words ranked for each ``Topic``; the default ``--top-n``.
+TOPIC_WORDS = 10
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,16 @@ class MergeRecord:
 class TopicModel:
     """Immutable topic table over one embedding.
 
-    Row k of ``vectors`` is topic k's vector; ``words[k]`` holds its
-    ranked describing words as (word, similarity) pairs and
-    ``provenance[k]`` the pre-reduction topic ids folded into it (a
-    never-merged topic lists only itself).  ``assignment[i]`` is the topic
-    index of document i, so sizes always sum to the document count.
-    ``merge_history`` is empty for a freshly built model and grows by one
-    record per merge during reduction.
+    Row k of ``vectors`` is topic k's vector and ``provenance[k]`` the
+    pre-reduction topic ids folded into it (a never-merged topic lists
+    only itself).  ``assignment[i]`` is the topic index of document i, so
+    sizes always sum to the document count.  ``merge_history`` is empty
+    for a freshly built model and grows by one record per merge during
+    reduction.  A topic's describing words are not stored: the ``topics``
+    view ranks them from the vectors when it is read.
     """
 
     vectors: np.ndarray
-    words: tuple[tuple[tuple[str, float], ...], ...]
     provenance: tuple[tuple[int, ...], ...]
     assignment: np.ndarray
     embedding: SemanticEmbedding
@@ -84,13 +85,15 @@ class TopicModel:
 
     @property
     def topics(self) -> tuple[Topic, ...]:
-        """One ``Topic`` view per row of the table."""
+        """One ``Topic`` view per row of the table, each described by its
+        ``TOPIC_WORDS`` nearest words."""
         sizes = self.sizes
+        ranked = nearest_words_each(self.embedding, self.vectors, TOPIC_WORDS)
         return tuple(
             Topic(
                 vector=self.vectors[k],
                 size=int(sizes[k]),
-                words=self.words[k],
+                words=tuple(ranked[k]),
                 member_doc_ids=tuple(
                     self.doc_ids[i] for i in np.flatnonzero(self.assignment == k)
                 ),
@@ -137,30 +140,9 @@ def assign_documents(
     return _nearest_topics(_unit_rows(doc_vectors), topic_vectors)
 
 
-def _ranked_model(
-    embedding: SemanticEmbedding,
-    vectors: np.ndarray,
-    assignment: np.ndarray,
-    provenance: Sequence[Sequence[int]],
-    words_per_topic: int,
-    merge_history: tuple[MergeRecord, ...] = (),
-) -> TopicModel:
-    """The topic table over ``vectors``, each row described by its nearest words."""
-    ranked = nearest_words_each(embedding, vectors, words_per_topic)
-    return TopicModel(
-        vectors=vectors,
-        words=tuple(tuple(words) for words in ranked),
-        provenance=tuple(tuple(p) for p in provenance),
-        assignment=assignment,
-        embedding=embedding,
-        merge_history=merge_history,
-    )
-
-
 def build_topic_model(
     embedding: SemanticEmbedding,
     labeling: ClusterLabeling,
-    words_per_topic: int = 10,
 ) -> TopicModel:
     """Turn a cluster labeling into a topic model.
 
@@ -174,13 +156,15 @@ def build_topic_model(
         )
     vectors = compute_topic_vectors(embedding.doc_vectors, labeling.labels)
     assignment = assign_documents(embedding.doc_vectors, vectors)
-    provenance = [[k] for k in range(len(vectors))]
-    return _ranked_model(embedding, vectors, assignment, provenance, words_per_topic)
+    return TopicModel(
+        vectors=vectors,
+        provenance=tuple((k,) for k in range(len(vectors))),
+        assignment=assignment,
+        embedding=embedding,
+    )
 
 
-def reduce_topics(
-    model: TopicModel, target: int, words_per_topic: int = 10
-) -> TopicModel:
+def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     """Merge topics down to ``target`` and return the reduced model.
 
     Each step folds the smallest topic (ties: lowest index) into its
@@ -228,8 +212,12 @@ def reduce_topics(
         vectors = np.delete(vectors, s, axis=0)
         del provenance[s]
         assignment = _nearest_topics(unit_docs, vectors)
-    return _ranked_model(
-        embedding, vectors, assignment, provenance, words_per_topic, tuple(history)
+    return TopicModel(
+        vectors=vectors,
+        provenance=tuple(tuple(p) for p in provenance),
+        assignment=assignment,
+        embedding=embedding,
+        merge_history=tuple(history),
     )
 
 

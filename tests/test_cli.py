@@ -231,11 +231,6 @@ class TestTrainFlags:
         assert embedding_config.seed == 7
         assert reduction_config.seed == 7
 
-    def test_min_samples_parses_as_int(self):
-        _, _, cluster_config = self.configs("--min-samples", "3")
-        assert cluster_config.min_samples == 3
-        assert type(cluster_config.min_samples) is int
-
     def test_flag_names(self, capsys):
         assert main(["train", "--help"]) == 0
         text = capsys.readouterr().out
@@ -245,7 +240,7 @@ class TestTrainFlags:
             "--vector-size", "--window", "--epochs", "--min-count",
             "--subsample-threshold",
             "--n-neighbors", "--n-components", "--layout-epochs",
-            "--negative-sample-rate", "--min-cluster-size", "--min-samples",
+            "--negative-sample-rate", "--min-cluster-size",
             "--seed",
         }
 
@@ -491,6 +486,26 @@ class TestEvaluate:
         assert captured.out == ""
         assert "d0000" in captured.err and "non-finite" in captured.err
 
+    def test_overflowing_proportion_exits_1(self, env, tmp_path, capsys):
+        # 10**400 is a JSON integer that no double can hold.
+        spec = {
+            "mode": "mixture",
+            "topics": [{"words": ["ocean"]}, {"words": ["violin"]}],
+            "proportions": {
+                f"d{i:04d}": [10**400, 1] if i == 0 else [0.5, 0.5]
+                for i in range(env["n_docs"])
+            },
+        }
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(spec))
+        rc = main(
+            ["evaluate", "--external", str(path), "--corpus", str(env["corpus"])]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "proportions['d0000'] must be a list of numbers" in captured.err
+
     def test_undecodable_external_topics_exit_1(self, env, tmp_path, capsys):
         path = tmp_path / "external.json"
         path.write_bytes(
@@ -573,6 +588,25 @@ class TestExport:
             float(row[2])
             assert int(row[3]) >= -1
         assert (tmp_path / "coords.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("labels", 0.9), ("assignment", "3"), ("assignment", True)]
+    )
+    def test_integer_list_of_the_wrong_type_exits_1(
+        self, env, tmp_path, capsys, key, value
+    ):
+        def poison(h):
+            h[key][0] = value
+
+        path = tmp_path / "typed.tpfg"
+        path.write_bytes(mutate_header(env["model"].read_bytes(), poison))
+        out = tmp_path / "labels.csv"
+        args = ["export", "--what", "labels", "--model", str(path), "--output", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"archive {key} must be a list of integers" in captured.err
+        assert not out.exists()
 
 
 class TestKernelBuild:

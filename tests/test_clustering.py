@@ -26,19 +26,11 @@ def random_symmetric_matrix(rng, n):
 
 
 class TestConfig:
-    def test_min_samples_defaults_to_min_cluster_size(self):
-        assert ClusterConfig(min_cluster_size=7).effective_min_samples == 7
-        assert ClusterConfig(min_cluster_size=7, min_samples=3).effective_min_samples == 3
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
             ClusterConfig(min_cluster_size=1)
         with pytest.raises(ValidationError):
-            ClusterConfig(min_cluster_size=5, min_samples=0)
-        with pytest.raises(ValidationError):
             ClusterConfig(min_cluster_size=float("nan"))
-        with pytest.raises(ValidationError):
-            ClusterConfig(min_cluster_size=5, min_samples=float("nan"))
 
 
 class TestCoreDistances:
@@ -315,18 +307,18 @@ class TestCluster:
         return xs[:, None]
 
     def test_two_chains_split_cleanly(self):
-        labeling = cluster(
-            self.two_chains(), ClusterConfig(min_cluster_size=2, min_samples=1)
-        )
+        labeling = cluster(self.two_chains(), ClusterConfig(min_cluster_size=2))
         assert labeling.n_clusters == 2
         assert labeling.noise_count == 0
         labels = labeling.labels
         assert len(set(labels[:4])) == 1
         assert len(set(labels[4:])) == 1
         assert labels[0] != labels[4]
-        # Each chain holds 4 points from the bridge split at 1/9.7 until
-        # the whole chain dissolves at 1/0.1.
-        expected = 4 * (1.0 / 0.1 - 1.0 / 9.7)
+        # Core distances to the 2nd neighbor make each chain's end links
+        # 0.2 and its middle link 0.1.  Born at the bridge split, 1/9.7,
+        # each chain sheds its two end points at 1/0.2 and dissolves at
+        # 1/0.1: 2·(1/0.2 − 1/9.7) + 2·(1/0.1 − 1/9.7) ≈ 29.5876.
+        expected = 2 * (1.0 / 0.2 - 1.0 / 9.7) + 2 * (1.0 / 0.1 - 1.0 / 9.7)
         assert labeling.cluster_stability.tolist() == pytest.approx(
             [expected, expected]
         )

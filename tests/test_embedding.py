@@ -1,6 +1,7 @@
 """Huffman coding, hierarchical softmax, training steps, and similarity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,8 +388,8 @@ def rank_by_full_sort(matrix, query, top_n):
     return order, sims[order]
 
 
-# Zero, NaN and infinite rows divide 0 by 0 or inf by inf before np.where
-# masks or keeps the result.
+# The reference divides 0 by 0 for zero rows, and infinite rows divide inf
+# by inf, before np.where masks or keeps the result.
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestRankByCosine:
     def matrix(self, dtype=np.float64):
@@ -420,6 +421,17 @@ class TestRankByCosine:
         for matrix in (self.matrix(np.float32), self.matrix()):
             queries = np.vstack([matrix[3], matrix[8]]).astype(np.float32)
             self.check(matrix, queries, top_n)
+
+    @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
+    def test_float32_zero_rows_warn_nothing(self, top_n):
+        # A 1e-300 floor under the norms rounds to 0 in float32, and 0 / 0
+        # warns; the zero rows must still rank last.
+        matrix = self.matrix(np.float32)
+        queries = matrix[[3, 8]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _rank_by_cosine(matrix, queries, top_n)
+        self.check(matrix, queries, top_n)
 
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_nan_and_infinite_rows(self, top_n):

@@ -1,5 +1,6 @@
 """Archive format: round trips, field fidelity, and corruption rejection."""
 
+import dataclasses
 import functools
 import gc
 import json
@@ -94,6 +95,16 @@ class TestRoundTrip:
         header = json.loads(data[12 : 12 + header_len])
         assert set(header["vocabulary"]) == {"words", "counts", "total_tokens"}
 
+    def test_header_stores_nothing_derived(self, archive):
+        # Topic words are ranked on read and the cluster count is the
+        # number of stabilities, so neither is stored.
+        data = archive_to_bytes(archive)
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12 : 12 + header_len])
+        assert "topic_words" not in header
+        assert "n_clusters" not in header
+        assert set(header["cluster_config"]) == {"min_cluster_size"}
+
     def test_file_round_trip(self, archive, tmp_path):
         path = str(tmp_path / "model.tpfg")
         save_model(archive, path)
@@ -180,7 +191,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -278,9 +289,8 @@ class TestRejection:
                 ),
                 "repeats a word",
             ),
-            (lambda h: h["cluster_stability"].append(1.0), "stabilities"),
         ],
-        ids=["duplicate_doc_id", "duplicate_word", "extra_stability"],
+        ids=["duplicate_doc_id", "duplicate_word"],
     )
     def test_self_inconsistent_header(self, archive, tamper, message):
         data = mutate_header(archive_to_bytes(archive), tamper)
@@ -330,8 +340,6 @@ class TestRejection:
             ("reduction_config", "n_neighbors", 15.5, "an integer"),
             ("reduction_config", "n_components", True, "an integer"),
             ("embedding_config", "window", "5", "an integer"),
-            ("cluster_config", "min_samples", 2.0, "an integer or null"),
-            ("cluster_config", "min_samples", False, "an integer or null"),
             ("embedding_config", "subsample_threshold", True, "a number"),
             ("embedding_config", "subsample_threshold", "0.01", "a number"),
         ],
@@ -351,12 +359,50 @@ class TestRejection:
 
     def test_config_values_of_every_admitted_type(self, archive):
         def widen(h):
-            h["cluster_config"]["min_samples"] = None
             h["embedding_config"]["subsample_threshold"] = 1
 
         loaded = archive_from_bytes(mutate_header(archive_to_bytes(archive), widen))
-        assert loaded.cluster_config.min_samples is None
         assert loaded.embedding_config.subsample_threshold == 1
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("labels", 0.9), ("assignment", "3"), ("assignment", True)],
+    )
+    def test_integer_list_of_the_wrong_type(self, archive, key, value):
+        def poison(h):
+            h[key][0] = value
+
+        data = mutate_header(archive_to_bytes(archive), poison)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        assert str(excinfo.value) == f"archive {key} must be a list of integers"
+
+    def test_provenance_of_the_wrong_type(self, archive):
+        def poison(h):
+            h["topic_provenance"][0] = [0.0]
+
+        data = mutate_header(archive_to_bytes(archive), poison)
+        with pytest.raises(
+            ArchiveError, match=r"topic_provenance\[0\] must be a list of integers"
+        ):
+            archive_from_bytes(data)
+
+    def test_merge_count_of_the_wrong_type(self, archive):
+        if archive.topic_model.n_topics < 2:
+            pytest.skip("needs at least two topics to merge")
+        reduced = dataclasses.replace(
+            archive, topic_model=reduce_topics(archive.topic_model, 1)
+        )
+
+        def poison(h):
+            h["merge_history"][0]["absorbed_size"] = 2.0
+
+        data = mutate_header(archive_to_bytes(reduced), poison)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        assert str(excinfo.value) == (
+            "archive merge_history[0].absorbed_size must be an integer, got 2.0"
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -21,6 +21,7 @@ from topicforge import (
 )
 from topicforge.persistence import archive_from_bytes, archive_to_bytes
 from topicforge.topics import (
+    TOPIC_WORDS,
     assign_documents,
     compute_topic_vectors,
     model_topic_spec,
@@ -68,14 +69,14 @@ def two_cluster_embedding():
     )
 
 
-def two_cluster_model(words_per_topic=2):
+def two_cluster_model():
     emb = two_cluster_embedding()
     labeling = ClusterLabeling(
         labels=np.array([0, 0, 0, 0, 1, 1]),
         n_clusters=2,
         cluster_stability=np.array([1.0, 1.0]),
     )
-    return build_topic_model(emb, labeling, words_per_topic=words_per_topic)
+    return build_topic_model(emb, labeling)
 
 
 class TestTopicVectors:
@@ -125,8 +126,8 @@ class TestBuildTopicModel:
 
     def test_topic_words_come_from_the_shared_space(self):
         model = two_cluster_model()
-        assert [w for w, _ in model.topics[0].words] == ["alpha", "beta"]
-        assert [w for w, _ in model.topics[1].words] == ["gamma", "delta"]
+        assert [w for w, _ in model.topics[0].words[:2]] == ["alpha", "beta"]
+        assert [w for w, _ in model.topics[1].words[:2]] == ["gamma", "delta"]
 
     def test_assignment_covers_noise_documents(self):
         emb = two_cluster_embedding()
@@ -253,7 +254,7 @@ class TestSearch:
 class TestEvaluationViews:
     def test_model_topic_spec_is_a_valid_hard_spec(self):
         model = two_cluster_model()
-        spec = model_topic_spec(model, words_per_topic=2)
+        spec = model_topic_spec(model, 2)
         assert spec.mode == "hard"
         assert spec.n_topics == 2
         assert all(len(t) == 2 for t in spec.topics)
@@ -272,12 +273,10 @@ class TestEvaluationViews:
                 assert set(w) == {"word", "similarity"}
 
 
-def stored_planted_model():
-    """A float32 model loaded back from an archive.
-
-    Four planted topics over 40 words in 8 dimensions; word rows 3 and 7
-    are equal, near topic 0, so ranking has to break their tie.
-    """
+def planted_model():
+    """Four planted topics over 40 words in 8 dimensions, with the labeling
+    they were built from; word rows 3 and 7 are equal, near topic 0, so
+    ranking has to break their tie."""
     rng = np.random.default_rng(5)
     dim, n_topics = 8, 4
     centers = rng.standard_normal((n_topics, dim))
@@ -293,13 +292,18 @@ def stored_planted_model():
         n_clusters=n_topics,
         cluster_stability=np.ones(n_topics),
     )
-    model = build_topic_model(emb, labeling)
+    return build_topic_model(emb, labeling), labeling
+
+
+def stored_planted_model():
+    """The planted model as a float32 model loaded back from an archive."""
+    model, labeling = planted_model()
     archive = ModelArchive.from_pipeline(
-        emb,
-        np.zeros((len(doc_topic), 5)),
+        model.embedding,
+        np.zeros((len(labeling.labels), 5)),
         labeling,
         model,
-        EmbeddingConfig(vector_size=dim, min_count=1),
+        EmbeddingConfig(vector_size=model.embedding.vector_size, min_count=1),
         ReductionConfig(),
         ClusterConfig(),
     )
@@ -329,11 +333,30 @@ class TestRankingBlocksOfTopics:
     def test_reduced_topics(self):
         model = stored_planted_model()
         emb = model.embedding
-        reduced = reduce_topics(model, 2, words_per_topic=12)
+        reduced = reduce_topics(model, 2)
         for topic in reduced.topics:
             assert topic.vector.dtype == np.float64
-            assert list(topic.words) == nearest_words(emb, topic.vector, 12)
+            assert list(topic.words) == nearest_words(emb, topic.vector, TOPIC_WORDS)
         assert np.array_equal(
             reduced.assignment,
             assign_documents(emb.doc_vectors, reduced.vectors),
         )
+
+
+class TestTopicWords:
+    """A topic's words are its ``TOPIC_WORDS`` nearest, ranked when read
+    (``test_reduced_topics`` checks a reduced model)."""
+
+    @pytest.mark.parametrize(
+        "make_model, dtype",
+        [(lambda: planted_model()[0], np.float64), (stored_planted_model, np.float32)],
+        ids=["built", "loaded"],
+    )
+    def test_words_are_the_nearest_words(self, make_model, dtype):
+        model = make_model()
+        assert model.vectors.dtype == dtype
+        assert TOPIC_WORDS == 10 < len(model.embedding.vocabulary)
+        for topic in model.topics:
+            assert list(topic.words) == nearest_words(
+                model.embedding, topic.vector, TOPIC_WORDS
+            )
