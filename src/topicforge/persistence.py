@@ -3,21 +3,24 @@
 An archive is a single file: the magic bytes ``TPFG``, a little-endian
 u32 format version, a length-prefixed UTF-8 JSON header, then raw
 little-endian float32 matrix blocks in row-major order, in the order the
-header declares.  All floating-point model state is stored (and kept in
-memory) as float32, so a save/load round trip is bit-identical.
+header declares.  The blocks are stored (and kept in memory) as float32,
+stabilities, epoch losses and merge vectors as JSON doubles, so a
+save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
-unsupported version, a truncated file, or inconsistent shapes raise
-``ArchiveError`` and never yield a partially loaded model.  Block sizes
-are checked against the file length before any block is allocated, and
-each block is read straight into its own array.  Older
-versions are rejected, not converted: version 1 stored the word matrix
-twice, version 2's reduction config carried three options that no
-longer exist, version 3's configs carried ``min_dist``, ``initial_lr``
-and ``final_lr``, and its vocabulary repeated the embedding config's
-``min_count`` and ``subsample_threshold``, and version 4 stored each
-topic's ranked words, the cluster count beside the stabilities, and a
-``min_samples`` cluster setting.
+unsupported version, a truncated file, inconsistent shapes or a header
+value missing or of the wrong JSON kind raise ``ArchiveError`` and never
+yield a partially loaded model.  Block sizes are checked against the
+file length before any block is allocated, and each block is read
+straight into its own array.  Older versions are rejected, not
+converted: version 1 stored the word matrix twice, version 2's
+reduction config carried three options that no longer exist, version
+3's configs carried ``min_dist``, ``initial_lr`` and ``final_lr``, and
+its vocabulary repeated the embedding config's ``min_count`` and
+``subsample_threshold``, version 4 stored each topic's ranked words, the
+cluster count beside the stabilities, and a ``min_samples`` cluster
+setting, and version 5's reduction config carried
+``negative_sample_rate``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -211,49 +214,69 @@ def load_model(path: str) -> ModelArchive:
 
 def _read_archive(fh: BinaryIO) -> ModelArchive:
     """Bytes that do not form a valid archive raise ``ArchiveError`` and no
-    other exception; header values of the wrong type or shape are reported
-    as failed validation."""
+    other exception; a missing header key is named by its dotted path."""
     try:
         return _parse_archive(fh)
     except ArchiveError:
         raise
+    except KeyError as exc:
+        raise ArchiveError(f"archive header is missing {exc}") from exc
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ArchiveError(f"archive header failed validation: {exc}") from exc
 
 
-# The JSON values each config field annotation admits, by exact type, so
-# that neither ``true`` nor ``15.5`` passes for an integer.
-_FIELD_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
+# The JSON kinds of header values, which a field's annotation names: the
+# exact types each admits (``true``, ``2.5`` and ``"3"`` are not integers),
+# and how a message names one value and a list of them.
+_KINDS = {
+    "int": ({int}, "an integer", "integers"),
+    "float": ({int, float}, "a number", "numbers"),
+    "str": ({str}, "a string", "strings"),
+    "list": ({list}, "a list", "lists"),
+    "object": ({dict}, "a JSON object", "JSON objects"),
 }
 
 
-def _parse_config(cls: type, header: dict, key: str):
-    values = header[key]
-    for f in dataclasses.fields(cls):
-        if f.name in values:
-            types, expected = _FIELD_TYPES[f.type]
-            _require(
-                type(values[f.name]) in types,
-                f"archive {key}.{f.name} must be {expected}, "
-                f"got {values[f.name]!r}",
-            )
-    return cls(**values)
+def _get(obj, key, path: str):
+    """``obj[key]`` and its dotted name; a missing key raises ``KeyError(name)``."""
+    name = f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+    try:
+        return obj[key], name
+    except KeyError:
+        raise KeyError(name) from None
 
 
-# The integer fields of a merge record.
-_MERGE_COUNTS = ("absorbed", "absorbing", "absorbed_size", "absorbing_size")
+def _value(obj, key, kind: str, path: str = ""):
+    """``obj[key]``, which must be one JSON value of ``kind``."""
+    value, name = _get(obj, key, path)
+    types, one, _ = _KINDS[kind]
+    if type(value) not in types:  # format the message, a repr, only on failure
+        raise ArchiveError(f"archive {name} must be {one}, got {value!r:.60}")
+    return value
 
 
-def _integers(values, key: str) -> list:
-    """``values`` if it is a list of JSON integers, which ``true``, ``0.9``
-    and ``"3"`` are not, though ``np.int64`` would cast them."""
+def _list(obj, key, kind: str, path: str = "") -> list:
+    """``obj[key]``, which must be a list of JSON values of ``kind``."""
+    values, name = _get(obj, key, path)
+    types, _, many = _KINDS[kind]
     _require(
-        isinstance(values, list) and set(map(type, values)) <= {int},
-        f"archive {key} must be a list of integers",
+        type(values) is list and set(map(type, values)) <= types,
+        f"archive {name} must be a list of {many}",
     )
     return values
+
+
+def _record(cls: type, obj: dict, path: str, **given):
+    """``cls`` from the header object ``obj``, which holds exactly its fields."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(obj) - set(kinds))
+    _require(not unknown, f"archive {path} has unknown fields {unknown}")
+    read = {k: _value(obj, k, kinds[k], path) for k in kinds if k not in given}
+    return cls(**read, **given)
+
+
+def _parse_config(cls: type, header: dict, key: str):
+    return _record(cls, _value(header, key, "object"), key)
 
 
 def _parse_archive(fh: BinaryIO) -> ModelArchive:
@@ -272,33 +295,15 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"archive header is not valid JSON: {exc}") from exc
     _require(isinstance(header, dict), "archive header must be a JSON object")
-    required = (
-        "embedding_config",
-        "reduction_config",
-        "cluster_config",
-        "vocabulary",
-        "doc_ids",
-        "epoch_losses",
-        "labels",
-        "cluster_stability",
-        "assignment",
-        "topic_provenance",
-        "merge_history",
-        "matrices",
-    )
-    for key in required:
-        _require(key in header, f"archive header is missing {key!r}")
-    manifest = header["matrices"]
+    manifest = _list(header, "matrices", "object")
     _require(
-        isinstance(manifest, list)
-        and all(isinstance(m, dict) for m in manifest)
-        and tuple(m.get("name") for m in manifest) == _MATRIX_NAMES,
+        tuple(m.get("name") for m in manifest) == _MATRIX_NAMES,
         f"archive must declare matrices {list(_MATRIX_NAMES)}",
     )
     shapes: dict[str, tuple[int, int]] = {}
     offset = 12 + header_len
-    for m in manifest:
-        rows, cols = int(m["rows"]), int(m["cols"])
+    for i, m in enumerate(manifest):
+        rows, cols = (_value(m, k, "int", f"matrices[{i}]") for k in ("rows", "cols"))
         _require(rows >= 0 and cols >= 0, f"matrix {m['name']} has negative shape")
         offset += rows * cols * 4
         _require(size >= offset, f"archive is truncated inside matrix {m['name']!r}")
@@ -309,22 +314,22 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     embedding_config = _parse_config(EmbeddingConfig, header, "embedding_config")
     reduction_config = _parse_config(ReductionConfig, header, "reduction_config")
     cluster_config = _parse_config(ClusterConfig, header, "cluster_config")
-    v = header["vocabulary"]
-    words = tuple(v["words"])
-    counts = np.array(v["counts"], dtype=np.int64)
+    v = _value(header, "vocabulary", "object")
+    words = tuple(_list(v, "words", "str", "vocabulary"))
+    counts = np.array(_list(v, "counts", "int", "vocabulary"), dtype=np.int64)
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
     vocab = Vocabulary(
         words=words,
         counts=counts,
-        total_tokens=int(v["total_tokens"]),
+        total_tokens=_value(v, "total_tokens", "int", "vocabulary"),
         keep_probability=keep_probabilities(
             counts, embedding_config.subsample_threshold
         ),
     )
     _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
-    doc_ids = tuple(header["doc_ids"])
+    doc_ids = tuple(_list(header, "doc_ids", "str"))
     _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
     n_docs = len(doc_ids)
     n_words = len(words)
@@ -342,19 +347,19 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             shapes[name] == shape,
             f"matrix {name!r} has shape {shapes[name]}, expected {shape}",
         )
-    labels = np.array(_integers(header["labels"], "labels"), dtype=np.int64)
-    stability = np.array(header["cluster_stability"], dtype=np.float64)
-    _require(stability.ndim == 1, "cluster stabilities must be a flat list")
+    labels = np.array(_list(header, "labels", "int"), dtype=np.int64)
+    stability = np.array(_list(header, "cluster_stability", "float"), dtype=np.float64)
     n_clusters = len(stability)
     _require(len(labels) == n_docs, "label count does not match document count")
     _require(
         bool(np.all((labels >= -1) & (labels < n_clusters))),
         "cluster labels out of range",
     )
-    assignment = np.array(_integers(header["assignment"], "assignment"), dtype=np.int64)
+    assignment = np.array(_list(header, "assignment", "int"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
+    provenance = _list(header, "topic_provenance", "list")
     _require(
-        len(header["topic_provenance"]) == n_topics,
+        len(provenance) == n_topics,
         "topic provenance does not match the topic vector count",
     )
     _require(
@@ -362,20 +367,15 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         "topic assignment out of range",
     )
     provenance = tuple(
-        tuple(_integers(merged, f"topic_provenance[{k}]"))
-        for k, merged in enumerate(header["topic_provenance"])
+        tuple(_list(provenance, k, "int", "topic_provenance"))
+        for k in range(n_topics)
     )
     history = []
-    for i, r in enumerate(header["merge_history"]):
-        counts = {name: r[name] for name in _MERGE_COUNTS}
-        for name, value in counts.items():
-            _require(
-                type(value) is int,
-                f"archive merge_history[{i}].{name} must be an integer, got {value!r}",
-            )
-        history.append(
-            MergeRecord(**counts, vector=np.array(r["vector"], dtype=np.float64))
-        )
+    for i, r in enumerate(_list(header, "merge_history", "object")):
+        path = f"merge_history[{i}]"
+        vector = np.array(_list(r, "vector", "float", path), dtype=np.float64)
+        _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
+        history.append(_record(MergeRecord, r, path, vector=vector))
     blocks: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         blocks[name] = block = np.empty(shape, dtype="<f4")
@@ -387,6 +387,8 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             bool(np.isfinite(block).all()),
             f"matrix {name!r} contains non-finite values",
         )
+    zero = np.flatnonzero(~blocks["topic_vectors"].any(axis=1))
+    _require(not zero.size, f"matrix 'topic_vectors' has zero rows {zero.tolist()}")
     coding = build_huffman_coding(vocab, dim, blocks["inner_node_vectors"])
     embedding = SemanticEmbedding(
         doc_vectors=blocks["doc_vectors"],
@@ -394,7 +396,7 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         coding=coding,
         vocabulary=vocab,
         doc_ids=doc_ids,
-        epoch_losses=[float(x) for x in header["epoch_losses"]],
+        epoch_losses=[float(x) for x in _list(header, "epoch_losses", "float")],
     )
     return ModelArchive(
         embedding_config=embedding_config,

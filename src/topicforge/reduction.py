@@ -30,6 +30,8 @@ _KNN_BLOCK = 512
 # a, b of UMAP's membership curve at min_dist 0.1, as scipy's curve_fit fits them.
 CURVE_A = 1.5769434602697652
 CURVE_B = 0.8950608778515733
+# Points each endpoint of a sampled edge is pushed away from, as in UMAP.
+NEGATIVE_SAMPLE_RATE = 5
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class ReductionConfig:
     n_neighbors: int = 15
     n_components: int = 5
     layout_epochs: int = 200
-    negative_sample_rate: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,8 +59,6 @@ class ReductionConfig:
             raise ValidationError(
                 f"layout_epochs must be >= 1, got {self.layout_epochs}"
             )
-        if not self.negative_sample_rate >= 0:
-            raise ValidationError("negative_sample_rate must be >= 0")
         if not self.seed >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -211,7 +210,7 @@ def optimize_layout(
     proportionally to its weight (the heaviest edge once per epoch);
     scheduled edges pull their endpoints together along the gradient of
     the membership curve ``1 / (1 + a x^(2b))`` (``CURVE_A``, ``CURVE_B``),
-    and each endpoint is pushed away from ``negative_sample_rate`` sampled
+    and each endpoint is pushed away from ``NEGATIVE_SAMPLE_RATE`` sampled
     points.  Updates within an epoch are computed from the epoch-start
     positions and applied together, with every component clipped to +-4
     before the learning rate is applied.
@@ -232,7 +231,7 @@ def optimize_layout(
         graph.tails,
         graph.weights,
         config.layout_epochs,
-        config.negative_sample_rate,
+        NEGATIVE_SAMPLE_RATE,
         CURVE_A,
         CURVE_B,
         seed,

@@ -172,7 +172,7 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     vector becomes the size-weighted mean of the pair, all documents are
     reassigned against the surviving vectors, and sizes are recomputed
     before the next step.  A target equal to the current count is a
-    no-op and returns the model itself.
+    no-op and returns the model itself; a zero smallest topic raises.
     """
     if not 1 <= target <= model.n_topics:
         raise ValidationError(
@@ -189,10 +189,8 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     while len(vectors) > target:
         sizes = np.bincount(assignment, minlength=len(vectors))
         s = int(np.argmin(sizes))
-        norms = np.linalg.norm(vectors, axis=1)
-        sims = (vectors @ vectors[s]) / (np.maximum(norms, 1e-300) * norms[s])
-        sims[s] = -np.inf
-        t = int(np.argmax(sims))
+        [(order, _)] = _rank_by_cosine(vectors, [vectors[s]], 2)
+        t = int(order[order != s][0])
         pair_total = int(sizes[s] + sizes[t])
         if pair_total > 0:
             merged = (sizes[s] * vectors[s] + sizes[t] * vectors[t]) / pair_total

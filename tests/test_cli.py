@@ -240,8 +240,7 @@ class TestTrainFlags:
             "--vector-size", "--window", "--epochs", "--min-count",
             "--subsample-threshold",
             "--n-neighbors", "--n-components", "--layout-epochs",
-            "--negative-sample-rate", "--min-cluster-size",
-            "--seed",
+            "--min-cluster-size", "--seed",
         }
 
 

@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -64,6 +65,23 @@ def build_archive():
 @pytest.fixture(scope="module")
 def archive():
     return build_archive()
+
+
+@pytest.fixture(scope="module")
+def merged_archive(archive):
+    """The test archive reduced to one topic, so it has a merge history."""
+    if archive.topic_model.n_topics < 2:
+        pytest.skip("needs at least two topics to merge")
+    return dataclasses.replace(
+        archive, topic_model=reduce_topics(archive.topic_model, 1)
+    )
+
+
+def header_at(header, path):
+    """The header object at a path such as ``vocabulary`` or ``matrices[0]``."""
+    for part in re.findall(r"[a-z_]+|\d+", path):
+        header = header[int(part) if part.isdigit() else part]
+    return header
 
 
 @functools.cache
@@ -191,7 +209,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -221,6 +239,40 @@ class TestRejection:
         )
         with pytest.raises(ArchiveError, match="'labels'"):
             archive_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [("vocabulary", "counts"), ("reduction_config", "seed")],
+    )
+    def test_missing_nested_key(self, archive, path, key):
+        data = mutate_header(
+            archive_to_bytes(archive), lambda h: header_at(h, path).pop(key)
+        )
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        assert str(excinfo.value) == f"archive header is missing '{path}.{key}'"
+
+    def test_config_section_with_an_unknown_field(self, archive):
+        def widen(h):
+            # Format 5's reduction setting, now a constant.
+            h["reduction_config"]["negative_sample_rate"] = 5
+
+        data = mutate_header(archive_to_bytes(archive), widen)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        assert str(excinfo.value) == (
+            "archive reduction_config has unknown fields ['negative_sample_rate']"
+        )
+
+    def test_zero_topic_row(self, archive):
+        # topic_vectors is the last block, so its last row ends the file.
+        row = archive.embedding_config.vector_size * 4
+        data = archive_to_bytes(archive)
+        data = data[:-row] + bytes(row)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        last = archive.topic_model.n_topics - 1
+        assert str(excinfo.value) == f"matrix 'topic_vectors' has zero rows [{last}]"
 
     def test_wrong_matrix_manifest(self, archive):
         def rename(h):
@@ -342,13 +394,15 @@ class TestRejection:
             ("embedding_config", "window", "5", "an integer"),
             ("embedding_config", "subsample_threshold", True, "a number"),
             ("embedding_config", "subsample_threshold", "0.01", "a number"),
+            ("vocabulary", "total_tokens", 2.5, "an integer"),
+            ("matrices[0]", "rows", "40", "an integer"),
         ],
     )
     def test_config_value_of_the_wrong_type(
         self, archive, section, key, value, expected
     ):
         def poison(h):
-            h[section][key] = value
+            header_at(h, section)[key] = value
 
         data = mutate_header(archive_to_bytes(archive), poison)
         with pytest.raises(ArchiveError) as excinfo:
@@ -364,6 +418,18 @@ class TestRejection:
         loaded = archive_from_bytes(mutate_header(archive_to_bytes(archive), widen))
         assert loaded.embedding_config.subsample_threshold == 1
 
+    # What each header list holds, as the loader's message names it.
+    LIST_KINDS = {
+        "labels": "integers",
+        "assignment": "integers",
+        "topic_provenance": "integers",
+        "vocabulary.counts": "integers",
+        "vocabulary.words": "strings",
+        "doc_ids": "strings",
+        "cluster_stability": "numbers",
+        "epoch_losses": "numbers",
+    }
+
     @pytest.mark.parametrize(
         "key,value,named",
         [
@@ -371,32 +437,45 @@ class TestRejection:
             ("assignment", "3", "assignment"),
             ("assignment", True, "assignment"),
             ("topic_provenance", [0.0], "topic_provenance[0]"),
+            ("vocabulary.counts", 2.5, "vocabulary.counts"),
+            ("vocabulary.counts", True, "vocabulary.counts"),
+            ("vocabulary.words", 7, "vocabulary.words"),
+            ("doc_ids", 7, "doc_ids"),
+            ("cluster_stability", "0.5", "cluster_stability"),
+            ("epoch_losses", "4", "epoch_losses"),
         ],
     )
     def test_integer_list_of_the_wrong_type(self, archive, key, value, named):
         def poison(h):
-            h[key][0] = value
+            header_at(h, key)[0] = value
 
         data = mutate_header(archive_to_bytes(archive), poison)
         with pytest.raises(ArchiveError) as excinfo:
             archive_from_bytes(data)
-        assert str(excinfo.value) == f"archive {named} must be a list of integers"
+        many = self.LIST_KINDS[key]
+        assert str(excinfo.value) == f"archive {named} must be a list of {many}"
 
-    def test_merge_count_of_the_wrong_type(self, archive):
-        if archive.topic_model.n_topics < 2:
-            pytest.skip("needs at least two topics to merge")
-        reduced = dataclasses.replace(
-            archive, topic_model=reduce_topics(archive.topic_model, 1)
-        )
-
+    def test_merge_count_of_the_wrong_type(self, merged_archive):
         def poison(h):
             h["merge_history"][0]["absorbed_size"] = 2.0
 
-        data = mutate_header(archive_to_bytes(reduced), poison)
+        data = mutate_header(archive_to_bytes(merged_archive), poison)
         with pytest.raises(ArchiveError) as excinfo:
             archive_from_bytes(data)
         assert str(excinfo.value) == (
             "archive merge_history[0].absorbed_size must be an integer, got 2.0"
+        )
+
+    def test_short_merge_vector(self, merged_archive):
+        def poison(h):
+            h["merge_history"][0]["vector"] = [1.0]
+
+        data = mutate_header(archive_to_bytes(merged_archive), poison)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        dim = merged_archive.embedding_config.vector_size
+        assert str(excinfo.value) == (
+            f"archive merge_history[0].vector must have {dim} values"
         )
 
     def test_missing_file(self, tmp_path):

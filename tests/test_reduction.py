@@ -14,6 +14,7 @@ from topicforge import FuzzyGraph, ReductionConfig, ValidationError, kernels, re
 from topicforge.reduction import (
     CURVE_A,
     CURVE_B,
+    NEGATIVE_SAMPLE_RATE,
     _calibrate_rows,
     fuzzy_simplicial_set,
     knn_graph,
@@ -208,7 +209,18 @@ def _sum_in_order(terms):
     return total
 
 
-def loop_layout(graph, config, rng):
+def kernel_layout(graph, config, rng, nsr):
+    """``optimize_layout`` at negative sample rate ``nsr``: the compiled
+    kernel on the same start coordinates and sampler seed."""
+    coords = rng.uniform(-10.0, 10.0, (graph.n_points, config.n_components))
+    seed = int(rng.integers(0, 2**63))
+    return kernels.optimize_layout(
+        coords, graph.heads, graph.tails, graph.weights,
+        config.layout_epochs, nsr, CURVE_A, CURVE_B, seed,
+    )
+
+
+def loop_layout(graph, config, rng, nsr):
     """The layout as numpy loops, one component at a time, with the
     kernel's sampler and power: the reference the kernel must equal.
 
@@ -224,7 +236,6 @@ def loop_layout(graph, config, rng):
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
-    nsr = config.negative_sample_rate
     drawn = 0
     columns = np.ascontiguousarray(coords.T)
     for epoch in range(epochs):
@@ -281,7 +292,7 @@ def block_negative_forces(coords, anchors, samples, a, b):
     return _sum_in_order(grad[:, s] for s in range(grad.shape[1]))
 
 
-def block_layout(graph, config, rng):
+def block_layout(graph, config, rng, nsr):
     """The layout loop on whole (edges, dim) blocks, updates added by np.add.at."""
     n = graph.n_points
     coords = rng.uniform(-10.0, 10.0, (n, config.n_components))
@@ -290,7 +301,6 @@ def block_layout(graph, config, rng):
     epochs = config.layout_epochs
     eps_per_sample = graph.weights.max() / graph.weights
     next_sample = eps_per_sample.copy()
-    nsr = config.negative_sample_rate
     drawn = 0
     for epoch in range(epochs):
         due = next_sample <= epoch
@@ -333,12 +343,10 @@ class TestConfig:
             {"n_neighbors": 1},
             {"n_components": 0},
             {"layout_epochs": 0},
-            {"negative_sample_rate": -1},
             {"seed": -1},
             {"n_neighbors": float("nan")},
             {"n_components": float("nan")},
             {"layout_epochs": float("nan")},
-            {"negative_sample_rate": float("nan")},
             {"seed": float("nan")},
         ],
     )
@@ -618,18 +626,15 @@ class TestOptimizeLayout:
         )
 
     def test_single_edge_attracts(self):
+        # Without negative samples the one edge only pulls.
         config = ReductionConfig(
-            n_neighbors=2,
-            n_components=2,
-            layout_epochs=100,
-            negative_sample_rate=0,
-            seed=5,
+            n_neighbors=2, n_components=2, layout_epochs=100, seed=5
         )
         rng = np.random.default_rng(config.seed)
         start = rng.uniform(-10.0, 10.0, (2, 2))
         initial = float(np.linalg.norm(start[0] - start[1]))
-        coords = optimize_layout(
-            self.two_point_graph(), config, np.random.default_rng(config.seed)
+        coords = kernel_layout(
+            self.two_point_graph(), config, np.random.default_rng(config.seed), 0
         )
         final = float(np.linalg.norm(coords[0] - coords[1]))
         assert final < initial
@@ -666,29 +671,30 @@ class TestLayoutEquality:
         )
 
     @staticmethod
-    def assert_all_equal(graph, config):
-        got = optimize_layout(graph, config, np.random.default_rng(config.seed))
-        want = loop_layout(graph, config, np.random.default_rng(config.seed))
-        blocks = block_layout(graph, config, np.random.default_rng(config.seed))
+    def assert_all_equal(graph, config, nsr):
+        rng = lambda: np.random.default_rng(config.seed)  # noqa: E731
+        got = kernel_layout(graph, config, rng(), nsr)
+        want = loop_layout(graph, config, rng(), nsr)
+        blocks = block_layout(graph, config, rng(), nsr)
         assert np.array_equal(got, want)
         assert np.array_equal(blocks, want)
+        if nsr == NEGATIVE_SAMPLE_RATE:
+            assert np.array_equal(optimize_layout(graph, config, rng()), want)
 
     @pytest.mark.parametrize("nsr", [0, 1, 5, 9])
     @pytest.mark.parametrize("dim", [1, 2, 5, 9])
     def test_bit_identical_on_small_graph(self, dim, nsr):
         config = ReductionConfig(
-            n_neighbors=2,
-            n_components=dim,
-            layout_epochs=80,
-            negative_sample_rate=nsr,
-            seed=31,
+            n_neighbors=2, n_components=dim, layout_epochs=80, seed=31
         )
-        self.assert_all_equal(self.complete_graph(), config)
+        self.assert_all_equal(self.complete_graph(), config, nsr)
 
     def test_bit_identical_on_neighbor_graph(self):
         pts = np.random.default_rng(32).standard_normal((300, 20))
         config = ReductionConfig(n_neighbors=10, layout_epochs=60, seed=33)
-        self.assert_all_equal(fuzzy_simplicial_set(pts, config), config)
+        self.assert_all_equal(
+            fuzzy_simplicial_set(pts, config), config, NEGATIVE_SAMPLE_RATE
+        )
 
 
 class TestPortablePower:

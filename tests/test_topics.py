@@ -1,5 +1,7 @@
 """Topic vectors, document assignment, reduction, and search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,14 @@ class TestReduceTopics:
     def test_target_equal_to_count_is_a_no_op(self):
         model = three_cluster_model()
         assert reduce_topics(model, 3) is model
+
+    def test_zero_smallest_topic_has_no_partner(self):
+        model = three_cluster_model()
+        vectors = model.vectors.copy()
+        vectors[1] = 0.0  # topic 1 is the smallest
+        zeroed = dataclasses.replace(model, vectors=vectors)
+        with pytest.raises(ValidationError, match="zero norm"):
+            reduce_topics(zeroed, 2)
 
     @pytest.mark.parametrize("target", [0, 4, -1])
     def test_rejects_bad_targets(self, target):
