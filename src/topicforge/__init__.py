@@ -25,7 +25,6 @@ from .embedding import (
     SemanticEmbedding,
     build_huffman_coding,
     compose_query,
-    cosine_similarity,
     hs_probability,
     nearest_words,
     train,
@@ -46,8 +45,6 @@ from .metric import (
     build_stats,
     evaluate,
     load_external_topics,
-    mutual_information,
-    pointwise_pwi,
     pwi_hard,
     pwi_mixture,
     random_baseline_spec,
@@ -90,16 +87,13 @@ __all__ = [
     "build_vocabulary",
     "cluster",
     "compose_query",
-    "cosine_similarity",
     "evaluate",
     "hs_probability",
     "index_documents",
     "load_corpus",
     "load_external_topics",
     "load_model",
-    "mutual_information",
     "nearest_words",
-    "pointwise_pwi",
     "pwi_hard",
     "pwi_mixture",
     "random_baseline_spec",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -85,32 +84,14 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.index
 
-    @property
-    def retained_tokens(self) -> int:
-        return int(self.counts.sum())
-
-
-def subsample_keep_probability(frequency_ratio: float, threshold: float) -> float:
-    """Probability of keeping a word occurrence during training.
-
-    ``min(1, sqrt(threshold / frequency_ratio))``: words whose share of
-    the corpus is at or below the threshold are always kept, and the keep
-    probability decays with the square root of the excess frequency.
-    """
-    if not frequency_ratio > 0.0:
-        raise ValidationError(
-            f"frequency ratio must be positive, got {frequency_ratio}"
-        )
-    if not threshold > 0.0:
-        raise ValidationError(f"subsample threshold must be positive, got {threshold}")
-    return min(1.0, math.sqrt(threshold / frequency_ratio))
-
 
 def keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
     """Keep probability of every word, from its share of the counts' sum.
 
-    Element ``i`` equals ``subsample_keep_probability(counts[i] /
-    counts.sum(), threshold)`` bit for bit.
+    ``min(1, sqrt(threshold / ratio))`` with ``ratio = counts[i] /
+    counts.sum()``: words whose share of the corpus is at or below the
+    threshold are always kept, and the keep probability decays with the
+    square root of the excess frequency.
     """
     if not np.all(counts > 0):
         raise ValidationError("word counts must be positive")

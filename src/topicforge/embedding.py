@@ -70,78 +70,78 @@ class HuffmanCoding:
     The coding keeps the vocabulary ``counts`` and ``inner_node_vectors``,
     one trained vector per inner node (a one-word vocabulary has none).
     The tree itself is only needed to train or to score words, so it is
-    built from the counts the first time ``paths``, ``codes``, ``signs``
-    or ``labels`` is read, and kept from then on; loading and querying a
+    built from the counts the first time ``paths``, ``signs`` or
+    ``labels`` is read, and kept from then on; loading and querying a
     stored model never build it.
 
     ``paths[w]`` lists the inner-node ids on the root-to-leaf path of word
-    ``w`` and ``codes[w]`` the branch bit taken at each of them.  Inner
-    node ``n - 2`` is the root.  ``signs[w]`` and ``labels[w]`` are the
-    branch bits as ``+-1`` factors and as binary targets.
+    ``w``; inner node ``n - 2`` is the root.  ``signs[w]`` and
+    ``labels[w]`` hold the branch bit taken at each of them, as ``1 - 2
+    bit`` factors and as ``1 - bit`` targets.  All three are per-word
+    views of the flat arrays that ``_huffman_tree`` returns.
     """
 
     counts: np.ndarray
     inner_node_vectors: np.ndarray
 
     @cached_property
-    def _tree(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        return _huffman_tree(self.counts)
+    def _views(self) -> tuple[list[np.ndarray], ...]:
+        points, bits, offsets = _huffman_tree(self.counts)
+        spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        return tuple(
+            [flat[start:end] for start, end in spans]
+            for flat in (points, 1.0 - 2.0 * bits, 1.0 - bits)
+        )
 
     @cached_property
-    def paths(self) -> tuple[np.ndarray, ...]:
-        return self._tree[0]
+    def paths(self) -> list[np.ndarray]:
+        return self._views[0]
 
     @cached_property
-    def codes(self) -> tuple[np.ndarray, ...]:
-        return self._tree[1]
+    def signs(self) -> list[np.ndarray]:
+        return self._views[1]
 
     @cached_property
-    def signs(self) -> tuple[np.ndarray, ...]:
-        return tuple(1.0 - 2.0 * c.astype(np.float64) for c in self.codes)
-
-    @cached_property
-    def labels(self) -> tuple[np.ndarray, ...]:
-        return tuple(1.0 - c.astype(np.float64) for c in self.codes)
-
-    def code_lengths(self) -> np.ndarray:
-        return np.array([len(c) for c in self.codes], dtype=np.int64)
+    def labels(self) -> list[np.ndarray]:
+        return self._views[2]
 
 
-def _huffman_tree(
-    counts: np.ndarray,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Root-to-leaf inner-node paths and branch bits of every word.
+def _huffman_tree(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat root-to-leaf inner-node paths and branch bits of every word.
 
-    Merging is deterministic: the heap orders by (count, tie key) where
-    leaves use their word index and internal nodes use ``n + creation
-    step``, so at equal weight the lower word index merges first.  The
+    Word ``w``'s path is ``points[offsets[w]:offsets[w + 1]]``, and its
+    branch bits sit at the same positions of ``bits``.  Merging is
+    deterministic: the heap orders by (count, node id), where word ``w`` is
+    node ``w`` and merge ``step`` makes node ``n + step``, inner node
+    ``step``, so at equal weight the lower word index merges first.  The
     first node popped at each merge takes branch bit 0.
     """
     n = len(counts)
-    if n == 1:
-        return (np.empty(0, dtype=np.int32),), (np.empty(0, dtype=np.int8),)
-    heap: list[tuple[int, int, tuple]] = [
-        (int(counts[i]), i, ("leaf", i)) for i in range(n)
-    ]
+    root = 2 * n - 2
+    parent = [root] * (root + 1)
+    bit = [0] * (root + 1)
+    heap = [(int(c), w) for w, c in enumerate(counts)]
     heapq.heapify(heap)
-    for step in range(n - 1):
-        ca, ka, a = heapq.heappop(heap)
-        cb, kb, b = heapq.heappop(heap)
-        heapq.heappush(heap, (ca + cb, n + step, ("node", step, a, b)))
-    root = heap[0][2]
-    paths: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    codes: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    stack: list[tuple[tuple, list[int], list[int]]] = [(root, [], [])]
-    while stack:
-        node, points, bits = stack.pop()
-        if node[0] == "leaf":
-            paths[node[1]] = np.array(points, dtype=np.int32)
-            codes[node[1]] = np.array(bits, dtype=np.int8)
-        else:
-            _, node_id, left, right = node
-            stack.append((left, points + [node_id], bits + [0]))
-            stack.append((right, points + [node_id], bits + [1]))
-    return tuple(paths), tuple(codes)
+    for node in range(n, root + 1):
+        count_a, a = heapq.heappop(heap)
+        count_b, b = heapq.heappop(heap)
+        parent[a], parent[b], bit[b] = node, node, 1
+        heapq.heappush(heap, (count_a + count_b, node))
+    depth = [0] * (root + 1)
+    for node in range(root - 1, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    offsets = np.concatenate(([0], np.cumsum(depth[:n], dtype=np.int64)))
+    parent, bit = np.array(parent), np.array(bit, dtype=np.int8)
+    points = np.empty(offsets[-1], dtype=np.int32)
+    bits = np.empty(offsets[-1], dtype=np.int8)
+    # Every word climbs one level per pass and fills its path from the end.
+    node, pos = np.arange(n), offsets[1:] - 1
+    while (climbing := node != root).any():
+        node, pos = node[climbing], pos[climbing]
+        points[pos] = parent[node] - n
+        bits[pos] = bit[node]
+        node, pos = parent[node], pos - 1
+    return points, bits, offsets
 
 
 def build_huffman_coding(
@@ -151,7 +151,7 @@ def build_huffman_coding(
 
     The inner-node vectors start at zero unless ``inner_node_vectors`` gives
     a stored block of shape ``(len(vocab) - 1, vector_size)``, which is used
-    as it is.  The tree is built on first use of its paths or codes.
+    as it is.  The tree is built on first use of its paths, signs or labels.
     """
     shape = (max(len(vocab) - 1, 0), vector_size)
     if inner_node_vectors is None:
@@ -164,27 +164,6 @@ def build_huffman_coding(
     return HuffmanCoding(counts=vocab.counts, inner_node_vectors=inner_node_vectors)
 
 
-def hs_loss_gradients(
-    predictor: np.ndarray, word: int, coding: HuffmanCoding
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative log-likelihood of a word given a predictor, with gradients.
-
-    Returns ``(loss, grad_predictor, grad_inner)`` where ``grad_inner``
-    has one row per inner node on the word's path, aligned with
-    ``coding.paths[word]``.  Both gradients are evaluated at the current
-    parameter values.
-    """
-    points = coding.paths[word]
-    if points.size == 0:
-        d = predictor.shape[0]
-        return 0.0, np.zeros(d), np.zeros((0, d))
-    nodes = coding.inner_node_vectors[points]
-    z = nodes @ predictor
-    loss = float(np.logaddexp(0.0, -coding.signs[word] * z).sum())
-    g = expit(z) - coding.labels[word]
-    return loss, g @ nodes, np.outer(g, predictor)
-
-
 def hs_probability(predictor: np.ndarray, word: int, coding: HuffmanCoding) -> float:
     """Probability of a word under the hierarchical softmax.
 
@@ -194,11 +173,8 @@ def hs_probability(predictor: np.ndarray, word: int, coding: HuffmanCoding) -> f
     """
     if not 0 <= word < len(coding.paths):
         raise ValidationError(f"word index {word} out of range")
-    points = coding.paths[word]
-    if points.size == 0:
-        return 1.0
-    z = coding.inner_node_vectors[points] @ predictor
-    return float(np.exp(-np.logaddexp(0.0, -coding.signs[word] * z).sum()))
+    loss = _apply_hs_step(np.asarray(predictor)[None], 0, word, coding, 0.0)
+    return float(np.exp(-loss))
 
 
 def _apply_hs_step(
@@ -339,15 +315,6 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
                 steps += 2 * survivors.size
         embedding.epoch_losses.append(loss_sum / max(steps, 1))
     return embedding
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; zero vectors are an error."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine similarity is undefined for a zero vector")
-    return float(a @ b) / (na * nb)
 
 
 def _rank_by_cosine(

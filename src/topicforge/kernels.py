@@ -89,8 +89,6 @@ def load():
         ctypes.c_uint64,
     ]
     lib.tf_optimize_layout.restype = ctypes.c_int
-    lib.tf_power.argtypes = [pointer, i64, f64, pointer]
-    lib.tf_power.restype = None
     return lib
 
 
@@ -130,10 +128,3 @@ def optimize_layout(
         raise MemoryError("the layout kernel could not allocate its buffers")
     return coords
 
-
-def power(x: np.ndarray, exponent: float) -> np.ndarray:
-    """``x ** exponent`` elementwise, by the kernel's portable exp and log."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    load().tf_power(x.ctypes.data, x.size, exponent, out.ctypes.data)
-    return out

@@ -78,31 +78,6 @@ def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
     )
 
 
-def pointwise_pwi(stats: CooccurrenceStats, doc_index: int, word_index: int) -> float:
-    """``P(d,w) * log2(P(d,w) / (P(d) P(w)))`` for one document/word pair.
-
-    Zero joint probability contributes zero.
-    """
-    joint_count = stats.joint[doc_index].get(word_index, 0)
-    if joint_count == 0:
-        return 0.0
-    n = stats.total_tokens
-    p_joint = joint_count / n
-    ratio = (joint_count * n) / (
-        int(stats.doc_totals[doc_index]) * int(stats.word_counts[word_index])
-    )
-    return p_joint * math.log2(ratio)
-
-
-def mutual_information(stats: CooccurrenceStats) -> float:
-    """Total mutual information between documents and words, in bits."""
-    return sum(
-        pointwise_pwi(stats, i, w)
-        for i in range(stats.n_docs)
-        for w in stats.joint[i]
-    )
-
-
 @dataclass(frozen=True)
 class TopicSpec:
     """Topics prepared for evaluation.

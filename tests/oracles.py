@@ -132,3 +132,38 @@ def mst_weight_exhaustive(dist):
         if w < best:
             best = w
     return best
+
+
+def huffman_paths_oracle(counts):
+    """Root-to-leaf inner-node ids and branch bits of every word.
+
+    The tree is built from tagged tuples, ``("leaf", word)`` and ``("node",
+    step, first, second)``, and read by a depth-first walk that copies the
+    path at every level.  The heap orders by (count, tie key): a leaf's key
+    is its word index and merge ``step``'s node has key ``n + step``, so at
+    equal counts the lower word index merges first.  The first node popped
+    at each merge takes branch bit 0.  Inner node ``step`` is the node made
+    by merge ``step``; the root is ``n - 2``.
+    """
+    n = len(counts)
+    if n == 1:
+        return [[]], [[]]
+    heap = [(counts[i], i, ("leaf", i)) for i in range(n)]
+    heapq.heapify(heap)
+    for step in range(n - 1):
+        count_a, _, a = heapq.heappop(heap)
+        count_b, _, b = heapq.heappop(heap)
+        heapq.heappush(heap, (count_a + count_b, n + step, ("node", step, a, b)))
+    paths = [None] * n
+    codes = [None] * n
+    stack = [(heap[0][2], [], [])]
+    while stack:
+        node, points, bits = stack.pop()
+        if node[0] == "leaf":
+            paths[node[1]] = points
+            codes[node[1]] = bits
+        else:
+            _, node_id, first, second = node
+            stack.append((first, points + [node_id], bits + [0]))
+            stack.append((second, points + [node_id], bits + [1]))
+    return paths, codes

@@ -693,6 +693,13 @@ class TestModule:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_public_names_resolve_once(self):
+        names = topicforge.__all__
+        assert len(set(names)) == len(names)
+        star = {}
+        exec("from topicforge import *", star)
+        assert all(star[name] is getattr(topicforge, name) for name in names)
+
 
 class TestAtomicOutput:
     """A failed ``--output`` write leaves the earlier output as it was."""

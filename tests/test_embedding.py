@@ -5,25 +5,55 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from topicforge import (
     Document,
     EmbeddingConfig,
+    HuffmanCoding,
     SemanticEmbedding,
     ValidationError,
     Vocabulary,
     build_huffman_coding,
     compose_query,
-    cosine_similarity,
     hs_probability,
     nearest_words,
     train,
     train_step_dbow,
     train_step_skipgram,
 )
-from topicforge.embedding import _rank_by_cosine, hs_loss_gradients
+from topicforge.embedding import _rank_by_cosine
 
 from conftest import make_two_theme_docs
+from oracles import huffman_paths_oracle
+
+
+def hs_loss_gradients(predictor, word, coding):
+    """Negative log-likelihood of a word given a predictor, with gradients.
+
+    Returns ``(loss, grad_predictor, grad_inner)`` where ``grad_inner``
+    has one row per inner node on the word's path, aligned with
+    ``coding.paths[word]``.  Both gradients are evaluated at the current
+    parameter values.
+    """
+    points = coding.paths[word]
+    if points.size == 0:
+        d = predictor.shape[0]
+        return 0.0, np.zeros(d), np.zeros((0, d))
+    nodes = coding.inner_node_vectors[points]
+    z = nodes @ predictor
+    loss = float(np.logaddexp(0.0, -coding.signs[word] * z).sum())
+    g = expit(z) - coding.labels[word]
+    return loss, g @ nodes, np.outer(g, predictor)
+
+
+def cosine_similarity(a, b):
+    """Cosine of the angle between two vectors; zero vectors are an error."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero vector")
+    return float(a @ b) / (na * nb)
 
 
 def make_vocab(words, counts):
@@ -76,7 +106,7 @@ class TestConfig:
 class TestHuffman:
     def test_hand_case_code_lengths(self):
         coding = build_huffman_coding(make_vocab("abcd", [4, 2, 1, 1]), 4)
-        assert coding.code_lengths().tolist() == [1, 2, 3, 3]
+        assert [len(p) for p in coding.paths] == [1, 2, 3, 3]
 
     def test_paths_start_at_root(self):
         coding = build_huffman_coding(make_vocab("abcde", [9, 7, 5, 3, 1]), 4)
@@ -92,7 +122,7 @@ class TestHuffman:
             coding = build_huffman_coding(
                 make_vocab([f"w{i}" for i in range(n)], counts), 2
             )
-            kraft = sum(2.0 ** -len(c) for c in coding.codes)
+            kraft = sum(2.0 ** -len(p) for p in coding.paths)
             assert kraft == pytest.approx(1.0, abs=1e-12)
 
     def test_strictly_more_frequent_word_never_longer(self):
@@ -105,7 +135,7 @@ class TestHuffman:
             coding = build_huffman_coding(
                 make_vocab([f"w{i}" for i in range(n)], counts), 2
             )
-            lengths = coding.code_lengths()
+            lengths = [len(p) for p in coding.paths]
             for i in range(n - 1):
                 if counts[i] > counts[i + 1]:
                     assert lengths[i] <= lengths[i + 1]
@@ -129,7 +159,8 @@ class TestHuffman:
                 a, b = heapq.heappop(heap), heapq.heappop(heap)
                 optimal += a + b
                 heapq.heappush(heap, a + b)
-            assert int((coding.code_lengths() * counts).sum()) == optimal
+            lengths = np.array([len(p) for p in coding.paths])
+            assert int((lengths * counts).sum()) == optimal
 
     def test_deterministic_under_ties(self):
         counts = [5, 5, 5, 5, 5, 5]
@@ -137,8 +168,26 @@ class TestHuffman:
         b = build_huffman_coding(make_vocab("abcdef", counts), 2)
         for pa, pb in zip(a.paths, b.paths):
             assert np.array_equal(pa, pb)
-        for ca, cb in zip(a.codes, b.codes):
-            assert np.array_equal(ca, cb)
+        for la, lb in zip(a.labels, b.labels):
+            assert np.array_equal(la, lb)
+
+    def test_equals_the_tagged_tuple_tree(self):
+        # Counts of 1-5 make ties common, so the tie rule decides most merges.
+        rng = np.random.default_rng(13)
+        inputs = [[7], [3, 1], [2, 5, 1], [5] * 6] + [
+            rng.integers(1, 6, size=int(rng.integers(1, 301))).tolist()
+            for _ in range(200)
+        ]
+        for counts in inputs:
+            n = len(counts)
+            coding = HuffmanCoding(np.array(counts), np.zeros((n - 1, 2)))
+            paths, codes = huffman_paths_oracle(counts)
+            assert len(coding.paths) == len(coding.signs) == len(coding.labels) == n
+            for w in range(n):
+                assert coding.paths[w].dtype == np.int32
+                assert coding.paths[w].tolist() == paths[w]
+                assert coding.signs[w].tolist() == [1.0 - 2.0 * b for b in codes[w]]
+                assert coding.labels[w].tolist() == [1.0 - b for b in codes[w]]
 
     def test_takes_a_stored_inner_node_block(self):
         vocab = make_vocab("abcd", [4, 2, 1, 1])
@@ -454,7 +503,7 @@ class TestSimilarity:
         assert cosine_similarity(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == -1.0
 
     def test_cosine_rejects_zero_vector(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             cosine_similarity(np.zeros(3), np.ones(3))
 
     def fabricated(self):

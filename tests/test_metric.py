@@ -15,8 +15,6 @@ from topicforge import (
     evaluate,
     index_documents,
     load_external_topics,
-    mutual_information,
-    pointwise_pwi,
     pwi_hard,
     pwi_mixture,
     random_baseline_spec,
@@ -32,6 +30,31 @@ def corpus_stats(texts, min_count=1):
     vocab = build_vocabulary(docs, min_count=min_count)
     indexed = index_documents(docs, vocab)
     return indexed, vocab, build_stats(indexed, vocab)
+
+
+def pointwise_pwi(stats, doc_index, word_index):
+    """``P(d,w) * log2(P(d,w) / (P(d) P(w)))`` for one document/word pair.
+
+    Zero joint probability contributes zero.
+    """
+    joint_count = stats.joint[doc_index].get(word_index, 0)
+    if joint_count == 0:
+        return 0.0
+    n = stats.total_tokens
+    p_joint = joint_count / n
+    ratio = (joint_count * n) / (
+        int(stats.doc_totals[doc_index]) * int(stats.word_counts[word_index])
+    )
+    return p_joint * math.log2(ratio)
+
+
+def mutual_information(stats):
+    """Total mutual information between documents and words, in bits."""
+    return sum(
+        pointwise_pwi(stats, i, w)
+        for i in range(stats.n_docs)
+        for w in stats.joint[i]
+    )
 
 
 def hand_stats():

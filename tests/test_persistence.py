@@ -177,7 +177,7 @@ class TestRoundTrip:
         loaded = archive_from_bytes(archive_to_bytes(archive))
         for a, b in zip(loaded.embedding.coding.paths, archive.embedding.coding.paths):
             assert np.array_equal(a, b)
-        for a, b in zip(loaded.embedding.coding.codes, archive.embedding.coding.codes):
+        for a, b in zip(loaded.embedding.coding.labels, archive.embedding.coding.labels):
             assert np.array_equal(a, b)
 
     def test_merge_history_survives(self, archive):
