@@ -325,15 +325,16 @@ def _rank_by_cosine(
     Ties rank the lower row index first.  Rows with zero norm sink to the
     bottom.  Returns one (indices, similarities) pair per query, with
     top_n clamped to the row count; top_n below 1 is rejected.  The row
-    norms, and the cast of ``matrix`` to the queries' precision, are
-    computed once per call; each query is still scored with its own
+    norms, taken in float64 so that a float32 row cannot overflow them,
+    and the cast of ``matrix`` to the queries' precision, are computed
+    once per call; each query is still scored with its own
     matrix-vector product, so a block of queries ranks exactly as the
     same queries one at a time.
     """
     if top_n < 1:
         raise ValidationError(f"top_n must be >= 1, got {top_n}")
     queries = np.asarray(queries)
-    norms = np.linalg.norm(matrix, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
     nonzero = norms > 0.0
     rows = matrix.astype(np.result_type(matrix, queries), copy=False)
     k = min(top_n, len(matrix))

@@ -426,13 +426,15 @@ class TestTrain:
 
 
 def rank_by_full_sort(matrix, query, top_n):
-    """Top-n rows by cosine from a stable argsort of every row."""
-    norms = np.linalg.norm(matrix, axis=1)
+    """Top-n rows by cosine from a stable argsort of every row, with the
+    row norms in float64 and the similarities in the scores' precision."""
+    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
     rows = matrix.astype(np.result_type(matrix, query), copy=False)
     qn = float(np.linalg.norm(query))
+    dots = rows @ query
     sims = np.where(
-        norms > 0.0, (rows @ query) / (np.maximum(norms, 1e-300) * qn), -np.inf
-    )
+        norms > 0.0, dots / (np.maximum(norms, 1e-300) * qn), -np.inf
+    ).astype(dots.dtype)
     order = np.argsort(-sims, kind="stable")[:top_n]
     return order, sims[order]
 
@@ -481,6 +483,18 @@ class TestRankByCosine:
             warnings.simplefilter("error")
             _rank_by_cosine(matrix, queries, top_n)
         self.check(matrix, queries, top_n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_finite_rows_do_not_overflow_the_norm(self, dtype):
+        # Squared in float32, 1e20 overflows to inf: row 0 would rank last.
+        matrix = np.array([[1e20, 1e20, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype)
+        query = np.array([[1.0, 1.0, 0.0]], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(order, sims)] = _rank_by_cosine(matrix, query, 3)
+        assert order.tolist() == [0, 1, 2]
+        assert sims[0] == pytest.approx(1.0)
+        self.check(matrix, query, 3)
 
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_nan_and_infinite_rows(self, top_n):
