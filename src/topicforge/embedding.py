@@ -76,8 +76,8 @@ class HuffmanCoding:
 
     ``paths[w]`` lists the inner-node ids on the root-to-leaf path of word
     ``w``; inner node ``n - 2`` is the root.  ``signs[w]`` and
-    ``labels[w]`` hold the branch bit taken at each of them, as ``1 - 2
-    bit`` factors and as ``1 - bit`` targets.  All three are per-word
+    ``labels[w]`` hold the branch bit taken at each of them, as factors
+    ``1 - 2 * bit`` and as targets ``1 - bit``.  All three are per-word
     views of the flat arrays that ``_huffman_tree`` returns.
     """
 
