@@ -2,14 +2,15 @@
  *
  * Built with gcc -O2 -shared -fPIC -ffp-contract=off: no fused multiply-add
  * and no fast-math, so every + - * / rounds once as IEEE double arithmetic
- * does, whatever the CPU's vector width.  No libm function is called: the
- * powers come from an exp and a log made of those operations and exact
- * exponent-bit scaling, so the bytes do not depend on which variant of
- * libm's pow the C library picks for the CPU.  The numpy twins in
- * tests/test_reduction.py repeat every operation below and must give equal
- * bits.
+ * does, whatever the CPU's vector width.  The one libm call is sqrt, in the
+ * spanning tree's distances, which IEEE 754 requires to be correctly
+ * rounded, so it gives the same bits on every CPU.  The layout's powers
+ * come from an exp and a log made of + - * / and exact exponent-bit
+ * scaling, so the bytes do not depend on which variant of libm's pow the C
+ * library picks for the CPU.  The numpy twins in tests/test_reduction.py
+ * repeat every operation of the layout and must give equal bits.
  */
-#include <math.h> /* INFINITY and NAN only; no libm function is called */
+#include <math.h> /* sqrt, INFINITY and NAN */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -401,5 +402,320 @@ done:
     free(L.push);
     free(step);
     free(next);
+    return status;
+}
+
+/* ---- Minimum spanning tree of the mutual reachability graph ---- */
+
+/* Most points a KD-tree leaf holds. */
+#define LEAF_SIZE 16
+
+typedef struct {
+    int64_t start, end;  /* the node's points are positions [start, end) */
+    int64_t left, right; /* child nodes, -1 in a leaf */
+    double min_core;     /* smallest core distance among the node's points */
+} kd_node;
+
+typedef struct {
+    int64_t n, dim;
+    double *x;          /* points in tree order, row-major */
+    double *core;       /* core distances in tree order */
+    int64_t *index;     /* caller's index of each position */
+    kd_node *nodes;     /* preorder: a node's children follow it */
+    double *lo, *hi;    /* each node's bounding box, dim values per node */
+    int64_t *parent;    /* union-find over positions */
+    int64_t *comp;      /* each position's component root at the round's start */
+    int64_t *node_comp; /* the component of all a node's points, or -1 */
+    double *best_w;     /* per component root: its best outgoing edge ... */
+    int64_t *best_a, *best_b; /* ... as (weight, smaller index, larger index) */
+    int64_t *best_p, *best_q; /* ... and its endpoints' positions, -1 if none */
+} boruvka;
+
+static int64_t count_nodes(int64_t m)
+{
+    return m <= LEAF_SIZE ? 1 : 1 + count_nodes(m / 2) + count_nodes(m - m / 2);
+}
+
+/* Order by coordinate, then by index: a total order on distinct indices. */
+static inline int key_less(const double *column, int64_t i, int64_t j)
+{
+    return column[i] < column[j] || (column[i] == column[j] && i < j);
+}
+
+static inline void swap_index(int64_t *idx, int64_t i, int64_t j)
+{
+    int64_t t = idx[i];
+    idx[i] = idx[j];
+    idx[j] = t;
+}
+
+/* Reorder idx[lo..hi] so that idx[k] holds the key of rank k, smaller keys
+ * before it and larger ones after. */
+static void select_rank(int64_t *idx, int64_t lo, int64_t hi, int64_t k, const double *column)
+{
+    while (hi > lo) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (key_less(column, idx[mid], idx[lo]))
+            swap_index(idx, lo, mid);
+        if (key_less(column, idx[hi], idx[lo]))
+            swap_index(idx, lo, hi);
+        if (key_less(column, idx[mid], idx[hi]))
+            swap_index(idx, mid, hi); /* the median of three is the pivot */
+        int64_t pivot = idx[hi], store = lo;
+        for (int64_t m = lo; m < hi; m++)
+            if (key_less(column, idx[m], pivot))
+                swap_index(idx, store++, m);
+        swap_index(idx, store, hi);
+        if (store == k)
+            return;
+        if (store < k)
+            lo = store + 1;
+        else
+            hi = store - 1;
+    }
+}
+
+/* Build node v over positions [start, end) of B->index, splitting at the
+ * median of the widest coordinate; returns the next free node. */
+static int64_t build_node(boruvka *B, const double *columns, const double *core,
+                          int64_t v, int64_t start, int64_t end)
+{
+    const int64_t n = B->n, dim = B->dim;
+    int64_t *idx = B->index;
+    double *lo = B->lo + v * dim, *hi = B->hi + v * dim;
+    kd_node *N = B->nodes + v;
+    N->start = start;
+    N->end = end;
+    N->min_core = core[idx[start]];
+    for (int64_t k = start + 1; k < end; k++)
+        if (core[idx[k]] < N->min_core)
+            N->min_core = core[idx[k]];
+    int64_t split = 0;
+    for (int64_t c = 0; c < dim; c++) {
+        const double *column = columns + c * n;
+        lo[c] = hi[c] = column[idx[start]];
+        for (int64_t k = start + 1; k < end; k++) {
+            double value = column[idx[k]];
+            if (value < lo[c])
+                lo[c] = value;
+            if (value > hi[c])
+                hi[c] = value;
+        }
+        if (hi[c] - lo[c] > hi[split] - lo[split])
+            split = c;
+    }
+    if (end - start <= LEAF_SIZE) {
+        N->left = N->right = -1;
+        return v + 1;
+    }
+    int64_t mid = start + (end - start) / 2;
+    select_rank(idx, start, end - 1, mid, columns + split * n);
+    N->left = v + 1;
+    N->right = build_node(B, columns, core, N->left, start, mid);
+    return build_node(B, columns, core, N->right, mid, end);
+}
+
+static int64_t find_root(int64_t *parent, int64_t p)
+{
+    while (parent[p] != p) {
+        parent[p] = parent[parent[p]];
+        p = parent[p];
+    }
+    return p;
+}
+
+/* Squared distance from x to the nearest point of the box [lo, hi].  Each
+ * term rounds no higher than the same term of any point in the box, and
+ * rounding is monotone, so it is at most that point's squared_distance. */
+static inline double box_distance(const double *x, const double *lo, const double *hi,
+                                  int64_t dim)
+{
+    double r2 = 0.0;
+    for (int64_t c = 0; c < dim; c++) {
+        double d = x[c] < lo[c] ? lo[c] - x[c] : (x[c] > hi[c] ? x[c] - hi[c] : 0.0);
+        r2 += d * d;
+    }
+    return r2;
+}
+
+static inline double max2(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+/* Offer edge (p, q) of weight w as component cp's best: the smaller by
+ * weight, then smaller index, then larger index wins. */
+static inline void offer(boruvka *B, int64_t cp, double w, int64_t p, int64_t q)
+{
+    int64_t a = B->index[p], b = B->index[q];
+    if (a > b) {
+        int64_t t = a;
+        a = b;
+        b = t;
+    }
+    double bw = B->best_w[cp];
+    if (w < bw || (w == bw && (a < B->best_a[cp] || (a == B->best_a[cp] && b < B->best_b[cp])))) {
+        B->best_w[cp] = w;
+        B->best_a[cp] = a;
+        B->best_b[cp] = b;
+        B->best_p[cp] = p;
+        B->best_q[cp] = q;
+    }
+}
+
+/* Search node v, whose box lies box_r2 (squared) from point p, for p's
+ * edges out of its component cp.  A node is skipped when all its points
+ * are in cp, or when no edge into it can weigh as little as cp's best. */
+static void search(boruvka *B, int64_t v, double box_r2, int64_t p, int64_t cp)
+{
+    const kd_node *N = B->nodes + v;
+    if (B->node_comp[v] == cp)
+        return;
+    const double core_p = B->core[p];
+    if (max2(max2(sqrt(box_r2), core_p), N->min_core) > B->best_w[cp])
+        return;
+    const int64_t dim = B->dim;
+    const double *xp = B->x + p * dim;
+    if (N->left < 0) {
+        for (int64_t q = N->start; q < N->end; q++) {
+            if (B->comp[q] == cp)
+                continue;
+            /* The weight of ReachabilityRows: max(distance, core_q, core_p). */
+            double w = sqrt(squared_distance(xp, B->x + q * dim, dim));
+            offer(B, cp, max2(max2(w, B->core[q]), core_p), p, q);
+        }
+        return;
+    }
+    int64_t near = N->left, far = N->right;
+    double near_r2 = box_distance(xp, B->lo + near * dim, B->hi + near * dim, dim);
+    double far_r2 = box_distance(xp, B->lo + far * dim, B->hi + far * dim, dim);
+    if (far_r2 < near_r2) {
+        int64_t t = near;
+        near = far;
+        far = t;
+        double r = near_r2;
+        near_r2 = far_r2;
+        far_r2 = r;
+    }
+    search(B, near, near_r2, p, cp);
+    search(B, far, far_r2, p, cp);
+}
+
+/* Record each position's component and, bottom up, each node's. */
+static void label_components(boruvka *B, int64_t n_nodes)
+{
+    for (int64_t p = 0; p < B->n; p++)
+        B->comp[p] = find_root(B->parent, p);
+    for (int64_t v = n_nodes - 1; v >= 0; v--) {
+        const kd_node *N = B->nodes + v;
+        int64_t c;
+        if (N->left < 0) {
+            c = B->comp[N->start];
+            for (int64_t p = N->start + 1; p < N->end && c >= 0; p++)
+                if (B->comp[p] != c)
+                    c = -1;
+        } else {
+            c = B->node_comp[N->left] == B->node_comp[N->right] ? B->node_comp[N->left] : -1;
+        }
+        B->node_comp[v] = c;
+    }
+}
+
+/* The minimum spanning tree of the mutual reachability graph of n points,
+ * given one coordinate per row of columns (dim x n, row-major) and their
+ * core distances.  Edge (i, j) weighs max(sqrt(r2), core_i, core_j), where
+ * r2 sums the squared coordinate differences one coordinate at a time
+ * from coordinate 0, as ReachabilityRows in clustering.py does.
+ *
+ * Borůvka's rounds over a KD-tree: in each round every component takes
+ * its lightest outgoing edge, by the total order (weight, smaller index,
+ * larger index), so two components that take edges in one round cannot
+ * close a cycle and the tree is exact.  A point's search skips nodes
+ * whose points all share its component, and nodes whose lower bound
+ * max(core_p, the node's smallest core, box distance) is strictly above
+ * the component's best edge so far.
+ *
+ * Writes n - 1 rows (i, j, weight) with i < j to edges.  Returns 0, -1
+ * when memory runs out, or -2 when a round finds no edge, which only NaN
+ * weights cause. */
+int tf_mst_reachability(const double *columns, const double *core, int64_t n, int64_t dim,
+                        double *edges)
+{
+    int64_t n_nodes = count_nodes(n);
+    boruvka B = {
+        .n = n, .dim = dim,
+        .x = malloc(n * dim * sizeof(double)),
+        .core = malloc(n * sizeof(double)),
+        .index = malloc(n * sizeof(int64_t)),
+        .nodes = malloc(n_nodes * sizeof(kd_node)),
+        .lo = malloc(n_nodes * dim * sizeof(double)),
+        .hi = malloc(n_nodes * dim * sizeof(double)),
+        .parent = malloc(n * sizeof(int64_t)),
+        .comp = malloc(n * sizeof(int64_t)),
+        .node_comp = malloc(n_nodes * sizeof(int64_t)),
+        .best_w = malloc(n * sizeof(double)),
+        .best_a = malloc(n * sizeof(int64_t)),
+        .best_b = malloc(n * sizeof(int64_t)),
+        .best_p = malloc(n * sizeof(int64_t)),
+        .best_q = malloc(n * sizeof(int64_t)),
+    };
+    int status = -1;
+    if (!B.x || !B.core || !B.index || !B.nodes || !B.lo || !B.hi || !B.parent || !B.comp
+        || !B.node_comp || !B.best_w || !B.best_a || !B.best_b || !B.best_p || !B.best_q)
+        goto done;
+    for (int64_t p = 0; p < n; p++)
+        B.index[p] = B.parent[p] = p;
+    build_node(&B, columns, core, 0, 0, n);
+    for (int64_t p = 0; p < n; p++) {
+        B.core[p] = core[B.index[p]];
+        for (int64_t c = 0; c < dim; c++)
+            B.x[p * dim + c] = columns[c * n + B.index[p]];
+    }
+    status = -2;
+    int64_t found = 0;
+    while (found < n - 1) {
+        label_components(&B, n_nodes);
+        for (int64_t p = 0; p < n; p++) {
+            B.best_w[p] = INFINITY;
+            B.best_a[p] = B.best_b[p] = n;
+            B.best_p[p] = B.best_q[p] = -1;
+        }
+        for (int64_t p = 0; p < n; p++) {
+            int64_t cp = B.comp[p];
+            if (!(B.core[p] > B.best_w[cp]))
+                search(&B, 0, box_distance(B.x + p * dim, B.lo, B.hi, dim), p, cp);
+        }
+        int64_t before = found;
+        for (int64_t c = 0; c < n; c++) {
+            if (B.comp[c] != c || B.best_p[c] < 0)
+                continue;
+            int64_t ra = find_root(B.parent, B.best_p[c]), rb = find_root(B.parent, B.best_q[c]);
+            if (ra == rb)
+                continue; /* the component at the other end took the same edge */
+            B.parent[rb] = ra;
+            edges[3 * found] = (double)B.best_a[c];
+            edges[3 * found + 1] = (double)B.best_b[c];
+            edges[3 * found + 2] = B.best_w[c];
+            found++;
+        }
+        if (found == before)
+            goto done;
+    }
+    status = 0;
+done:
+    free(B.x);
+    free(B.core);
+    free(B.index);
+    free(B.nodes);
+    free(B.lo);
+    free(B.hi);
+    free(B.parent);
+    free(B.comp);
+    free(B.node_comp);
+    free(B.best_w);
+    free(B.best_a);
+    free(B.best_b);
+    free(B.best_p);
+    free(B.best_q);
     return status;
 }

@@ -8,17 +8,23 @@ excess of mass.  Points that fall out of the hierarchy above every
 selected cluster are noise.
 
 No n x n matrix is held: core distances come from a KD-tree query, and
-the spanning tree reads each mutual reachability row once, as it is
-computed.
+the spanning tree from Boruvka's rounds over a KD-tree in the compiled
+kernel.  All merges at one distance condense as one split, and the
+selected clusters are numbered by their smallest member, so the labels
+and stabilities depend only on the points, not on which of the equally
+light spanning trees was found.
 """
 
 from __future__ import annotations
+
+import math
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import kernels
 from .errors import ValidationError
 
 
@@ -45,8 +51,9 @@ class CondensedTree:
 
     Cluster 0 is the root (all points, birth lambda 0).  ``fallout_points``
     and ``fallout_lambdas`` record when individual points left each
-    cluster; ``children`` holds the two sub-clusters of a genuine split.
-    Lambda is 1/distance, so larger means denser.
+    cluster; ``children`` holds the sub-clusters of a genuine split.
+    Lambda is 1/distance, so larger means denser.  Each stability is one
+    ``math.fsum``, so it does not depend on the order of its terms.
     """
 
     n_points: int
@@ -60,12 +67,14 @@ class CondensedTree:
 
     def __post_init__(self) -> None:
         stab = np.zeros(len(self.parent))
-        for c in range(len(self.parent)):
-            birth = self.birth_lambda[c]
-            total = sum(lam - birth for lam in self.fallout_lambdas[c])
-            for ch in self.children[c]:
-                total += self.size_at_birth[ch] * (self.birth_lambda[ch] - birth)
-            stab[c] = total
+        for c, birth in enumerate(self.birth_lambda):
+            stab[c] = math.fsum(
+                [lam - birth for lam in self.fallout_lambdas[c]]
+                + [
+                    self.size_at_birth[ch] * (self.birth_lambda[ch] - birth)
+                    for ch in self.children[c]
+                ]
+            )
         self.stability = stab
 
 
@@ -139,19 +148,24 @@ def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRow
 
 
 def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
-    """Minimum spanning tree by Prim's algorithm.
+    """Minimum spanning tree, as ``(n - 1, 3)`` rows of (point a, point b, weight).
 
-    ``distance_matrix`` is a dense symmetric matrix or anything else with
-    ``len()`` and rows ``distance_matrix[j]``, such as the view that
-    ``mutual_reachability`` returns; each row is read once.  Returns
-    ``(n - 1, 3)`` rows of (point a, point b, weight).  Ties pick the
-    lowest-index point, so the tree is deterministic.
+    A ``ReachabilityRows`` view, as ``mutual_reachability`` returns, goes
+    to the compiled KD-tree Boruvka (``kernels.mst_reachability``), which
+    never forms a row.  A dense symmetric matrix, which must be finite,
+    goes to Prim's algorithm, whose ties pick the lowest-index point.
+    Both trees are exact, but where weights tie they may differ.
     """
-    n = len(distance_matrix)
+    if isinstance(distance_matrix, ReachabilityRows):
+        return kernels.mst_reachability(distance_matrix.columns, distance_matrix.core)
+    matrix = np.asarray(distance_matrix, dtype=np.float64)
+    n = len(matrix)
     if n < 2:
         raise ValidationError("need at least 2 points for a spanning tree")
+    if not np.isfinite(matrix).all():
+        raise ValidationError("distance matrix must be finite")
     visited = np.zeros(n, dtype=bool)
-    best_weight = distance_matrix[0].copy()
+    best_weight = matrix[0].copy()
     best_source = np.zeros(n, dtype=np.int64)
     visited[0] = True
     best_weight[0] = np.inf
@@ -160,46 +174,58 @@ def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
         j = int(np.argmin(np.where(visited, np.inf, best_weight)))
         edges[e] = (best_source[j], j, best_weight[j])
         visited[j] = True
-        row = distance_matrix[j]
+        row = matrix[j]
         closer = ~visited & (row < best_weight)
         best_source[closer] = j
         best_weight[closer] = row[closer]
     return edges
 
 
-def _single_linkage(n: int, mst_edges: np.ndarray):
-    """Merge MST edges in ascending weight order into a binary dendrogram.
+def _level_set_tree(n: int, mst_edges: np.ndarray):
+    """Merge the MST edges by ascending weight, all edges of one weight at once.
 
-    Returns (children, dist, size) arrays indexed by node id; points are
-    nodes 0..n-1 and merge k creates node n+k, so node 2n-2 is the root.
+    Returns (children, dist, size) lists: points are nodes 0..n-1, and each
+    part that the edges of one weight join is one node ``n + k`` whose
+    ``children[k]`` are the parts it joined.  The last node holds every
+    point.  The parts at each weight are those of the mutual reachability
+    graph, so every minimum spanning tree gives the same nodes.
     """
     order = np.argsort(mst_edges[:, 2], kind="stable")
-    parent = np.arange(2 * n - 1, dtype=np.int64)
+    ends = mst_edges[order, :2].astype(np.int64).tolist()
+    weights = mst_edges[order, 2].tolist()
+    parent = list(range(n))  # union-find over the points
+    node_of = list(range(n))  # the node of each union-find root
 
     def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    children = np.empty((n - 1, 2), dtype=np.int64)
-    dist = np.empty(n - 1)
-    size = np.ones(2 * n - 1, dtype=np.int64)
-    for k, e in enumerate(order):
-        i, j, w = mst_edges[e]
-        ra, rb = find(int(i)), find(int(j))
-        node = n + k
-        children[k] = (ra, rb)
-        dist[k] = w
-        size[node] = size[ra] + size[rb]
-        parent[ra] = node
-        parent[rb] = node
+    children: list[list[int]] = []
+    dist: list[float] = []
+    size = [1] * n
+    start = 0
+    while start < len(weights):
+        stop = start
+        while stop < len(weights) and weights[stop] == weights[start]:
+            stop += 1
+        joined: dict[int, list[int]] = {}  # root -> the nodes joined into it
+        for i, j in ends[start:stop]:
+            ra, rb = find(i), find(j)
+            kids = joined.pop(ra, None) or [node_of[ra]]
+            kids += joined.pop(rb, None) or [node_of[rb]]
+            parent[rb] = ra
+            joined[ra] = kids
+        for root, kids in joined.items():
+            node_of[root] = n + len(children)
+            children.append(kids)
+            dist.append(weights[start])
+            size.append(sum(size[k] for k in kids))
+        start = stop
     return children, dist, size
 
 
-def _leaves_below(node: int, n: int, children: np.ndarray) -> list[int]:
+def _leaves_below(node: int, n: int, children: list[list[int]]) -> list[int]:
     out: list[int] = []
     stack = [node]
     while stack:
@@ -214,56 +240,51 @@ def _leaves_below(node: int, n: int, children: np.ndarray) -> list[int]:
 def condense_tree(
     n_points: int, mst_edges: np.ndarray, min_cluster_size: int
 ) -> CondensedTree:
-    """Fold the single-linkage dendrogram into the condensed hierarchy.
+    """Fold the single-linkage hierarchy into the condensed hierarchy.
 
-    Walking down from the root at increasing lambda, a split where both
-    sides have at least ``min_cluster_size`` points creates two child
-    clusters; otherwise the small side's points fall out and the cluster
-    continues.  When both sides are small the cluster dies and sheds all
-    remaining points.
+    Walking down from the root at increasing lambda, all merges at one
+    distance are one split, the level-set definition of HDBSCAN*
+    (Campello, Moulavi & Sander 2013).  Each part of at least
+    ``min_cluster_size`` points becomes a child cluster when there are two
+    or more of them; a lone large part continues the cluster.  The points
+    of smaller parts fall out at that lambda, so when no part is large the
+    cluster dies and sheds all remaining points.
     """
     if min_cluster_size < 2:
         raise ValidationError(
             f"min_cluster_size must be >= 2, got {min_cluster_size}"
         )
-    children, dist, size = _single_linkage(n_points, mst_edges)
+    children, dist, size = _level_set_tree(n_points, mst_edges)
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
     kids: list[list[int]] = [[]]
     size_at_birth: list[int] = [n_points]
     fallout_points: list[list[int]] = [[]]
     fallout_lambdas: list[list[float]] = [[]]
-    root_node = 2 * n_points - 2
-    stack: list[tuple[int, int]] = [(root_node, 0)]
+    stack: list[tuple[int, int]] = [(n_points + len(children) - 1, 0)]
     while stack:
         node, cluster = stack.pop()
         k = node - n_points
-        left, right = children[k]
         lam = 1.0 / dist[k] if dist[k] > 0 else np.inf
-        big_left = size[left] >= min_cluster_size
-        big_right = size[right] >= min_cluster_size
-        if big_left and big_right:
-            for side in (left, right):
+        big = [part for part in children[k] if size[part] >= min_cluster_size]
+        for part in children[k]:
+            if size[part] < min_cluster_size:
+                shed = _leaves_below(part, n_points, children)
+                fallout_points[cluster].extend(shed)
+                fallout_lambdas[cluster].extend([lam] * len(shed))
+        if len(big) == 1:
+            stack.append((big[0], cluster))
+        elif big:
+            for part in big:
                 cid = len(parent)
                 parent.append(cluster)
                 birth.append(lam)
                 kids.append([])
-                size_at_birth.append(int(size[side]))
+                size_at_birth.append(size[part])
                 fallout_points.append([])
                 fallout_lambdas.append([])
                 kids[cluster].append(cid)
-                stack.append((int(side), cid))
-        elif big_left or big_right:
-            keep, shed = (left, right) if big_left else (right, left)
-            for p in _leaves_below(int(shed), n_points, children):
-                fallout_points[cluster].append(p)
-                fallout_lambdas[cluster].append(lam)
-            stack.append((int(keep), cluster))
-        else:
-            for side in (left, right):
-                for p in _leaves_below(int(side), n_points, children):
-                    fallout_points[cluster].append(p)
-                    fallout_lambdas[cluster].append(lam)
+                stack.append((part, cid))
     return CondensedTree(
         n_points=n_points,
         parent=parent,
@@ -279,10 +300,12 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
     """Select the most stable clusters and label the points.
 
     A cluster beats its descendants when its stability is at least the
-    sum of its children's winning stabilities; the root never competes.
-    If no split ever qualified, all points form a single cluster.  Points
-    are labeled with the selected cluster whose subtree they fell out of;
-    everything that fell out above the selected level is noise.
+    ``math.fsum`` of its children's winning stabilities; the root never
+    competes.  If no split ever qualified, all points form a single
+    cluster.  Points are labeled with the selected cluster whose subtree
+    they fell out of; everything that fell out above the selected level is
+    noise.  Labels number the selected clusters in the order of their
+    smallest member index, and ``cluster_stability`` follows that order.
     """
     m = len(tree.parent)
     selected = [False] + [True] * (m - 1)
@@ -290,7 +313,7 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
     for c in range(m - 1, 0, -1):
         if not tree.children[c]:
             continue
-        child_sum = sum(winning[ch] for ch in tree.children[c])
+        child_sum = math.fsum(winning[ch] for ch in tree.children[c])
         if child_sum > tree.stability[c]:
             selected[c] = False
             winning[c] = child_sum
@@ -316,10 +339,16 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
             d = stack.pop()
             labels[tree.fallout_points[d]] = rank
             stack.extend(tree.children[d])
+    # Every chosen cluster has members; renumber by the first of each.
+    member = labels >= 0
+    by_first = np.argsort(np.unique(labels[member], return_index=True)[1])
+    renumber = np.empty(len(chosen), dtype=np.int64)
+    renumber[by_first] = np.arange(len(chosen))
+    labels[member] = renumber[labels[member]]
     return ClusterLabeling(
         labels=labels,
         n_clusters=len(chosen),
-        cluster_stability=tree.stability[chosen],
+        cluster_stability=tree.stability[chosen][by_first],
     )
 
 
@@ -338,6 +367,11 @@ def cluster(points: np.ndarray, config: ClusterConfig) -> ClusterLabeling:
         raise ValidationError(
             f"need more than {config.min_cluster_size} points, got {len(points)}"
         )
+    # Rounding is monotone, so when the bounding box's squared diagonal,
+    # summed in the distances' order, is finite, so is every squared distance.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.cumsum(np.ptp(points, axis=0) ** 2)).all():
+            raise ValidationError("points span too wide a range: squared distances overflow")
     core = core_distances(points, config.min_cluster_size)
     mr = mutual_reachability(points, core)
     mst = build_mst(mr)

@@ -47,7 +47,7 @@ def _compile(source: bytes, target: Path) -> None:
     )
     try:
         done = subprocess.run(
-            [COMPILER, *FLAGS, "-x", "c", "-", "-o", str(partial)],
+            [COMPILER, *FLAGS, "-x", "c", "-", "-o", str(partial), "-lm"],
             input=source,
             capture_output=True,
         )
@@ -89,6 +89,8 @@ def load():
         ctypes.c_uint64,
     ]
     lib.tf_optimize_layout.restype = ctypes.c_int
+    lib.tf_mst_reachability.argtypes = [pointer, pointer, i64, i64, pointer]
+    lib.tf_mst_reachability.restype = ctypes.c_int
     return lib
 
 
@@ -128,3 +130,29 @@ def optimize_layout(
         raise MemoryError("the layout kernel could not allocate its buffers")
     return coords
 
+
+
+def mst_reachability(columns: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Minimum spanning tree of the mutual reachability graph, as
+    ``(n - 1, 3)`` rows of (point i, point j, weight) with i < j.
+
+    ``columns`` holds the points one coordinate per row and ``core`` their
+    core distances; ``tf_mst_reachability`` in ``_kernels.c`` documents
+    the weights and the tie order.
+    """
+    columns = np.ascontiguousarray(columns, dtype=np.float64)
+    core = np.ascontiguousarray(core, dtype=np.float64)
+    if columns.ndim != 2 or columns.shape[0] < 1 or core.shape != columns.shape[1:]:
+        raise ValidationError("columns must be (dim, n) and core (n,)")
+    n = len(core)
+    if n < 2:
+        raise ValidationError("need at least 2 points for a spanning tree")
+    edges = np.empty((n - 1, 3))
+    status = load().tf_mst_reachability(
+        columns.ctypes.data, core.ctypes.data, n, columns.shape[0], edges.ctypes.data
+    )
+    if status == -1:
+        raise MemoryError("the spanning tree kernel could not allocate its buffers")
+    if status != 0:
+        raise ValidationError("mutual reachability weights must not be NaN")
+    return edges

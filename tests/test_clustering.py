@@ -1,19 +1,25 @@
 """Density clustering: reachability, spanning tree, condensation, selection."""
 
+import importlib.util
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topicforge import ClusterConfig, ValidationError, cluster
+from topicforge import ClusterConfig, ValidationError, cluster, reduce
 from topicforge.clustering import (
+    ReachabilityRows,
     build_mst,
     condense_tree,
     core_distances,
     extract_clusters,
     mutual_reachability,
 )
+from topicforge.reduction import ReductionConfig
 
 from oracles import mst_weight_exhaustive, mst_weight_kruskal
 
@@ -194,6 +200,8 @@ class TestBuildMst:
             build_mst(np.zeros((1, 1)))
 
     def test_view_gives_the_edges_of_its_dense_rows(self):
+        # Ties leave many minimum trees, so the view's edges need not be
+        # Prim's: each must weigh its dense entry, and the tree must span.
         rng = np.random.default_rng(6)
         pts = np.vstack(
             [rng.normal(c, 0.4, (40, 3)) for c in (0.0, 3.0, 6.0)]
@@ -201,7 +209,213 @@ class TestBuildMst:
         )
         pts[[10, 50, 90]] = pts[0]
         rows = mutual_reachability(pts, core_distances(pts, 5))
-        assert np.array_equal(build_mst(rows), build_mst(stacked(rows)))
+        edges = build_mst(rows)
+        assert_spans(edges, len(pts))
+        i, j = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+        assert np.all(i < j)
+        assert np.array_equal(edges[:, 2], stacked(rows)[i, j])
+        assert_matches_prim(rows, [2, 5, 15])
+
+    def test_rejects_a_non_finite_matrix(self):
+        for bad in (np.inf, np.nan):
+            m = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+            with pytest.raises(ValidationError, match="must be finite"):
+                build_mst(m)
+
+    def test_nan_weights_raise_instead_of_looping(self):
+        rows = ReachabilityRows(np.array([[0.0, np.nan, 2.0]]), np.ones(3))
+        with pytest.raises(ValidationError, match="NaN"):
+            build_mst(rows)
+
+
+def prim_over_rows(rows):
+    """Prim's tree of a dense matrix or a view, reading each row once."""
+    n = len(rows)
+    visited = np.zeros(n, dtype=bool)
+    best_weight = np.array(rows[0], dtype=np.float64)
+    best_source = np.zeros(n, dtype=np.int64)
+    visited[0] = True
+    best_weight[0] = np.inf
+    edges = np.empty((n - 1, 3))
+    for e in range(n - 1):
+        j = int(np.argmin(np.where(visited, np.inf, best_weight)))
+        edges[e] = (best_source[j], j, best_weight[j])
+        visited[j] = True
+        row = rows[j]
+        closer = ~visited & (row < best_weight)
+        best_source[closer] = j
+        best_weight[closer] = row[closer]
+    return edges
+
+
+def assert_spans(edges, n):
+    assert edges.shape == (n - 1, 3)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b, _ in edges:
+        parent[find(int(a))] = find(int(b))
+    assert len({find(i) for i in range(n)}) == 1
+
+
+def assert_matches_prim(rows, cluster_sizes):
+    """The view's tree against Prim's on the same rows: equal sorted
+    weights, and byte-equal labels and stabilities for each cluster size."""
+    n = len(rows)
+    tree, oracle = build_mst(rows), prim_over_rows(rows)
+    assert_spans(tree, n)
+    assert np.array_equal(np.sort(tree[:, 2]), np.sort(oracle[:, 2]))
+    for mcs in cluster_sizes:
+        got = extract_clusters(condense_tree(n, tree, mcs))
+        want = extract_clusters(condense_tree(n, oracle, mcs))
+        assert np.array_equal(got.labels, want.labels), mcs
+        assert np.array_equal(got.cluster_stability, want.cluster_stability), mcs
+
+
+def blobs(n, dim, seed, spread=0.5):
+    """``n`` points around 20 centers in [-20, 20]^dim."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-20.0, 20.0, (20, dim))
+    return centers[rng.integers(0, 20, n)] + rng.normal(0.0, spread, (n, dim))
+
+
+def runs_of_ties(dim, seed=7):
+    """700 points with runs of equal rows and a rounded tail, as
+    ``TestCoreDistances`` builds them."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((700, dim)) * rng.uniform(0.01, 50.0, dim)
+    pts[250:262] = pts[3]
+    pts[508:516] = pts[600]
+    pts[640:] = np.round(pts[640:])
+    return pts
+
+
+@pytest.fixture(scope="module")
+def cluster_5k_coords():
+    """The reduced coordinates that the cluster-5k bench workload clusters,
+    by seed, from the bench's own point generator."""
+    path = Path(__file__).parents[1] / "tfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cache = {}
+
+    def coords(seed):
+        if seed not in cache:
+            cache[seed] = reduce(workloads.planted_points(seed)[0], ReductionConfig())
+        return cache[seed]
+
+    return coords
+
+
+class TestBoruvkaAgainstPrim:
+    """The kernel's tree against Prim's on the same mutual reachability rows."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cluster_5k_coordinates(self, cluster_5k_coords, seed):
+        pts = cluster_5k_coords(seed)
+        assert_matches_prim(mutual_reachability(pts, core_distances(pts, 15)), [15])
+
+    @pytest.mark.parametrize("n", [5_000, 20_000])
+    def test_five_dimensional_blobs(self, n):
+        pts = blobs(n, 5, seed=n)
+        assert_matches_prim(mutual_reachability(pts, core_distances(pts, 15)), [15])
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7])
+    def test_runs_of_duplicate_and_rounded_points(self, dim):
+        pts = runs_of_ties(dim)
+        for k in (1, 6, 15):
+            rows = mutual_reachability(pts, core_distances(pts, k))
+            assert_matches_prim(rows, [2, 5, 15, 40])
+
+    def test_all_identical_points(self):
+        pts = np.full((300, 3), 1.5)
+        rows = mutual_reachability(pts, core_distances(pts, 5))
+        edges = build_mst(rows)
+        assert np.all(edges[:, 2] == 0.0)
+        assert_matches_prim(rows, [2, 5])
+        labeling = cluster(pts, ClusterConfig(min_cluster_size=5))
+        assert labeling.n_clusters == 1
+        assert labeling.labels.tolist() == [0] * 300
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 9])
+    def test_dimensions(self, dim):
+        pts = blobs(2_000, dim, seed=dim, spread=2.0)
+        pts[:40] = np.round(pts[:40])
+        assert_matches_prim(mutual_reachability(pts, core_distances(pts, 10)), [5, 10, 30])
+
+
+def renumber_by_smallest_member(labels, stability):
+    """Labels numbered by their clusters' smallest member, noise kept -1,
+    and the stabilities in that order."""
+    member = labels >= 0
+    by_first = np.argsort(np.unique(labels[member], return_index=True)[1])
+    renumber = np.empty(len(by_first), dtype=np.int64)
+    renumber[by_first] = np.arange(len(by_first))
+    out = labels.copy()
+    out[member] = renumber[labels[member]]
+    return out, stability[by_first]
+
+
+class TestCanonicalLabels:
+    """Labels and stabilities depend on the points, not on their order or
+    on which of the equally light trees was found."""
+
+    @staticmethod
+    def assert_order_free(points, min_cluster_size, seed):
+        config = ClusterConfig(min_cluster_size=min_cluster_size)
+        want = cluster(points, config)
+        perm = np.random.default_rng(seed).permutation(len(points))
+        got = cluster(points[perm], config)
+        labels = np.empty_like(got.labels)
+        labels[perm] = got.labels
+        labels, stability = renumber_by_smallest_member(labels, got.cluster_stability)
+        assert np.array_equal(labels, want.labels)
+        assert np.array_equal(stability, want.cluster_stability)
+        return want
+
+    def test_permuted_cluster_5k_coordinates(self, cluster_5k_coords):
+        want = self.assert_order_free(cluster_5k_coords(1), 15, seed=1)
+        assert want.n_clusters >= 20
+
+    @pytest.mark.parametrize("n", [2_000, 5_000])
+    def test_permuted_blobs(self, n):
+        self.assert_order_free(blobs(n, 5, seed=n + 1), 15, seed=n)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7])
+    def test_permuted_runs_of_ties(self, dim):
+        for mcs in (5, 15):
+            self.assert_order_free(runs_of_ties(dim), mcs, seed=dim)
+
+    def test_labels_follow_the_smallest_member(self):
+        rng = np.random.default_rng(19)
+        pts = np.vstack([rng.normal(c, 0.2, (30, 2)) for c in (9.0, 0.0, 5.0)])
+        labeling = cluster(pts[::-1], ClusterConfig(min_cluster_size=10))
+        assert labeling.labels.tolist() == [0] * 30 + [1] * 30 + [2] * 30
+
+    def test_one_weight_splits_three_ways(self):
+        # Three 4-chains and a lone point, all joined at weight 10: one
+        # split into three clusters, with the lone point falling out.
+        chains = [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0], [4, 5, 1.0], [5, 6, 1.0],
+                  [6, 7, 1.0], [8, 9, 1.0], [9, 10, 1.0], [10, 11, 1.0]]
+        bridges = [[3, 4, 10.0], [7, 8, 10.0], [11, 12, 10.0]]
+        rng = np.random.default_rng(20)
+        stabilities = set()
+        for _ in range(6):
+            mst = np.array(chains + bridges)[rng.permutation(12)]
+            tree = condense_tree(13, mst, min_cluster_size=3)
+            assert len(tree.children[0]) == 3
+            assert tree.fallout_points[0] == [12]
+            assert tree.stability[0] == pytest.approx(0.1 + 3 * 4 * 0.1)
+            labeling = extract_clusters(tree)
+            assert labeling.labels.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [-1]
+            stabilities.add(labeling.cluster_stability.tobytes())
+        assert len(stabilities) == 1
 
 
 def union_find_extract(tree):
@@ -216,7 +430,7 @@ def union_find_extract(tree):
     for c in range(m - 1, 0, -1):
         if not tree.children[c]:
             continue
-        child_sum = sum(winning[ch] for ch in tree.children[c])
+        child_sum = math.fsum(winning[ch] for ch in tree.children[c])
         if child_sum > tree.stability[c]:
             selected[c] = False
             winning[c] = child_sum
@@ -244,7 +458,7 @@ def union_find_extract(tree):
             parent_uf[find(p)] = find(n + c)
     label_of_root = {find(n + c): rank for rank, c in enumerate(chosen)}
     labels = np.array([label_of_root.get(find(p), -1) for p in range(n)])
-    return labels, tree.stability[chosen]
+    return renumber_by_smallest_member(labels, tree.stability[chosen])
 
 
 class TestCondenseAndExtract:
@@ -380,6 +594,36 @@ class TestCluster:
         points[37, 1] = bad
         with pytest.raises(ValidationError, match=r"points must be finite \(row 37\)"):
             cluster(points, ClusterConfig(min_cluster_size=5))
+
+    def test_rejects_points_whose_squared_distances_overflow(self):
+        # The squared distances overflow to inf, which once made Prim's
+        # loop emit self-loops and condensation never return.
+        script = """
+import numpy as np
+from topicforge import ClusterConfig, ValidationError, cluster
+rng = np.random.default_rng(21)
+points = np.vstack([rng.standard_normal((20, 2)), np.full((20, 2), 2.5e299),
+                    np.full((20, 2), -2.5e299)])
+try:
+    cluster(points, ClusterConfig(min_cluster_size=3))
+except ValidationError as exc:
+    print(exc)
+"""
+        src = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "squared distances overflow" in done.stdout
+
+    def test_accepts_the_widest_finite_span(self):
+        points = np.random.default_rng(22).standard_normal((40, 2)) * 1e153
+        labeling = cluster(points, ClusterConfig(min_cluster_size=5))
+        assert labeling.n_clusters >= 1
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ValidationError):

@@ -85,6 +85,16 @@ class TestPackaging:
         assert source.is_file()
         assert b"tf_optimize_layout" in source.read_bytes()
 
+    def test_source_compiles_without_warnings(self, tmp_path):
+        source = resources.files("topicforge").joinpath("_kernels.c").read_bytes()
+        done = subprocess.run(
+            [kernels.COMPILER, *kernels.FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-x", "c", "-", "-o", str(tmp_path / "kernels.so")],
+            input=source,
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+
     def test_source_is_declared_package_data(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         declared = '[tool.setuptools.package-data]\ntopicforge = ["_kernels.c"]\n'
@@ -99,6 +109,12 @@ class TestArguments:
                     np.zeros((3, 2)), np.array(heads), np.array([1, 2]),
                     np.ones(2), 5, 1, 1.0, 1.0, 0,
                 )
+
+    def test_spanning_tree_rejects_mismatched_shapes(self):
+        with pytest.raises(ValidationError, match="columns must be"):
+            kernels.mst_reachability(np.zeros((2, 5)), np.zeros(4))
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            kernels.mst_reachability(np.zeros((2, 1)), np.zeros(1))
 
     def test_input_coordinates_are_not_changed(self):
         coords = np.random.default_rng(42).uniform(-1.0, 1.0, (4, 2))

@@ -742,12 +742,15 @@ class TestPortablePower:
 
 
 class TestKernelPortability:
-    """Given the graph and a generator, the layout's bytes do not depend
-    on which CPU features numpy, OpenBLAS or glibc pick in the process."""
+    """Given the graph and a generator, the layout's bytes, and the
+    spanning tree and labels of fixed points, do not depend on which CPU
+    features numpy, OpenBLAS or glibc pick in the process."""
 
     SCRIPT = """
 import hashlib
 import numpy as np
+from topicforge import ClusterConfig, cluster
+from topicforge.clustering import build_mst, core_distances, mutual_reachability
 from topicforge.reduction import FuzzyGraph, ReductionConfig, optimize_layout
 rng = np.random.default_rng(35)
 n, m = 400, 3000
@@ -757,6 +760,12 @@ graph = FuzzyGraph(n, heads, tails, rng.uniform(0.05, 1.0, m))
 config = ReductionConfig(layout_epochs=40, seed=36)
 coords = optimize_layout(graph, config, np.random.default_rng(config.seed))
 print(hashlib.sha256(coords.tobytes()).hexdigest())
+points = rng.uniform(-10.0, 10.0, (12, 5))[rng.integers(0, 12, 1500)]
+points += rng.normal(0.0, 0.7, points.shape)
+edges = build_mst(mutual_reachability(points, core_distances(points, 15)))
+print(hashlib.sha256(edges.tobytes()).hexdigest())
+labels = cluster(points, ClusterConfig(min_cluster_size=15)).labels
+print(hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest())
 """
 
     SETTINGS = [
@@ -780,7 +789,8 @@ print(hashlib.sha256(coords.tobytes()).hexdigest())
                 timeout=120,
             )
             assert done.returncode == 0, (setting, done.stderr)
-            digests.append(done.stdout.strip())
+            assert len(done.stdout.split()) == 3, done.stdout
+            digests.append(done.stdout)
         assert len(set(digests)) == 1, digests
 
 
