@@ -171,10 +171,25 @@ def hs_probability(predictor: np.ndarray, word: int, coding: HuffmanCoding) -> f
     with the sign set by the branch bit.  Probabilities over the whole
     vocabulary sum to one for any predictor.
     """
-    if not 0 <= word < len(coding.paths):
-        raise ValidationError(f"word index {word} out of range")
+    _check_word(word, coding)
     loss = _apply_hs_step(np.asarray(predictor)[None], 0, word, coding, 0.0)
     return float(np.exp(-loss))
+
+
+def _check_word(word: int, coding: HuffmanCoding) -> None:
+    if not 0 <= word < len(coding.paths):
+        raise ValidationError(f"word index {word} out of range")
+
+
+def _checked_step(
+    matrix: np.ndarray, row: int, word: int, coding: HuffmanCoding, lr: float
+) -> float:
+    """``_apply_hs_step`` for library callers: an index out of range raises
+    instead of wrapping.  Training calls ``_apply_hs_step`` directly."""
+    if not 0 <= row < len(matrix):
+        raise ValidationError(f"row index {row} out of range")
+    _check_word(word, coding)
+    return _apply_hs_step(matrix, row, word, coding, lr)
 
 
 def _apply_hs_step(
@@ -213,7 +228,7 @@ def train_step_skipgram(
     center word's path; returns the negative log-likelihood before the
     update.
     """
-    return _apply_hs_step(
+    return _checked_step(
         embedding.word_vectors, surrounding_word, context_word, embedding.coding, lr
     )
 
@@ -226,7 +241,7 @@ def train_step_dbow(
     Same mechanics as the skip-gram step with the document row as the
     predictor.
     """
-    return _apply_hs_step(
+    return _checked_step(
         embedding.doc_vectors, doc_index, target_word, embedding.coding, lr
     )
 
@@ -325,7 +340,7 @@ def _rank_by_cosine(
     Ties rank the lower row index first.  Rows with zero norm sink to the
     bottom.  Returns one (indices, similarities) pair per query, with
     top_n clamped to the row count; top_n below 1 is rejected.  The row
-    norms, taken in float64 so that a float32 row cannot overflow them,
+    and query norms, taken in float64 so that float32 cannot overflow them,
     and the cast of ``matrix`` to the queries' precision, are computed
     once per call; each query is still scored with its own
     matrix-vector product, so a block of queries ranks exactly as the
@@ -340,7 +355,7 @@ def _rank_by_cosine(
     k = min(top_n, len(matrix))
     ranked = []
     for query in queries:
-        qn = float(np.linalg.norm(query))
+        qn = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")
         dots = rows @ query
@@ -385,6 +400,7 @@ def compose_query(
     """Unit query vector: mean of positives minus mean of negatives.
 
     Raises if the combination cancels to zero (or no vectors are given).
+    The norm is taken in float64, so a float32 combination cannot overflow it.
     """
     if not positive and not negative:
         raise ValidationError("query needs at least one vector")
@@ -394,7 +410,7 @@ def compose_query(
     if negative:
         parts.append(-np.mean(negative, axis=0))
     query = np.sum(parts, axis=0)
-    norm = float(np.linalg.norm(query))
+    norm = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
     if norm == 0.0:
         raise ValidationError("query vectors cancel to a zero vector")
     return query / norm

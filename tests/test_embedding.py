@@ -334,6 +334,26 @@ class TestTrainingSteps:
         assert np.array_equal(emb.doc_vectors[0], docs_before[0])
         assert np.array_equal(emb.word_vectors, words_before)
 
+    # Five words and three documents: rows past either end, and words past
+    # either end, must raise rather than wrap.
+    @pytest.mark.parametrize(
+        "step, row, word",
+        [
+            (train_step_skipgram, -1, 2), (train_step_skipgram, 5, 2),
+            (train_step_skipgram, 0, -1), (train_step_skipgram, 0, 5),
+            (train_step_dbow, -1, 2), (train_step_dbow, 3, 2),
+            (train_step_dbow, 0, -1), (train_step_dbow, 0, 5),
+        ],
+    )
+    def test_indices_out_of_range_raise(self, step, row, word):
+        emb = tiny_embedding(np.random.default_rng(12))
+        before = [emb.word_vectors.copy(), emb.doc_vectors.copy(),
+                  emb.coding.inner_node_vectors.copy()]
+        with pytest.raises(ValidationError, match=r"index -?\d+ out of range"):
+            step(emb, row, word, 0.1)
+        after = [emb.word_vectors, emb.doc_vectors, emb.coding.inner_node_vectors]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     def test_repeated_steps_make_the_word_likely(self):
         rng = np.random.default_rng(11)
         emb = tiny_embedding(rng)
@@ -430,7 +450,7 @@ def rank_by_full_sort(matrix, query, top_n):
     row norms in float64 and the similarities in the scores' precision."""
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
     rows = matrix.astype(np.result_type(matrix, query), copy=False)
-    qn = float(np.linalg.norm(query))
+    qn = float(np.linalg.norm(query.astype(np.float64)))
     dots = rows @ query
     sims = np.where(
         norms > 0.0, dots / (np.maximum(norms, 1e-300) * qn), -np.inf
@@ -495,6 +515,22 @@ class TestRankByCosine:
         assert order.tolist() == [0, 1, 2]
         assert sims[0] == pytest.approx(1.0)
         self.check(matrix, query, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_finite_queries_do_not_overflow_the_norm(self, dtype):
+        # The matrix above plus a unit row that alone meets the query, so
+        # no dot product overflows; squared in float32, the query's norm would.
+        matrix = np.array(
+            [[1e20, 1e20, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(order, sims)] = _rank_by_cosine(matrix, np.array([[0.0, 0.0, 1e20]], dtype), 4)
+            query = compose_query([matrix[0]])
+        assert order.tolist() == [3, 0, 1, 2]
+        assert sims.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert query.tolist() == pytest.approx([2**-0.5, 2**-0.5, 0.0])
+        self.check(matrix, np.array([[0.0, 0.0, 1e20]], dtype), 4)
 
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_nan_and_infinite_rows(self, top_n):
