@@ -18,7 +18,6 @@ light spanning trees was found.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,51 +180,59 @@ def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
     return edges
 
 
-def _level_set_tree(n: int, mst_edges: np.ndarray):
-    """Merge the MST edges by ascending weight, all edges of one weight at once.
+def _single_linkage(n: int, mst_edges: np.ndarray):
+    """Merge MST edges in ascending weight order into a binary dendrogram.
 
-    Returns (children, dist, size) lists: points are nodes 0..n-1, and each
-    part that the edges of one weight join is one node ``n + k`` whose
-    ``children[k]`` are the parts it joined.  The last node holds every
-    point.  The parts at each weight are those of the mutual reachability
-    graph, so every minimum spanning tree gives the same nodes.
+    Returns (children, dist, size) arrays indexed by node id; points are
+    nodes 0..n-1 and merge k creates node n+k, so node 2n-2 is the root.
     """
     order = np.argsort(mst_edges[:, 2], kind="stable")
-    ends = mst_edges[order, :2].astype(np.int64).tolist()
-    weights = mst_edges[order, 2].tolist()
-    parent = list(range(n))  # union-find over the points
-    node_of = list(range(n))  # the node of each union-find root
+    parent = np.arange(2 * n - 1, dtype=np.int64)
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
-    children: list[list[int]] = []
-    dist: list[float] = []
-    size = [1] * n
-    start = 0
-    while start < len(weights):
-        stop = start
-        while stop < len(weights) and weights[stop] == weights[start]:
-            stop += 1
-        joined: dict[int, list[int]] = {}  # root -> the nodes joined into it
-        for i, j in ends[start:stop]:
-            ra, rb = find(i), find(j)
-            kids = joined.pop(ra, None) or [node_of[ra]]
-            kids += joined.pop(rb, None) or [node_of[rb]]
-            parent[rb] = ra
-            joined[ra] = kids
-        for root, kids in joined.items():
-            node_of[root] = n + len(children)
-            children.append(kids)
-            dist.append(weights[start])
-            size.append(sum(size[k] for k in kids))
-        start = stop
+    children = np.empty((n - 1, 2), dtype=np.int64)
+    dist = np.empty(n - 1)
+    size = np.ones(2 * n - 1, dtype=np.int64)
+    for k, e in enumerate(order):
+        i, j, w = mst_edges[e]
+        ra, rb = find(int(i)), find(int(j))
+        node = n + k
+        children[k] = (ra, rb)
+        dist[k] = w
+        size[node] = size[ra] + size[rb]
+        parent[ra] = node
+        parent[rb] = node
     return children, dist, size
 
 
-def _leaves_below(node: int, n: int, children: list[list[int]]) -> list[int]:
+def _parts(node: int, n: int, children: np.ndarray, dist: np.ndarray) -> list[int]:
+    """The parts that a node's distance splits it into: its highest
+    descendants below that distance, found through every merge at it.
+
+    The dendrogram orders equal-weight merges arbitrarily, but these parts
+    are the components of the mutual reachability graph's lighter edges,
+    the same for every minimum spanning tree.
+    """
+    w = dist[node - n]
+    parts: list[int] = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x >= n and dist[x - n] == w:
+            stack.extend(children[x - n].tolist())
+        else:
+            parts.append(x)
+    return parts
+
+
+def _leaves_below(node: int, n: int, children: np.ndarray) -> list[int]:
     out: list[int] = []
     stack = [node]
     while stack:
@@ -254,20 +261,21 @@ def condense_tree(
         raise ValidationError(
             f"min_cluster_size must be >= 2, got {min_cluster_size}"
         )
-    children, dist, size = _level_set_tree(n_points, mst_edges)
+    children, dist, size = _single_linkage(n_points, mst_edges)
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
     kids: list[list[int]] = [[]]
     size_at_birth: list[int] = [n_points]
     fallout_points: list[list[int]] = [[]]
     fallout_lambdas: list[list[float]] = [[]]
-    stack: list[tuple[int, int]] = [(n_points + len(children) - 1, 0)]
+    stack: list[tuple[int, int]] = [(2 * n_points - 2, 0)]
     while stack:
         node, cluster = stack.pop()
         k = node - n_points
         lam = 1.0 / dist[k] if dist[k] > 0 else np.inf
-        big = [part for part in children[k] if size[part] >= min_cluster_size]
-        for part in children[k]:
+        parts = _parts(node, n_points, children, dist)
+        big = [part for part in parts if size[part] >= min_cluster_size]
+        for part in parts:
             if size[part] < min_cluster_size:
                 shed = _leaves_below(part, n_points, children)
                 fallout_points[cluster].extend(shed)
@@ -280,7 +288,7 @@ def condense_tree(
                 parent.append(cluster)
                 birth.append(lam)
                 kids.append([])
-                size_at_birth.append(size[part])
+                size_at_birth.append(int(size[part]))
                 fallout_points.append([])
                 fallout_lambdas.append([])
                 kids[cluster].append(cid)
