@@ -171,14 +171,8 @@ def hs_probability(predictor: np.ndarray, word: int, coding: HuffmanCoding) -> f
     with the sign set by the branch bit.  Probabilities over the whole
     vocabulary sum to one for any predictor.
     """
-    _check_word(word, coding)
-    loss = _apply_hs_step(np.asarray(predictor)[None], 0, word, coding, 0.0)
+    loss = _checked_step(np.asarray(predictor)[None], 0, word, coding, 0.0)
     return float(np.exp(-loss))
-
-
-def _check_word(word: int, coding: HuffmanCoding) -> None:
-    if not 0 <= word < len(coding.paths):
-        raise ValidationError(f"word index {word} out of range")
 
 
 def _checked_step(
@@ -188,7 +182,8 @@ def _checked_step(
     instead of wrapping.  Training calls ``_apply_hs_step`` directly."""
     if not 0 <= row < len(matrix):
         raise ValidationError(f"row index {row} out of range")
-    _check_word(word, coding)
+    if not 0 <= word < len(coding.paths):
+        raise ValidationError(f"word index {word} out of range")
     return _apply_hs_step(matrix, row, word, coding, lr)
 
 

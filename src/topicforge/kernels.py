@@ -131,7 +131,6 @@ def optimize_layout(
     return coords
 
 
-
 def mst_reachability(columns: np.ndarray, core: np.ndarray) -> np.ndarray:
     """Minimum spanning tree of the mutual reachability graph, as
     ``(n - 1, 3)`` rows of (point i, point j, weight) with i < j.
