@@ -217,8 +217,8 @@ def _parts(node: int, n: int, children: np.ndarray, dist: np.ndarray) -> list[in
     descendants below that distance, found through every merge at it.
 
     The dendrogram orders equal-weight merges arbitrarily, but these parts
-    are the components of the mutual reachability graph's lighter edges,
-    the same for every minimum spanning tree.
+    are the node's components in the graph of the lighter edges, the same
+    for every minimum spanning tree.
     """
     w = dist[node - n]
     parts: list[int] = []
