@@ -58,11 +58,7 @@ class TestCoreDistances:
     def test_equals_the_blocked_all_pairs_search(self, dim):
         # 700 rows leave a ragged last block of 188; runs of equal rows
         # straddle both block boundaries, so ties meet the block edges.
-        rng = np.random.default_rng(7)
-        pts = rng.standard_normal((700, dim)) * rng.uniform(0.01, 50.0, dim)
-        pts[250:262] = pts[3]
-        pts[508:516] = pts[600]
-        pts[640:] = np.round(pts[640:])
+        pts = runs_of_ties(dim)
         for k in (1, 6, 15):
             assert np.array_equal(core_distances(pts, k), blocked_core_distances(pts, k))
 
@@ -181,19 +177,7 @@ class TestBuildMst:
         rng = np.random.default_rng(3)
         n = 15
         m = random_symmetric_matrix(rng, n)
-        edges = build_mst(m)
-        assert len(edges) == n - 1
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, _ in edges:
-            parent[find(int(a))] = find(int(b))
-        assert len({find(i) for i in range(n)}) == 1
+        assert_spans(build_mst(m), n)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
@@ -285,8 +269,7 @@ def blobs(n, dim, seed, spread=0.5):
 
 
 def runs_of_ties(dim, seed=7):
-    """700 points with runs of equal rows and a rounded tail, as
-    ``TestCoreDistances`` builds them."""
+    """700 points with runs of equal rows and a rounded tail."""
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((700, dim)) * rng.uniform(0.01, 50.0, dim)
     pts[250:262] = pts[3]
