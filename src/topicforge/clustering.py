@@ -361,9 +361,11 @@ def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
 
 
 def cluster(points: np.ndarray, config: ClusterConfig) -> ClusterLabeling:
-    """Cluster points in the reduced space; every coordinate must be finite.
+    """Cluster points in the reduced space; every coordinate must be finite,
+    and so must the squared diagonal of the points' bounding box.
 
-    Deterministic: no randomness anywhere in the stage.
+    Deterministic: no randomness anywhere in the stage, and the labels do
+    not depend on the order of the points beyond their numbering.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
