@@ -719,3 +719,122 @@ done:
     free(B.best_q);
     return status;
 }
+
+/* ---- Exact k nearest neighbors under cosine distance ---- */
+
+/* A column and its distance, ordered by (distance, index). */
+typedef struct {
+    double dist;
+    int64_t index;
+} neighbor;
+
+static inline int neighbor_less(neighbor a, neighbor b)
+{
+    return a.dist < b.dist || (a.dist == b.dist && a.index < b.index);
+}
+
+/* Restore the max-heap order of heap[0, count) below position v. */
+static void sift_down(neighbor *heap, int64_t count, int64_t v)
+{
+    for (int64_t c; (c = 2 * v + 1) < count; v = c) {
+        if (c + 1 < count && neighbor_less(heap[c], heap[c + 1]))
+            c++;
+        if (!neighbor_less(heap[v], heap[c]))
+            return;
+        neighbor t = heap[v];
+        heap[v] = heap[c];
+        heap[c] = t;
+    }
+}
+
+/* Offer x to the k smallest offered so far, held in heap[0, *count): a
+ * max-heap once *count reaches k, so each later offer costs O(log k). */
+static inline void keep_smallest(neighbor *heap, int64_t k, int64_t *count, neighbor x)
+{
+    if (*count < k) {
+        heap[(*count)++] = x;
+        if (*count == k)
+            for (int64_t v = k / 2 - 1; v >= 0; v--)
+                sift_down(heap, k, v);
+    } else if (neighbor_less(x, heap[0])) {
+        heap[0] = x;
+        sift_down(heap, k, 0);
+    }
+}
+
+/* A column's approximate distance from its float32 similarity s. */
+static inline float approximate(float s)
+{
+    float a = 1.0f - s;
+    return a > 0.0f ? a : 0.0f;
+}
+
+/* 1 - (x . y) clamped at 0, the dot product summed from coordinate 0. */
+static inline double cosine_distance(const double *x, const double *y, int64_t dim)
+{
+    double s = 0.0;
+    for (int64_t c = 0; c < dim; c++)
+        s += x[c] * y[c];
+    double d = 1.0 - s;
+    return d > 0.0 ? d : 0.0;
+}
+
+/* The k nearest neighbors of rows first, ..., first + rows - 1 of unit
+ * (n x dim unit rows, row-major), self excluded, given sims (rows x n,
+ * row-major), the same rows' similarities to every row in float32 from a
+ * product of the rows rounded to float32, in any order of summation.
+ *
+ * A column's approximate distance a_j = max(0, 1 - s_j), in float32, lies
+ * within (dim + 4) 2^-24 of its exact distance: the rounding of the unit
+ * rows to float32, the float32 sum and the float32 subtraction.  With
+ * margin twice that bound, every column with a_j <= a_(k) + 2 margin,
+ * where a_(k) is the k-th smallest, is a candidate, and the set holds
+ * every true k-nearest column.  a_j does not increase with s_j, so a_(k)
+ * is the a of the k-th largest similarity.  Each candidate's exact
+ * distance is cosine_distance of the float64 rows, and the k smallest by
+ * (distance, index) are written to indices and distances (rows x k),
+ * ascending.  Returns 0, or -1 when memory runs out. */
+int tf_knn_rows(const float *sims, int64_t rows, int64_t first, const double *unit,
+                int64_t n, int64_t dim, int64_t k, int64_t *indices, double *distances)
+{
+    neighbor *heap = malloc(k * sizeof(neighbor));
+    if (!heap)
+        return -1;
+    const double margin = (double)(dim + 4) * 0x1p-23;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t i = first + r;
+        const float *row = sims + r * n;
+        const double *x = unit + i * dim;
+        /* The k largest similarities, as the k smallest negated ones. */
+        int64_t j = 0, count = 0;
+        for (; count < k; j++)
+            if (j != i)
+                keep_smallest(heap, k, &count, (neighbor){-row[j], j});
+        float kth = (float)-heap[0].dist;
+        for (; j < n; j++) {
+            if (row[j] > kth && j != i) {
+                heap[0] = (neighbor){-row[j], j};
+                sift_down(heap, k, 0);
+                kth = (float)-heap[0].dist;
+            }
+        }
+        const double bound = (double)approximate(kth) + 2.0 * margin;
+        count = 0;
+        for (j = 0; j < n; j++)
+            if ((double)approximate(row[j]) <= bound && j != i)
+                keep_smallest(heap, k, &count,
+                              (neighbor){cosine_distance(x, unit + j * dim, dim), j});
+        for (int64_t end = k - 1; end > 0; end--) {
+            neighbor t = heap[0];
+            heap[0] = heap[end];
+            heap[end] = t;
+            sift_down(heap, end, 0);
+        }
+        for (int64_t m = 0; m < k; m++) {
+            indices[r * k + m] = heap[m].index;
+            distances[r * k + m] = heap[m].dist;
+        }
+    }
+    free(heap);
+    return 0;
+}

@@ -337,9 +337,10 @@ def _rank_by_cosine(
     top_n clamped to the row count; top_n below 1 is rejected.  The row
     and query norms, taken in float64 so that float32 cannot overflow them,
     and the cast of ``matrix`` to the queries' precision, are computed
-    once per call; each query is still scored with its own
-    matrix-vector product, so a block of queries ranks exactly as the
-    same queries one at a time.
+    once per call.  Each query is still scored with its own matrix-vector
+    product, so a block of queries ranks exactly as the same queries one
+    at a time, after an exact scaling by a power of two that leaves its
+    similarities unchanged.
     """
     if top_n < 1:
         raise ValidationError(f"top_n must be >= 1, got {top_n}")
@@ -350,6 +351,9 @@ def _rank_by_cosine(
     k = min(top_n, len(matrix))
     ranked = []
     for query in queries:
+        # Scaled by the power of two that brings its largest entry into
+        # [0.5, 1), so that a large float32 query cannot overflow the product.
+        query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
         qn = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")

@@ -39,7 +39,7 @@ def library_name(source: bytes, flags: tuple[str, ...] = FLAGS) -> str:
 def _compile(source: bytes, target: Path) -> None:
     if shutil.which(COMPILER) is None:
         raise ValidationError(
-            f"the layout kernel is compiled on first use, but the C compiler "
+            f"the kernels are compiled on first use, but the C compiler "
             f"{COMPILER!r} is not on PATH"
         )
     partial = target.with_name(
@@ -91,6 +91,10 @@ def load():
     lib.tf_optimize_layout.restype = ctypes.c_int
     lib.tf_mst_reachability.argtypes = [pointer, pointer, i64, i64, pointer]
     lib.tf_mst_reachability.restype = ctypes.c_int
+    lib.tf_knn_rows.argtypes = [
+        pointer, i64, i64, pointer, i64, i64, i64, pointer, pointer,
+    ]
+    lib.tf_knn_rows.restype = ctypes.c_int
     return lib
 
 
@@ -155,3 +159,38 @@ def mst_reachability(columns: np.ndarray, core: np.ndarray) -> np.ndarray:
     if status != 0:
         raise ValidationError("mutual reachability weights must not be NaN")
     return edges
+
+
+def knn_rows(
+    similarities: np.ndarray, unit: np.ndarray, start: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors of rows ``start, start + 1, ...`` of the
+    unit rows ``unit`` under cosine distance, self excluded, as
+    ``(indices, distances)`` of shape ``(rows, k)``.
+
+    ``similarities`` holds those rows' float32 products with every row of
+    ``unit`` rounded to float32; they only pick the candidates.
+    ``tf_knn_rows`` in ``_kernels.c`` documents the candidates, the exact
+    distances and the order.
+    """
+    similarities = np.ascontiguousarray(similarities, dtype=np.float32)
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    if similarities.ndim != 2 or unit.ndim != 2 or unit.shape[1] < 1:
+        raise ValidationError("similarities must be (rows, n) and unit (n, dim)")
+    rows, n = similarities.shape
+    if len(unit) != n or not 0 <= start <= n - rows:
+        raise ValidationError(
+            f"rows [{start}, {start + rows}) and {n} columns must fit "
+            f"{len(unit)} unit rows"
+        )
+    if not 1 <= k < n:
+        raise ValidationError(f"k must be in [1, {n - 1}] for {n} rows, got {k}")
+    indices = np.empty((rows, k), dtype=np.int64)
+    distances = np.empty((rows, k))
+    status = load().tf_knn_rows(
+        similarities.ctypes.data, rows, start, unit.ctypes.data, n, unit.shape[1], k,
+        indices.ctypes.data, distances.ctypes.data,
+    )
+    if status != 0:
+        raise MemoryError("the neighbor kernel could not allocate its buffers")
+    return indices, distances

@@ -7,9 +7,12 @@ membership weights into a fuzzy graph, and lays the points out in a low
 dimensional space by stochastic gradient descent over the graph's edges
 with negative sampling.
 
-The neighbor search computes the distance matrix a block of rows at a
-time and keeps only each row's k nearest, so memory grows linearly with
-the number of points.
+The neighbor search lets a float32 BLAS product of a block of rows with
+every row pick each row's candidates, then the compiled kernel recomputes
+the candidates' distances exactly, in float64 and in a fixed order, and
+keeps the k nearest.  The graph's bytes therefore do not depend on the
+CPU, and memory grows linearly with the number of points: a 256-row block
+holds 1 KiB per point.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import ValidationError
 
 _SMOOTH_TOLERANCE = 1e-5
 _SMOOTH_ITERATIONS = 64
-# Rows of the distance matrix the neighbor search holds at a time.
-_KNN_BLOCK = 512
+# Rows whose float32 similarities the neighbor search holds at a time.
+_KNN_BLOCK = 256
 # a, b of UMAP's membership curve at min_dist 0.1, as scipy's curve_fit fits them.
 CURVE_A = 1.5769434602697652
 CURVE_B = 0.8950608778515733
@@ -81,10 +84,18 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
 
     Returns ``(indices, distances)`` of shape ``(n, k)`` with each row
     sorted by ascending distance, ties broken by the lower index, self
-    excluded.  Rows must be finite and non-zero.  Cosine distance is
-    ``1 - cosine`` clamped at 0.
-    Distances are computed ``_KNN_BLOCK`` rows at a time, so memory grows
-    with ``n`` times the block, never with ``n^2``.
+    excluded.  Rows must be finite and non-zero, of any magnitude: each
+    is scaled by the power of two that brings its largest entry into
+    [0.5, 1), which is exact, before its norm is taken.  Cosine distance
+    is ``1 - u_i . u_j`` clamped at 0, for the unit rows ``u``, with the
+    dot product summed in float64 from coordinate 0, so the bytes do not
+    depend on the CPU or on which rows are computed together.
+
+    A float32 product of ``_KNN_BLOCK`` rows with all rows picks each
+    row's candidates, and ``kernels.knn_rows`` computes their exact
+    distances and keeps the k nearest.  Besides the float64 and float32
+    unit rows, memory holds one block of ``4 * _KNN_BLOCK * n`` bytes,
+    never anything of ``n^2``.
     """
     n = len(points)
     k = n_neighbors
@@ -92,32 +103,31 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
         raise ValidationError(
             f"n_neighbors must be in [1, {n - 1}] for {n} points, got {k}"
         )
+    points = np.asarray(points, dtype=np.float64)
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"points must be finite (row {bad})")
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
+    top = np.abs(points).max(axis=1)
+    if np.any(top == 0.0):
+        bad = int(np.argmax(top == 0.0))
         raise ValidationError(
             f"cosine distance is undefined for zero vectors (row {bad})"
         )
-    unit = points / norms[:, None]
+    unit = np.ldexp(points, -np.frexp(top)[1][:, None])
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    unit32 = unit.astype(np.float32)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
+    sims = np.empty((min(n, _KNN_BLOCK), n), dtype=np.float32)
     for start in range(0, n, _KNN_BLOCK):
-        block = slice(start, start + _KNN_BLOCK)
-        dist = unit[block] @ unit.T
-        np.subtract(1.0, dist, out=dist)
-        np.maximum(dist, 0.0, out=dist)
-        for i, row in enumerate(dist, start):
-            row[i] = np.inf
-            # The columns within the k-th distance, in index order, then a
-            # stable sort: the first k are those of a stable full-row sort.
-            near = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
-            near = near[np.argsort(row[near], kind="stable")[:k]]
-            indices[i] = near
-            distances[i] = row[near]
+        block = unit32[start : start + _KNN_BLOCK]
+        rows = sims[: len(block)]
+        np.matmul(block, unit32.T, out=rows)
+        stop = start + len(block)
+        indices[start:stop], distances[start:stop] = kernels.knn_rows(
+            rows, unit, start, k
+        )
     return indices, distances
 
 

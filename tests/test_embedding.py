@@ -532,6 +532,29 @@ class TestRankByCosine:
         assert query.tolist() == pytest.approx([2**-0.5, 2**-0.5, 0.0])
         self.check(matrix, np.array([[0.0, 0.0, 1e20]], dtype), 4)
 
+    def test_large_rows_against_large_queries_do_not_overflow_the_product(self):
+        # Formed in float32, row 0 times itself overflows to inf.
+        matrix = np.array(
+            [[1e20, 1e20, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.float32
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(order, sims)] = _rank_by_cosine(matrix, matrix[:1], 3)
+        assert order.tolist() == [0, 1, 2]
+        assert sims[0] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_power_of_two_query_scales_give_equal_similarities(self, dtype):
+        matrix = np.random.default_rng(5).standard_normal((50, 8)).astype(dtype)
+        queries = matrix[[3, 8]] + np.array(0.1, dtype)
+        ranked = _rank_by_cosine(matrix, queries, 10)
+        for e in (-100, -1, 1, 100):
+            for (order, sims), (ref_order, ref_sims) in zip(
+                _rank_by_cosine(matrix, np.ldexp(queries, e), 10), ranked
+            ):
+                assert np.array_equal(order, ref_order)
+                assert np.array_equal(sims, ref_sims)
+
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_nan_and_infinite_rows(self, top_n):
         matrix = self.matrix()

@@ -116,6 +116,19 @@ class TestArguments:
         with pytest.raises(ValidationError, match="at least 2 points"):
             kernels.mst_reachability(np.zeros((2, 1)), np.zeros(1))
 
+    def test_neighbor_rows_reject_mismatched_shapes(self):
+        unit = np.eye(4)
+        sims = np.ones((2, 4), dtype=np.float32)
+        with pytest.raises(ValidationError, match="similarities must be"):
+            kernels.knn_rows(sims[0], unit, 0, 1)
+        with pytest.raises(ValidationError, match="must fit 3 unit rows"):
+            kernels.knn_rows(sims, unit[:3], 0, 1)
+        with pytest.raises(ValidationError, match=r"rows \[3, 5\)"):
+            kernels.knn_rows(sims, unit, 3, 1)
+        for k in (0, 4):
+            with pytest.raises(ValidationError, match="k must be in"):
+                kernels.knn_rows(sims, unit, 0, k)
+
     def test_input_coordinates_are_not_changed(self):
         coords = np.random.default_rng(42).uniform(-1.0, 1.0, (4, 2))
         before = coords.copy()

@@ -42,9 +42,15 @@ def find_ab_params(min_dist):
 
 
 def dense_distances(points):
-    """Whole n x n distance matrix by the formula knn_graph uses per block."""
+    """Whole n x n distance matrix in knn_graph's fixed order: each dot
+    product of unit rows summed in float64 from coordinate 0, one
+    rounded product and one rounded sum per coordinate, then ``1 - s``
+    clamped at 0."""
     unit = points / np.linalg.norm(points, axis=1)[:, None]
-    return np.maximum(1.0 - unit @ unit.T, 0.0)
+    s = np.zeros((len(unit), len(unit)))
+    for column in unit.T:
+        s += np.outer(column, column)
+    return np.maximum(1.0 - s, 0.0)
 
 
 def dense_knn(points, k):
@@ -417,34 +423,34 @@ class TestKnnGraph:
 
 
 class TestBlockedKnn:
-    """knn_graph, computed in blocks of rows, against the dense reference."""
+    """knn_graph, computed in blocks of rows from float32 candidates,
+    against the fixed-order dense oracle, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_oracle(pts, k):
+        idx, dist = knn_graph(pts, k)
+        ref_idx, ref_dist = dense_knn(pts, k)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+        return idx, dist
 
     @staticmethod
     def points_with_duplicates(n, dim, seed):
-        # Copies of one row on both sides of the first block boundary and
-        # in the last row tie for every other point.
+        # Copies of one row on both sides of a block boundary and in the
+        # last row tie for every other point.
         pts = np.random.default_rng(seed).standard_normal((n, dim))
         pts[[510, 511, 512, n - 1]] = pts[3]
         return pts
 
     def test_equal_on_block_aligned_shape(self):
-        pts = self.points_with_duplicates(1024, 50, 20)
-        idx, dist = knn_graph(pts, 15)
-        ref_idx, ref_dist = dense_knn(pts, 15)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(dist, ref_dist)
+        self.assert_equal_to_oracle(self.points_with_duplicates(1024, 50, 20), 15)
 
     def test_equal_indices_on_ragged_shape(self):
-        # A product over a ragged block may round differently from the
-        # dense one; cosine distances lie in [0, 2], so two ulps of 1.
-        pts = self.points_with_duplicates(700, 50, 21)
-        idx, dist = knn_graph(pts, 15)
-        ref_idx, ref_dist = dense_knn(pts, 15)
-        assert np.array_equal(idx, ref_idx)
-        assert np.allclose(dist, ref_dist, rtol=0.0, atol=4.5e-16)
+        self.assert_equal_to_oracle(self.points_with_duplicates(700, 50, 21), 15)
 
     def test_peak_memory_stays_below_one_dense_matrix(self):
-        # One 4,000 x 4,000 float64 matrix alone is 128 MB.
+        # One 4,000 x 4,000 float64 matrix alone is 128 MB; a 256-row
+        # float32 block is 4 MB, and the unit rows 1.6 MB in float64.
         pts = np.random.default_rng(23).standard_normal((4000, 50))
         tracemalloc.start()
         try:
@@ -452,23 +458,76 @@ class TestBlockedKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 12 * 2**20
 
     def test_exact_ties_across_blocks_break_to_lower_index(self):
         # Rows along +-e_i scaled by powers of two make every distance
         # exactly 0, 1 or 2, so the many equal distances are true ties
-        # wherever their rows and columns fall among the three blocks.
+        # wherever their rows and columns fall among the five blocks.
         rng = np.random.default_rng(22)
         n, dim = 1100, 50
         pts = np.zeros((n, dim))
         scale = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-3, 4, n)
         pts[np.arange(n), rng.integers(0, dim, n)] = scale
-        idx, dist = knn_graph(pts, 20)
-        ref_idx, ref_dist = dense_knn(pts, 20)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(dist, ref_dist)
+        _, dist = self.assert_equal_to_oracle(pts, 20)
         assert set(np.unique(dist)) == {0.0, 1.0}
         assert np.any(dist[:, :-1] == dist[:, 1:])
+
+    def test_copies_straddling_the_block_boundary_tie_to_lower_index(self):
+        # Rows 0 and 240-271 are one vector, so each copy's distance to
+        # every other copy is one and the same value.
+        pts = np.random.default_rng(24).standard_normal((600, 20))
+        copies = [0, *range(240, 272)]
+        pts[copies] = pts[0]
+        idx, _ = self.assert_equal_to_oracle(pts, 15)
+        for i in (0, 255, 256, 271):
+            assert idx[i].tolist() == [c for c in copies if c != i][:15]
+
+    def test_near_duplicates_that_float32_cannot_order(self):
+        # 50 centers with 1e-6 jitter: float32 similarities within a
+        # center's copies are mostly equal or misordered, so the exact
+        # distances alone order the candidates.
+        rng = np.random.default_rng(25)
+        centers = rng.standard_normal((50, 300))
+        pts = centers[rng.integers(0, 50, 600)] + 1e-6 * rng.standard_normal((600, 300))
+        idx, _ = self.assert_equal_to_oracle(pts, 15)
+        unit = (pts / np.linalg.norm(pts, axis=1)[:, None]).astype(np.float32)
+        approx = np.float32(1.0) - unit @ unit.T
+        np.fill_diagonal(approx, np.inf)
+        assert not np.array_equal(np.argsort(approx, axis=1, kind="stable")[:, :15], idx)
+
+    def test_all_identical_rows(self):
+        # Every column is a candidate of every row and every distance ties.
+        pts = np.tile(np.random.default_rng(26).standard_normal(8), (300, 1))
+        idx, dist = self.assert_equal_to_oracle(pts, 15)
+        for i in (0, 14, 15, 299):
+            assert idx[i].tolist() == [j for j in range(16) if j != i][:15]
+        assert np.all(dist == dist[0, 0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 2000])
+    def test_few_and_many_dimensions(self, dim):
+        pts = np.random.default_rng(27).standard_normal((300, dim))
+        self.assert_equal_to_oracle(pts, 15)
+
+    @pytest.mark.parametrize("n", [16, 300])
+    def test_every_other_point_a_neighbor(self, n):
+        pts = np.random.default_rng(28).standard_normal((n, 10))
+        self.assert_equal_to_oracle(pts, n - 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_rows_of_any_finite_magnitude(self, magnitude):
+        # The same row scaled by an exact power of two into the ordinary
+        # range must get the same neighbors and distances, bit for bit.
+        pts = np.random.default_rng(29).standard_normal((40, 4))
+        big = pts.copy()
+        big[3] = [magnitude, magnitude, 0.0, 0.0]
+        pts[3] = np.ldexp(big[3], -int(np.frexp(magnitude)[1]))
+        assert 0.5 <= pts[3, 0] < 1.0
+        idx, dist = knn_graph(big, 5)
+        ref_idx, ref_dist = self.assert_equal_to_oracle(pts, 5)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
 
 
 class TestSmoothKnnCalibrate:
@@ -743,15 +802,16 @@ class TestPortablePower:
 
 class TestKernelPortability:
     """Given the graph and a generator, the layout's bytes, and the
-    spanning tree and labels of fixed points, do not depend on which CPU
-    features numpy, OpenBLAS or glibc pick in the process."""
+    spanning tree, labels and neighbor graph of fixed points, do not
+    depend on which CPU features numpy, OpenBLAS or glibc pick in the
+    process."""
 
     SCRIPT = """
 import hashlib
 import numpy as np
 from topicforge import ClusterConfig, cluster
 from topicforge.clustering import build_mst, core_distances, mutual_reachability
-from topicforge.reduction import FuzzyGraph, ReductionConfig, optimize_layout
+from topicforge.reduction import FuzzyGraph, ReductionConfig, knn_graph, optimize_layout
 rng = np.random.default_rng(35)
 n, m = 400, 3000
 heads = rng.integers(0, n, m)
@@ -766,12 +826,17 @@ edges = build_mst(mutual_reachability(points, core_distances(points, 15)))
 print(hashlib.sha256(edges.tobytes()).hexdigest())
 labels = cluster(points, ClusterConfig(min_cluster_size=15)).labels
 print(hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest())
+centers = rng.standard_normal((20, 300))
+blobs = centers[rng.integers(0, 20, 2000)] + 0.3 * rng.standard_normal((2000, 300))
+indices, distances = knn_graph(blobs, 15)
+print(hashlib.sha256(indices.tobytes() + distances.tobytes()).hexdigest())
 """
 
     SETTINGS = [
         {},
         {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
         {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
         {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
     ]
 
@@ -789,7 +854,7 @@ print(hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest())
                 timeout=120,
             )
             assert done.returncode == 0, (setting, done.stderr)
-            assert len(done.stdout.split()) == 3, done.stdout
+            assert len(done.stdout.split()) == 4, done.stdout
             digests.append(done.stdout)
         assert len(set(digests)) == 1, digests
 
