@@ -8,7 +8,8 @@
  * come from an exp and a log made of + - * / and exact exponent-bit
  * scaling, so the bytes do not depend on which variant of libm's pow the C
  * library picks for the CPU.  The numpy twins in tests/test_reduction.py
- * repeat every operation of the layout and must give equal bits.
+ * repeat every operation of the layout and must give equal bits, and the
+ * kNN's distances must equal its fixed-order dense oracle's.
  */
 #include <math.h> /* sqrt, INFINITY and NAN */
 #include <stdint.h>

@@ -489,12 +489,14 @@ class TestBlockedKnn:
         # distances alone order the candidates.
         rng = np.random.default_rng(25)
         centers = rng.standard_normal((50, 300))
-        pts = centers[rng.integers(0, 50, 600)] + 1e-6 * rng.standard_normal((600, 300))
+        pts = centers[rng.integers(0, 50, 600)]
+        pts += 1e-6 * rng.standard_normal(pts.shape)
         idx, _ = self.assert_equal_to_oracle(pts, 15)
         unit = (pts / np.linalg.norm(pts, axis=1)[:, None]).astype(np.float32)
         approx = np.float32(1.0) - unit @ unit.T
         np.fill_diagonal(approx, np.inf)
-        assert not np.array_equal(np.argsort(approx, axis=1, kind="stable")[:, :15], idx)
+        float32_order = np.argsort(approx, axis=1, kind="stable")[:, :15]
+        assert not np.array_equal(float32_order, idx)
 
     def test_all_identical_rows(self):
         # Every column is a candidate of every row and every distance ties.
