@@ -353,7 +353,7 @@ def _rank_by_cosine(
     for query in queries:
         # Scaled by the power of two that brings its largest entry into
         # [0.5, 1), so that a large float32 query cannot overflow the product.
-        query = np.ldexp(query, -np.frexp(np.abs(query).max())[1])
+        query = np.ldexp(query, -np.frexp(np.abs(query).max(initial=0.0))[1])
         qn = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")

@@ -108,7 +108,7 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"points must be finite (row {bad})")
-    top = np.abs(points).max(axis=1)
+    top = np.abs(points).max(axis=1, initial=0.0)
     if np.any(top == 0.0):
         bad = int(np.argmax(top == 0.0))
         raise ValidationError(

@@ -378,6 +378,8 @@ class TestPairwiseDistances:
         pts = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="row 1"):
             knn_graph(pts, 1)
+        with pytest.raises(ValidationError, match="row 0"):
+            knn_graph(np.zeros((3, 0)), 1)
 
     def test_never_negative(self):
         rng = np.random.default_rng(0)
