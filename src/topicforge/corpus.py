@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorpusError, EmptyVocabularyError, ValidationError
+from .errors import CorpusError, EmptyVocabularyError, JsonReader, ValidationError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # In ASCII, ``[^\W_]`` is exactly ``str.isalnum``: blank out everything else.
@@ -186,22 +186,9 @@ def load_corpus(path: str, fmt: str = "jsonl") -> list[Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"line {i + 1}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"line {i + 1}: expected a JSON object")
-            if "text" not in record:
-                raise CorpusError(f"line {i + 1}: missing required field 'text'")
-            text = record["text"]
-            if not isinstance(text, str):
-                raise CorpusError(
-                    f"line {i + 1}: field 'text' must be a string, "
-                    f"got {type(text).__name__}"
-                )
-            doc_id = record.get("id", str(i))
-            if not isinstance(doc_id, str):
-                raise CorpusError(
-                    f"line {i + 1}: field 'id' must be a string, "
-                    f"got {type(doc_id).__name__}"
-                )
+            read = JsonReader(CorpusError, f"line {i + 1}: ", "record")
+            text = read.value(read.object(record), "text", "str")
+            doc_id = read.value(record, "id", "str") if "id" in record else str(i)
             docs.append(Document(id=doc_id, raw=text))
     seen: set[str] = set()
     for doc in docs:

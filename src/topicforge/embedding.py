@@ -327,6 +327,24 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
     return embedding
 
 
+def _scale_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row (last axis) times ``2**-e``, and ``e``, the power of two that
+    brings its largest |entry| into [0.5, 1).  This is exact and keeps zero
+    rows zero; the unit rows are unchanged, and no finite row's norm overflows."""
+    e = np.frexp(np.abs(rows).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(rows, -e[..., None]), e
+
+
+def _unit_rows(rows: np.ndarray, zero_message: str) -> np.ndarray:
+    """``rows`` over their norms, taken after ``_scale_rows``.  A zero row raises
+    ``ValidationError(zero_message)``, formatted with its index as ``row``."""
+    unit, _ = _scale_rows(rows)
+    norms = np.linalg.norm(unit, axis=-1, keepdims=True)
+    if not norms.all():
+        raise ValidationError(zero_message.format(row=int(np.argmin(norms))))
+    return np.divide(unit, norms, out=unit)
+
+
 def _rank_by_cosine(
     matrix: np.ndarray, queries: np.ndarray, top_n: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -339,8 +357,8 @@ def _rank_by_cosine(
     and the cast of ``matrix`` to the queries' precision, are computed
     once per call.  Each query is still scored with its own matrix-vector
     product, so a block of queries ranks exactly as the same queries one
-    at a time, after an exact scaling by a power of two that leaves its
-    similarities unchanged.
+    at a time.  Each query, and each row whose product overflows, is first
+    scaled by ``_scale_rows``, which leaves the similarities unchanged.
     """
     if top_n < 1:
         raise ValidationError(f"top_n must be >= 1, got {top_n}")
@@ -351,15 +369,19 @@ def _rank_by_cosine(
     k = min(top_n, len(matrix))
     ranked = []
     for query in queries:
-        # Scaled by the power of two that brings its largest entry into
-        # [0.5, 1), so that a large float32 query cannot overflow the product.
-        query = np.ldexp(query, -np.frexp(np.abs(query).max(initial=0.0))[1])
+        query, _ = _scale_rows(query)
         qn = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
         if qn == 0.0:
             raise ValidationError("query vector has zero norm")
-        dots = rows @ query
+        with np.errstate(over="ignore"):
+            dots = rows @ query
+        scale = norms * qn
+        big = ~np.isfinite(dots)
+        if big.any():
+            part, e = _scale_rows(rows[big])
+            dots[big], scale[big] = part @ query, np.ldexp(scale[big], -e)
         sims = np.full_like(dots, -np.inf)
-        np.divide(dots, norms * qn, out=sims, where=nonzero)
+        np.divide(dots, scale, out=sims, where=nonzero)
         neg = -sims
         # The entries within the k-th value, in index order, then a stable
         # sort: the first k are those of a stable sort of all (NaN sorts last).

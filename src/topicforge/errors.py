@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the reader of outside JSON.
 
 The CLI maps these onto exit codes: validation problems (bad input data,
 malformed files, out-of-range parameters) exit with 1, operating-system
@@ -24,3 +24,66 @@ class EmptyVocabularyError(ValidationError):
 
 class ArchiveError(ValidationError):
     """A model archive is corrupt, truncated, or has an unsupported version."""
+
+
+# The JSON kinds a value read from outside may have, which a dataclass
+# field's annotation names: the exact types each admits (``true``, ``2.5``
+# and ``"3"`` are not integers), and how a message names one value and a
+# list of them.
+_KINDS = {
+    "int": ({int}, "an integer", "integers"),
+    "float": ({int, float}, "a number", "numbers"),
+    "str": ({str}, "a string", "strings"),
+    "list": ({list}, "a list", "lists"),
+    "object": ({dict}, "a JSON object", "JSON objects"),
+}
+
+
+class JsonReader:
+    """Reads the values of one parsed JSON input by their kind.
+
+    ``where`` locates the input, such as ``"line 3: "``, and ``root`` names
+    its top-level object.  A value's name is its path from there: ``key``,
+    ``path.key`` or ``path[0]``.  Each fault raises ``error``, as
+    ``<where><root> must be a JSON object``, ``<where><root> is missing
+    '<name>'`` or ``<where><name> must be <kind>, got <repr>``.
+    """
+
+    def __init__(self, error: type[ValidationError], where: str, root: str):
+        self.error, self.where, self.root = error, where, root
+
+    def object(self, data) -> dict:
+        """``data``, the input's root, which must be a JSON object."""
+        if type(data) is not dict:
+            raise self.error(f"{self.where}{self.root} must be a JSON object")
+        return data
+
+    def get(self, obj, key, path: str = ""):
+        """``obj[key]`` and its name."""
+        name = f"{path}.{key}" if path else key
+        if type(key) is int:
+            name = f"{path}[{key}]"
+        try:
+            return obj[key], name
+        except KeyError:
+            raise self.error(f"{self.where}{self.root} is missing {name!r}") from None
+
+    def value(self, obj, key, kind: str, path: str = ""):
+        """``obj[key]``, which must be one JSON value of ``kind``."""
+        return self.check(*self.get(obj, key, path), kind)
+
+    def list(self, obj, key, kind: str, path: str = "") -> list:
+        """``obj[key]``, which must be a list of JSON values of ``kind``."""
+        return self.check_list(*self.get(obj, key, path), kind)
+
+    def check(self, value, name: str, kind: str):
+        types, one, _ = _KINDS[kind]
+        if type(value) not in types:  # format the message, a repr, only on failure
+            raise self.error(f"{self.where}{name} must be {one}, got {value!r:.60}")
+        return value
+
+    def check_list(self, values, name: str, kind: str) -> list:
+        types, _, many = _KINDS[kind]
+        if type(values) is not list or not set(map(type, values)) <= types:
+            raise self.error(f"{self.where}{name} must be a list of {many}")
+        return values

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Document, Vocabulary
-from .errors import ValidationError
+from .errors import JsonReader, ValidationError
 
 _MODES = ("hard", "mixture")
 _PROPORTION_TOLERANCE = 1e-6
@@ -235,7 +235,8 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
     The file is a JSON object with ``mode`` (``hard`` or ``mixture``),
     ``topics`` (objects with a ``words`` list, all the same length), and
     either ``assignments`` (document id to topic index) or
-    ``proportions`` (document id to a list of topic weights).
+    ``proportions`` (document id to a list of topic weights).  A value of
+    the wrong JSON kind or a missing key is named by its path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -244,62 +245,35 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
             raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object")
-    mode = data.get("mode")
+    read = JsonReader(ValidationError, f"{path}: ", "file")
+    mode = read.value(read.object(data), "mode", "str")
     if mode not in _MODES:
-        raise ValidationError(f"{path}: 'mode' must be one of {_MODES}, got {mode!r}")
-    raw_topics = data.get("topics")
-    if not isinstance(raw_topics, list) or not raw_topics:
-        raise ValidationError(f"{path}: 'topics' must be a non-empty list")
-    topics = []
-    for t, entry in enumerate(raw_topics):
-        if not isinstance(entry, dict) or "words" not in entry:
-            raise ValidationError(
-                f"{path}: topics[{t}] must be an object with a 'words' list"
-            )
-        words = entry["words"]
-        if not isinstance(words, list) or not words or not all(
-            isinstance(w, str) for w in words
-        ):
-            raise ValidationError(
-                f"{path}: topics[{t}].words must be a non-empty list of strings"
-            )
-        topics.append(tuple(words))
-    sizes = {len(t) for t in topics}
-    if len(sizes) != 1:
+        raise ValidationError(f"{path}: mode must be one of {_MODES}, got {mode!r}")
+    topics = [
+        tuple(read.list(entry, "words", "str", f"topics[{t}]"))
+        for t, entry in enumerate(read.list(data, "topics", "object"))
+    ]
+    sizes = sorted({len(t) for t in topics})
+    if len(sizes) != 1 or sizes == [0]:
         raise ValidationError(
-            f"{path}: all topics must list the same number of words, got {sorted(sizes)}"
+            f"{path}: topics must be a non-empty list, all with the same number "
+            f"of words and at least one, got {sizes}"
         )
     for t, words in enumerate(topics):
         _resolve_words(words, vocab, f"{path}: topics[{t}]")
     if mode == "hard":
-        assignments = data.get("assignments")
-        if not isinstance(assignments, dict):
-            raise ValidationError(f"{path}: hard mode requires an 'assignments' object")
-        clean = {}
-        for doc_id, t in assignments.items():
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise ValidationError(
-                    f"{path}: assignments[{doc_id!r}] must be an integer"
-                )
-            clean[str(doc_id)] = t
-        return TopicSpec(mode="hard", topics=tuple(topics), assignments=clean)
-    proportions = data.get("proportions")
-    if not isinstance(proportions, dict):
-        raise ValidationError(f"{path}: mixture mode requires a 'proportions' object")
+        assignments = {
+            doc_id: read.check(t, f"assignments[{doc_id!r}]", "int")
+            for doc_id, t in read.value(data, "assignments", "object").items()
+        }
+        return TopicSpec(mode="hard", topics=tuple(topics), assignments=assignments)
     rows = {}
-    for doc_id, row in proportions.items():
-        # Exact types: JSON numbers are int or float, and bool is excluded.
-        if isinstance(row, list) and set(map(type, row)) <= {int, float}:
-            try:
-                rows[str(doc_id)] = tuple(map(float, row))
-                continue
-            except OverflowError:  # an integer too large for a double
-                pass
-        raise ValidationError(
-            f"{path}: proportions[{doc_id!r}] must be a list of numbers"
-        )
+    for doc_id, row in read.value(data, "proportions", "object").items():
+        name = f"proportions[{doc_id!r}]"
+        try:
+            rows[doc_id] = tuple(map(float, read.check_list(row, name, "float")))
+        except OverflowError:  # an integer too large for a double
+            raise ValidationError(f"{path}: {name} must be a list of numbers") from None
     return TopicSpec(mode="mixture", topics=tuple(topics), proportions=rows)
 
 

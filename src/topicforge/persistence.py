@@ -42,7 +42,7 @@ from .embedding import (
     SemanticEmbedding,
     build_huffman_coding,
 )
-from .errors import ArchiveError
+from .errors import ArchiveError, JsonReader
 from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
@@ -213,57 +213,16 @@ def load_model(path: str) -> ModelArchive:
 
 
 def _read_archive(fh: BinaryIO) -> ModelArchive:
-    """Bytes that do not form a valid archive raise ``ArchiveError`` and no
-    other exception; a missing header key is named by its dotted path."""
+    """Bytes that do not form a valid archive raise ``ArchiveError``, nothing else."""
     try:
         return _parse_archive(fh)
     except ArchiveError:
         raise
-    except KeyError as exc:
-        raise ArchiveError(f"archive header is missing {exc}") from exc
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ArchiveError(f"archive header failed validation: {exc}") from exc
 
 
-# The JSON kinds of header values, which a field's annotation names: the
-# exact types each admits (``true``, ``2.5`` and ``"3"`` are not integers),
-# and how a message names one value and a list of them.
-_KINDS = {
-    "int": ({int}, "an integer", "integers"),
-    "float": ({int, float}, "a number", "numbers"),
-    "str": ({str}, "a string", "strings"),
-    "list": ({list}, "a list", "lists"),
-    "object": ({dict}, "a JSON object", "JSON objects"),
-}
-
-
-def _get(obj, key, path: str):
-    """``obj[key]`` and its dotted name; a missing key raises ``KeyError(name)``."""
-    name = f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
-    try:
-        return obj[key], name
-    except KeyError:
-        raise KeyError(name) from None
-
-
-def _value(obj, key, kind: str, path: str = ""):
-    """``obj[key]``, which must be one JSON value of ``kind``."""
-    value, name = _get(obj, key, path)
-    types, one, _ = _KINDS[kind]
-    if type(value) not in types:  # format the message, a repr, only on failure
-        raise ArchiveError(f"archive {name} must be {one}, got {value!r:.60}")
-    return value
-
-
-def _list(obj, key, kind: str, path: str = "") -> list:
-    """``obj[key]``, which must be a list of JSON values of ``kind``."""
-    values, name = _get(obj, key, path)
-    types, _, many = _KINDS[kind]
-    _require(
-        type(values) is list and set(map(type, values)) <= types,
-        f"archive {name} must be a list of {many}",
-    )
-    return values
+_read = JsonReader(ArchiveError, "archive ", "header")
 
 
 def _record(cls: type, obj: dict, path: str, **given):
@@ -271,12 +230,12 @@ def _record(cls: type, obj: dict, path: str, **given):
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = sorted(set(obj) - set(kinds))
     _require(not unknown, f"archive {path} has unknown fields {unknown}")
-    read = {k: _value(obj, k, kinds[k], path) for k in kinds if k not in given}
+    read = {k: _read.value(obj, k, kinds[k], path) for k in kinds if k not in given}
     return cls(**read, **given)
 
 
 def _parse_config(cls: type, header: dict, key: str):
-    return _record(cls, _value(header, key, "object"), key)
+    return _record(cls, _read.value(header, key, "object"), key)
 
 
 def _parse_archive(fh: BinaryIO) -> ModelArchive:
@@ -294,8 +253,8 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"archive header is not valid JSON: {exc}") from exc
-    _require(isinstance(header, dict), "archive header must be a JSON object")
-    manifest = _list(header, "matrices", "object")
+    _read.object(header)
+    manifest = _read.list(header, "matrices", "object")
     _require(
         tuple(m.get("name") for m in manifest) == _MATRIX_NAMES,
         f"archive must declare matrices {list(_MATRIX_NAMES)}",
@@ -303,7 +262,9 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     shapes: dict[str, tuple[int, int]] = {}
     offset = 12 + header_len
     for i, m in enumerate(manifest):
-        rows, cols = (_value(m, k, "int", f"matrices[{i}]") for k in ("rows", "cols"))
+        rows, cols = (
+            _read.value(m, k, "int", f"matrices[{i}]") for k in ("rows", "cols")
+        )
         _require(rows >= 0 and cols >= 0, f"matrix {m['name']} has negative shape")
         offset += rows * cols * 4
         _require(size >= offset, f"archive is truncated inside matrix {m['name']!r}")
@@ -314,22 +275,22 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     embedding_config = _parse_config(EmbeddingConfig, header, "embedding_config")
     reduction_config = _parse_config(ReductionConfig, header, "reduction_config")
     cluster_config = _parse_config(ClusterConfig, header, "cluster_config")
-    v = _value(header, "vocabulary", "object")
-    words = tuple(_list(v, "words", "str", "vocabulary"))
-    counts = np.array(_list(v, "counts", "int", "vocabulary"), dtype=np.int64)
+    v = _read.value(header, "vocabulary", "object")
+    words = tuple(_read.list(v, "words", "str", "vocabulary"))
+    counts = np.array(_read.list(v, "counts", "int", "vocabulary"), dtype=np.int64)
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
     vocab = Vocabulary(
         words=words,
         counts=counts,
-        total_tokens=_value(v, "total_tokens", "int", "vocabulary"),
+        total_tokens=_read.value(v, "total_tokens", "int", "vocabulary"),
         keep_probability=keep_probabilities(
             counts, embedding_config.subsample_threshold
         ),
     )
     _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
-    doc_ids = tuple(_list(header, "doc_ids", "str"))
+    doc_ids = tuple(_read.list(header, "doc_ids", "str"))
     _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
     n_docs = len(doc_ids)
     n_words = len(words)
@@ -347,17 +308,19 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             shapes[name] == shape,
             f"matrix {name!r} has shape {shapes[name]}, expected {shape}",
         )
-    labels = np.array(_list(header, "labels", "int"), dtype=np.int64)
-    stability = np.array(_list(header, "cluster_stability", "float"), dtype=np.float64)
+    labels = np.array(_read.list(header, "labels", "int"), dtype=np.int64)
+    stability = np.array(
+        _read.list(header, "cluster_stability", "float"), dtype=np.float64
+    )
     n_clusters = len(stability)
     _require(len(labels) == n_docs, "label count does not match document count")
     _require(
         bool(np.all((labels >= -1) & (labels < n_clusters))),
         "cluster labels out of range",
     )
-    assignment = np.array(_list(header, "assignment", "int"), dtype=np.int64)
+    assignment = np.array(_read.list(header, "assignment", "int"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
-    provenance = _list(header, "topic_provenance", "list")
+    provenance = _read.list(header, "topic_provenance", "list")
     _require(
         len(provenance) == n_topics,
         "topic provenance does not match the topic vector count",
@@ -367,13 +330,13 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         "topic assignment out of range",
     )
     provenance = tuple(
-        tuple(_list(provenance, k, "int", "topic_provenance"))
+        tuple(_read.list(provenance, k, "int", "topic_provenance"))
         for k in range(n_topics)
     )
     history = []
-    for i, r in enumerate(_list(header, "merge_history", "object")):
+    for i, r in enumerate(_read.list(header, "merge_history", "object")):
         path = f"merge_history[{i}]"
-        vector = np.array(_list(r, "vector", "float", path), dtype=np.float64)
+        vector = np.array(_read.list(r, "vector", "float", path), dtype=np.float64)
         _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
         history.append(_record(MergeRecord, r, path, vector=vector))
     blocks: dict[str, np.ndarray] = {}
@@ -396,7 +359,7 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         coding=coding,
         vocabulary=vocab,
         doc_ids=doc_ids,
-        epoch_losses=[float(x) for x in _list(header, "epoch_losses", "float")],
+        epoch_losses=[float(x) for x in _read.list(header, "epoch_losses", "float")],
     )
     return ModelArchive(
         embedding_config=embedding_config,

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from . import kernels
+from .embedding import _unit_rows
 from .errors import ValidationError
 
 _SMOOTH_TOLERANCE = 1e-5
@@ -84,9 +85,8 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
 
     Returns ``(indices, distances)`` of shape ``(n, k)`` with each row
     sorted by ascending distance, ties broken by the lower index, self
-    excluded.  Rows must be finite and non-zero, of any magnitude: each
-    is scaled by the power of two that brings its largest entry into
-    [0.5, 1), which is exact, before its norm is taken.  Cosine distance
+    excluded.  Rows must be finite and non-zero, of any magnitude, as
+    ``_unit_rows`` scales them before their norms are taken.  Cosine distance
     is ``1 - u_i . u_j`` clamped at 0, for the unit rows ``u``, with the
     dot product summed in float64 from coordinate 0, so the bytes do not
     depend on the CPU or on which rows are computed together.
@@ -108,14 +108,9 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"points must be finite (row {bad})")
-    top = np.abs(points).max(axis=1, initial=0.0)
-    if np.any(top == 0.0):
-        bad = int(np.argmax(top == 0.0))
-        raise ValidationError(
-            f"cosine distance is undefined for zero vectors (row {bad})"
-        )
-    unit = np.ldexp(points, -np.frexp(top)[1][:, None])
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    unit = _unit_rows(
+        points, "cosine distance is undefined for zero vectors (row {row})"
+    )
     unit32 = unit.astype(np.float32)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))

@@ -19,6 +19,7 @@ from .clustering import ClusterLabeling
 from .embedding import (
     SemanticEmbedding,
     _rank_by_cosine,
+    _unit_rows,
     nearest_words,  # noqa: F401  (tfbench wraps topicforge.topics:nearest_words)
     nearest_words_each,
 )
@@ -27,6 +28,7 @@ from .metric import TopicSpec
 
 # Words ranked for each ``Topic``; the default ``--top-n``.
 TOPIC_WORDS = 10
+_ZERO_NORM = "cannot assign with zero-norm vectors"
 
 
 @dataclass(frozen=True)
@@ -117,15 +119,8 @@ def compute_topic_vectors(doc_vectors: np.ndarray, labels: np.ndarray) -> np.nda
     return vectors
 
 
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError("cannot assign with zero-norm vectors")
-    return vectors / norms[:, None]
-
-
 def _nearest_topics(unit_docs: np.ndarray, topic_vectors: np.ndarray) -> np.ndarray:
-    sims = unit_docs @ _unit_rows(topic_vectors).T
+    sims = unit_docs @ _unit_rows(topic_vectors, _ZERO_NORM).T
     return np.argmax(sims, axis=1).astype(np.int64)
 
 
@@ -137,7 +132,7 @@ def assign_documents(
     Noise documents are not special here: everything gets a topic.  Ties
     go to the lower topic index.
     """
-    return _nearest_topics(_unit_rows(doc_vectors), topic_vectors)
+    return _nearest_topics(_unit_rows(doc_vectors, _ZERO_NORM), topic_vectors)
 
 
 def build_topic_model(
@@ -185,7 +180,7 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     assignment = model.assignment
     provenance = [list(p) for p in model.provenance]
     history = list(model.merge_history)
-    unit_docs = _unit_rows(embedding.doc_vectors).astype(vectors.dtype)
+    unit_docs = _unit_rows(embedding.doc_vectors, _ZERO_NORM).astype(vectors.dtype)
     while len(vectors) > target:
         sizes = np.bincount(assignment, minlength=len(vectors))
         s = int(np.argmin(sizes))

@@ -13,8 +13,19 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import topicforge
-from topicforge import ClusterConfig, EmbeddingConfig, ReductionConfig
+from topicforge import (
+    ArchiveError,
+    ClusterConfig,
+    CorpusError,
+    EmbeddingConfig,
+    ReductionConfig,
+    ValidationError,
+    load_corpus,
+    load_external_topics,
+    load_model,
+)
 from topicforge.cli import _configs_from_args, build_parser, main
+from topicforge.persistence import archive_from_bytes
 
 from conftest import (
     copy_package,
@@ -533,6 +544,118 @@ class TestEvaluate:
     def test_neither_source_exits_1(self, env, capsys):
         assert main(["evaluate", "--corpus", str(env["corpus"])]) == 1
         capsys.readouterr()
+
+
+MISSING = object()
+
+
+def put(document, path, value):
+    """Set, or delete when ``value`` is MISSING, the value at a key path."""
+    *outer, last = path
+    for key in outer:
+        document = document[key]
+    if value is MISSING:
+        del document[last]
+    else:
+        document[last] = value
+
+
+class TestOneJsonRule:
+    """Corpus lines, topic files and archive headers read every JSON value
+    by one rule: the same bad value raises each loader's own error class,
+    and the message names the value by its path in the same form."""
+
+    BAD = {"int": True, "float": "0.5", "str": 5, "missing": MISSING}
+
+    # (loader, kind of the slot, its path, the message).  A corpus line
+    # holds only strings; a bad value inside a list names the list.
+    CASES = [
+        ("corpus", "str", ["text"], "line 1: text must be a string, got 5"),
+        ("corpus", "missing", ["text"], "line 1: record is missing 'text'"),
+        (
+            "topics", "int", ["assignments", "d0000"],
+            "{path}: assignments['d0000'] must be an integer, got True",
+        ),
+        (
+            "topics", "float", ["proportions", "d0000", 0],
+            "{path}: proportions['d0000'] must be a list of numbers",
+        ),
+        ("topics", "str", ["mode"], "{path}: mode must be a string, got 5"),
+        (
+            "topics", "missing", ["topics", 0, "words"],
+            "{path}: file is missing 'topics[0].words'",
+        ),
+        (
+            "archive", "int", ["reduction_config", "n_neighbors"],
+            "archive reduction_config.n_neighbors must be an integer, got True",
+        ),
+        (
+            "archive", "float", ["embedding_config", "subsample_threshold"],
+            "archive embedding_config.subsample_threshold must be a number, got '0.5'",
+        ),
+        (
+            "archive", "str", ["vocabulary", "words", 0],
+            "archive vocabulary.words must be a list of strings",
+        ),
+        (
+            "archive", "missing", ["reduction_config", "seed"],
+            "archive header is missing 'reduction_config.seed'",
+        ),
+    ]
+
+    def topic_file(self, env, kind):
+        ids = [f"d{i:04d}" for i in range(env["n_docs"])]
+        if kind == "float":
+            return {
+                "mode": "mixture",
+                "topics": [{"words": ["ocean"]}, {"words": ["violin"]}],
+                "proportions": {d: [0.5, 0.5] for d in ids},
+            }
+        return {
+            "mode": "hard",
+            "topics": [{"words": ["ocean"]}, {"words": ["violin"]}],
+            "assignments": {d: 0 for d in ids},
+        }
+
+    @pytest.mark.parametrize("loader,kind,path,message", CASES)
+    def test_bad_value_named_by_its_path(
+        self, env, tmp_path, capsys, loader, kind, path, message
+    ):
+        bad = self.BAD[kind]
+        if loader == "archive":
+            data = mutate_header(
+                env["model"].read_bytes(), lambda h: put(h, path, bad)
+            )
+            with pytest.raises(ArchiveError) as excinfo:
+                archive_from_bytes(data)
+            assert type(excinfo.value) is ArchiveError
+            assert str(excinfo.value) == message
+            return
+        if loader == "corpus":
+            record = {"id": "a", "text": "ocean"}
+            put(record, path, bad)
+            source = tmp_path / "corpus.jsonl"
+            source.write_text(json.dumps(record) + "\n")
+            error, load = CorpusError, lambda: load_corpus(str(source))
+            argv = ["evaluate", "--model", str(env["model"]), "--corpus", str(source)]
+        else:
+            document = self.topic_file(env, kind)
+            put(document, path, bad)
+            source = tmp_path / "external.json"
+            source.write_text(json.dumps(document))
+            vocab = load_model(str(env["model"])).embedding.vocabulary
+            error = ValidationError
+            load = lambda: load_external_topics(str(source), vocab)  # noqa: E731
+            argv = ["evaluate", "--external", str(source), "--corpus", str(env["corpus"])]
+        message = message.format(path=source)
+        with pytest.raises(error) as excinfo:
+            load()
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestExport:

@@ -327,7 +327,7 @@ class TestLoadCorpus:
     def test_wrong_id_type(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": 3, "text": "a"}\n')
-        with pytest.raises(CorpusError, match="'id'"):
+        with pytest.raises(CorpusError, match="^line 1: id must be a string, got 3$"):
             load_corpus(str(path))
 
     def test_duplicate_ids_rejected(self, tmp_path):

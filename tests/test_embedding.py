@@ -543,6 +543,18 @@ class TestRankByCosine:
         assert order.tolist() == [0, 1, 2]
         assert sims[0] == 1.0
 
+    def test_rows_whose_own_product_overflows(self):
+        # Row 0 sums past the float32 limit against any query of ones,
+        # even with the query scaled into [0.5, 1).
+        matrix = np.array(
+            [[3e38, 3e38, 3e38], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.float32
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(order, sims)] = _rank_by_cosine(matrix, np.ones((1, 3), np.float32), 3)
+        assert order.tolist() == [0, 1, 2]
+        assert sims[0] == pytest.approx(1.0, abs=1e-6)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_power_of_two_query_scales_give_equal_similarities(self, dtype):
         matrix = np.random.default_rng(5).standard_normal((50, 8)).astype(dtype)

@@ -1,6 +1,7 @@
 """Topic vectors, document assignment, reduction, and search."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ class TestAssignDocuments:
     def test_rejects_zero_vectors(self):
         with pytest.raises(ValidationError):
             assign_documents(np.zeros((2, 2)), np.ones((1, 2)))
+
+    @pytest.mark.parametrize(
+        "docs,expected",
+        [
+            # Squared in float32, 3e19 overflows and 1e-30 underflows.
+            ([[0.0, 3e19, 3e19], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1, 0, 1]),
+            ([[1e-30, 2e-30, 0.0]], [1]),
+        ],
+    )
+    def test_float32_documents_of_any_finite_magnitude(self, docs, expected):
+        topics = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assigned = assign_documents(np.array(docs, np.float32), topics)
+        assert assigned.tolist() == expected
+        assert assign_documents(np.array(docs), topics).tolist() == expected
 
 
 class TestBuildTopicModel:
