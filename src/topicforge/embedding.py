@@ -328,16 +328,15 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
 
 
 def _scale_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row (last axis) times ``2**-e``, and ``e``, the power of two that
-    brings its largest |entry| into [0.5, 1).  This is exact and keeps zero
-    rows zero; the unit rows are unchanged, and no finite row's norm overflows."""
+    """Each row (last axis) times ``2**-e``, and ``e``, which brings its largest
+    |entry| into [0.5, 1); exact, so unit rows are unchanged and no norm overflows."""
     e = np.frexp(np.abs(rows).max(axis=-1, initial=0.0))[1]
     return np.ldexp(rows, -e[..., None]), e
 
 
 def _unit_rows(rows: np.ndarray, zero_message: str) -> np.ndarray:
-    """``rows`` over their norms, taken after ``_scale_rows``.  A zero row raises
-    ``ValidationError(zero_message)``, formatted with its index as ``row``."""
+    """Unit rows after ``_scale_rows``; a zero row ``i`` raises ``zero_message``
+    formatted with ``row=i``."""
     unit, _ = _scale_rows(rows)
     norms = np.linalg.norm(unit, axis=-1, keepdims=True)
     if not norms.all():

@@ -26,10 +26,8 @@ class ArchiveError(ValidationError):
     """A model archive is corrupt, truncated, or has an unsupported version."""
 
 
-# The JSON kinds a value read from outside may have, which a dataclass
-# field's annotation names: the exact types each admits (``true``, ``2.5``
-# and ``"3"`` are not integers), and how a message names one value and a
-# list of them.
+# Each JSON kind, as a dataclass field's annotation may name it: the exact types
+# it admits (``true`` is no integer) and the words that name one value and many.
 _KINDS = {
     "int": ({int}, "an integer", "integers"),
     "float": ({int, float}, "a number", "numbers"),
@@ -39,15 +37,21 @@ _KINDS = {
 }
 
 
+def _name(key, path: str) -> str:
+    return f"{path}[{key}]" if type(key) is int else f"{path}.{key}" if path else key
+
+
 class JsonReader:
     """Reads the values of one parsed JSON input by their kind.
 
-    ``where`` locates the input, such as ``"line 3: "``, and ``root`` names
-    its top-level object.  A value's name is its path from there: ``key``,
-    ``path.key`` or ``path[0]``.  Each fault raises ``error``, as
-    ``<where><root> must be a JSON object``, ``<where><root> is missing
-    '<name>'`` or ``<where><name> must be <kind>, got <repr>``.
+    ``where`` locates the input, such as ``"line 3: "``, and ``root`` names its
+    top-level object; a value is named by its path, ``key``, ``path.key`` or
+    ``path[0]``.  A fault raises ``error``: ``<where><root> must be a JSON object``,
+    ``<where><root> is missing '<name>'`` or ``<where><name> must be <kind>, got
+    <repr>`` (for a list, ``must be a list of <kinds>``).
     """
+
+    __slots__ = ("error", "where", "root")  # one reader per corpus line
 
     def __init__(self, error: type[ValidationError], where: str, root: str):
         self.error, self.where, self.root = error, where, root
@@ -58,32 +62,31 @@ class JsonReader:
             raise self.error(f"{self.where}{self.root} must be a JSON object")
         return data
 
-    def get(self, obj, key, path: str = ""):
-        """``obj[key]`` and its name."""
-        name = f"{path}.{key}" if path else key
-        if type(key) is int:
-            name = f"{path}[{key}]"
+    def _get(self, obj, key, path: str):
         try:
-            return obj[key], name
+            return obj[key]
         except KeyError:
+            name = _name(key, path)
             raise self.error(f"{self.where}{self.root} is missing {name!r}") from None
 
     def value(self, obj, key, kind: str, path: str = ""):
         """``obj[key]``, which must be one JSON value of ``kind``."""
-        return self.check(*self.get(obj, key, path), kind)
+        return self.check(self._get(obj, key, path), kind, key, path)
 
     def list(self, obj, key, kind: str, path: str = "") -> list:
         """``obj[key]``, which must be a list of JSON values of ``kind``."""
-        return self.check_list(*self.get(obj, key, path), kind)
+        return self.check_list(self._get(obj, key, path), kind, key, path)
 
-    def check(self, value, name: str, kind: str):
+    def check(self, value, kind: str, key, path: str = ""):
+        """``value``, named by ``key`` and ``path``, which must be of ``kind``."""
         types, one, _ = _KINDS[kind]
         if type(value) not in types:  # format the message, a repr, only on failure
+            name = _name(key, path)
             raise self.error(f"{self.where}{name} must be {one}, got {value!r:.60}")
         return value
 
-    def check_list(self, values, name: str, kind: str) -> list:
+    def check_list(self, values, kind: str, key, path: str = "") -> list:
         types, _, many = _KINDS[kind]
         if type(values) is not list or not set(map(type, values)) <= types:
-            raise self.error(f"{self.where}{name} must be a list of {many}")
+            raise self.error(f"{self.where}{_name(key, path)} must be a list of {many}")
         return values

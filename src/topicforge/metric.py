@@ -235,8 +235,7 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
     The file is a JSON object with ``mode`` (``hard`` or ``mixture``),
     ``topics`` (objects with a ``words`` list, all the same length), and
     either ``assignments`` (document id to topic index) or
-    ``proportions`` (document id to a list of topic weights).  A value of
-    the wrong JSON kind or a missing key is named by its path.
+    ``proportions`` (document id to a list of topic weights).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -263,7 +262,7 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
         _resolve_words(words, vocab, f"{path}: topics[{t}]")
     if mode == "hard":
         assignments = {
-            doc_id: read.check(t, f"assignments[{doc_id!r}]", "int")
+            doc_id: read.check(t, "int", f"assignments[{doc_id!r}]")
             for doc_id, t in read.value(data, "assignments", "object").items()
         }
         return TopicSpec(mode="hard", topics=tuple(topics), assignments=assignments)
@@ -271,7 +270,7 @@ def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
     for doc_id, row in read.value(data, "proportions", "object").items():
         name = f"proportions[{doc_id!r}]"
         try:
-            rows[doc_id] = tuple(map(float, read.check_list(row, name, "float")))
+            rows[doc_id] = tuple(map(float, read.check_list(row, "float", name)))
         except OverflowError:  # an integer too large for a double
             raise ValidationError(f"{path}: {name} must be a list of numbers") from None
     return TopicSpec(mode="mixture", topics=tuple(topics), proportions=rows)

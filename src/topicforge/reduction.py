@@ -31,6 +31,7 @@ _SMOOTH_TOLERANCE = 1e-5
 _SMOOTH_ITERATIONS = 64
 # Rows whose float32 similarities the neighbor search holds at a time.
 _KNN_BLOCK = 256
+_ZERO_ROW = "cosine distance is undefined for zero vectors (row {row})"
 # a, b of UMAP's membership curve at min_dist 0.1, as scipy's curve_fit fits them.
 CURVE_A = 1.5769434602697652
 CURVE_B = 0.8950608778515733
@@ -108,9 +109,7 @@ def knn_graph(points: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndar
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValidationError(f"points must be finite (row {bad})")
-    unit = _unit_rows(
-        points, "cosine distance is undefined for zero vectors (row {row})"
-    )
+    unit = _unit_rows(points, _ZERO_ROW)
     unit32 = unit.astype(np.float32)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
