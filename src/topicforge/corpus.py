@@ -14,6 +14,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -129,7 +130,8 @@ def build_vocabulary(
             f"no word appears at least {min_count} times "
             f"({len(counter)} distinct words, {total} tokens)"
         )
-    retained.sort(key=lambda item: (-item[1], item[0]))
+    retained.sort(key=itemgetter(0))
+    retained.sort(key=itemgetter(1), reverse=True)
     words = tuple(w for w, _ in retained)
     counts = np.array([c for _, c in retained], dtype=np.int64)
     return Vocabulary(

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,21 +41,34 @@ _PROPORTION_TOLERANCE = 1e-6
 class CooccurrenceStats:
     """Token co-occurrence counts between documents and vocabulary words.
 
-    ``joint[i]`` maps word index to its count in document i; only
-    vocabulary words are counted anywhere, so ``doc_totals`` are
-    vocabulary-token document lengths and ``total_tokens`` is their sum.
+    ``tokens`` holds every document's vocabulary indices end to end, in
+    corpus order, so document i is the ``doc_totals[i]`` tokens after
+    those of documents 0 to i - 1.  Only vocabulary words are counted
+    anywhere, so ``doc_totals`` are vocabulary-token document lengths and
+    ``total_tokens`` is their sum.  The scorer reads these arrays alone;
+    ``joint[i]``, a dict of word index to its count in document i in
+    first-occurrence order, is built on first read.
     """
 
     doc_ids: tuple[str, ...]
     doc_totals: np.ndarray
     word_counts: np.ndarray
-    joint: tuple[dict[int, int], ...]
+    tokens: np.ndarray
     total_tokens: int
     vocabulary: Vocabulary
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def joint(self) -> tuple[dict[int, int], ...]:
+        ends = np.cumsum(self.doc_totals).tolist()
+        tokens = self.tokens.tolist()
+        return tuple(
+            dict(Counter(tokens[start:end]))
+            for start, end in zip([0, *ends], ends)
+        )
 
 
 def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
@@ -72,7 +87,7 @@ def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
         doc_ids=tuple(d.id for d in docs),
         doc_totals=doc_totals,
         word_counts=np.bincount(tokens, minlength=len(vocab)),
-        joint=tuple(dict(Counter(doc.tokens.tolist())) for doc in docs),
+        tokens=tokens,
         total_tokens=total,
         vocabulary=vocab,
     )
@@ -145,11 +160,12 @@ def _resolve_words(
 
 def _members(
     spec: TopicSpec, stats: CooccurrenceStats
-) -> list[list[tuple[int, float]]]:
-    """Each topic's ``(document position, weight)`` pairs.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each topic's member document positions and weights, as two arrays.
 
     Hard mode gives every assigned document weight 1; mixture mode gives
-    every document its non-zero proportions.
+    every document its non-zero proportions.  Members keep the order of
+    the spec's ``assignments`` or ``proportions``.
     """
     keys = spec.assignments if spec.mode == "hard" else spec.proportions
     position = {doc_id: i for i, doc_id in enumerate(stats.doc_ids)}
@@ -165,16 +181,27 @@ def _members(
             "topic assignment does not cover the corpus exactly: "
             + ", ".join(parts)
         )
-    members: list[list[tuple[int, float]]] = [[] for _ in spec.topics]
+    n, k = len(keys), spec.n_topics
+    docs = np.fromiter(map(position.__getitem__, keys), np.int64, n)
     if spec.mode == "hard":
-        for doc_id, t in spec.assignments.items():
-            members[t].append((position[doc_id], 1.0))
+        weights = np.zeros((n, k))
+        weights[np.arange(n), np.fromiter(keys.values(), np.int64, n)] = 1.0
     else:
-        for doc_id, row in spec.proportions.items():
-            for t, weight in enumerate(row):
-                if weight != 0.0:
-                    members[t].append((position[doc_id], weight))
-    return members
+        rows = itertools.chain.from_iterable(keys.values())
+        weights = np.fromiter(rows, np.float64, n * k).reshape(n, k)
+    return [(docs[column != 0.0], column[column != 0.0]) for column in weights.T]
+
+
+def _left_sum(values) -> float:
+    """Add floats one at a time from the left with ``+=``.
+
+    Builtin ``sum`` compensates its rounding from Python 3.12 on, which
+    would change the last bits of a total between Python versions.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _topic_scores(
@@ -187,21 +214,44 @@ def _topic_scores(
     ``topics`` gives each topic's words W_t, which may be a prefix of the
     spec's list.  Words are the outer loop and members the inner one, so a
     hard topic sums its terms in the same order as a one-hot mixture topic.
+    Only the non-zero terms are formed, each from Python ints, so the
+    ratio is exact to one rounding however large the corpus.
     """
+    members = _members(spec, stats)
+    word_ids = [
+        _resolve_words(words, stats.vocabulary, f"topic {t}")
+        for t, words in enumerate(topics)
+    ]
+    # The topic words' non-zero document counts, keyed word * n_docs + doc
+    # and sorted; a sentinel above every key keeps each searchsorted
+    # position a valid index.
+    wanted = np.zeros(len(stats.vocabulary), dtype=bool)
+    wanted[[w for words in word_ids for w in words]] = True
+    kept = np.flatnonzero(wanted[stats.tokens])
+    doc = np.searchsorted(np.cumsum(stats.doc_totals), kept, side="right")
+    keys, counts = np.unique(
+        stats.tokens[kept] * stats.n_docs + doc, return_counts=True
+    )
+    keys = np.append(keys, np.iinfo(np.int64).max)
     n = stats.total_tokens
-    doc_totals = stats.doc_totals.tolist()
     scores = []
-    for t, members in enumerate(_members(spec, stats)):
-        total = 0.0
-        for w in _resolve_words(topics[t], stats.vocabulary, f"topic {t}"):
-            wc = int(stats.word_counts[w])
-            for i, weight in members:
-                joint_count = stats.joint[i].get(w, 0)
-                if joint_count == 0:
-                    continue
-                ratio = (joint_count * n) / (doc_totals[i] * wc)
-                total += weight * (joint_count / wc) * math.log2(ratio)
-        scores.append(total)
+    for words, (docs, weights) in zip(word_ids, members):
+        words = np.array(words, dtype=np.int64)
+        pairs = words[:, None] * stats.n_docs + docs
+        at = np.searchsorted(keys, pairs)
+        rows, cols = np.nonzero(keys[at] == pairs)
+        terms = zip(
+            counts[at[rows, cols]].tolist(),
+            stats.word_counts[words[rows]].tolist(),
+            stats.doc_totals[docs[cols]].tolist(),
+            weights[cols].tolist(),
+        )
+        scores.append(
+            _left_sum(
+                weight * (c / wc) * math.log2((c * n) / (doc_total * wc))
+                for c, wc, doc_total, weight in terms
+            )
+        )
     return scores
 
 
@@ -213,7 +263,7 @@ def pwi_hard(spec: TopicSpec, stats: CooccurrenceStats) -> float:
     """
     if spec.mode != "hard":
         raise ValidationError(f"expected a hard spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, spec.topics, stats))
+    return _left_sum(_topic_scores(spec, spec.topics, stats))
 
 
 def pwi_mixture(spec: TopicSpec, stats: CooccurrenceStats) -> float:
@@ -226,7 +276,7 @@ def pwi_mixture(spec: TopicSpec, stats: CooccurrenceStats) -> float:
     """
     if spec.mode != "mixture":
         raise ValidationError(f"expected a mixture spec, got mode {spec.mode!r}")
-    return sum(_topic_scores(spec, spec.topics, stats))
+    return _left_sum(_topic_scores(spec, spec.topics, stats))
 
 
 def load_external_topics(path: str, vocab: Vocabulary) -> TopicSpec:
@@ -321,7 +371,7 @@ def evaluate(
             zip(truncated, _topic_scores(spec, truncated, stats))
         )
     ]
-    total = sum(s.pwi for s in scores)
+    total = _left_sum(s.pwi for s in scores)
     return EvaluationReport(
         mode=spec.mode, top_n=top_n, per_topic=tuple(scores), total=total
     )

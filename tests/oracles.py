@@ -74,6 +74,60 @@ def pwi_oracle_mixture(doc_tokens, doc_order, proportions, topic_words, base=2.0
     return total
 
 
+def pwi_dict_scores(doc_ids, doc_tokens, topic_word_ids, assignments=None,
+                    proportions=None):
+    """Per-topic scores from per-document ``Counter`` rows, words outer.
+
+    The scorer as it stood before it read flat arrays: each document's
+    counts are a dict, every (word, member) pair is looked up in it, and
+    each topic's non-zero terms are added left to right with the words as
+    the outer loop and the members, in the order of ``assignments`` or
+    ``proportions``, as the inner one.  Each term is
+    ``weight * (c / wc) * log2((c * n) / (doc_total * wc))`` with Python
+    ints for the products, so a scorer that forms the same terms in the
+    same order gives the same floats bit for bit.
+
+    Parameters
+    ----------
+    doc_ids : sequence of str
+        Corpus document ids, in corpus order.
+    doc_tokens : sequence of lists of int
+        Each document's vocabulary indices, in corpus order.
+    topic_word_ids : sequence of sequences of int
+        Each topic's words as vocabulary indices (repeats allowed).
+    assignments, proportions : dict
+        Exactly one: doc id -> topic index (hard), or doc id -> topic
+        weights (mixture).
+    """
+    joint = [dict(Counter(tokens)) for tokens in doc_tokens]
+    doc_totals = [len(tokens) for tokens in doc_tokens]
+    n = sum(doc_totals)
+    word_count = Counter(w for tokens in doc_tokens for w in tokens)
+    position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    members = [[] for _ in topic_word_ids]
+    if assignments is not None:
+        for doc_id, t in assignments.items():
+            members[t].append((position[doc_id], 1.0))
+    else:
+        for doc_id, row in proportions.items():
+            for t, weight in enumerate(row):
+                if weight != 0.0:
+                    members[t].append((position[doc_id], weight))
+    scores = []
+    for words, topic_members in zip(topic_word_ids, members):
+        total = 0.0
+        for w in words:
+            wc = word_count[w]
+            for i, weight in topic_members:
+                c = joint[i].get(w, 0)
+                if c == 0:
+                    continue
+                ratio = (c * n) / (doc_totals[i] * wc)
+                total += weight * (c / wc) * math.log2(ratio)
+        scores.append(total)
+    return scores
+
+
 def mst_weight_kruskal(dist):
     """Minimum spanning tree weight by Kruskal's algorithm."""
     n = len(dist)

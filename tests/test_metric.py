@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topicforge import (
     Document,
@@ -19,10 +22,11 @@ from topicforge import (
     pwi_mixture,
     random_baseline_spec,
 )
+from topicforge import metric
 from topicforge.corpus import tokenize
 from topicforge.metric import report_to_csv, report_to_json
 
-from oracles import pwi_oracle_hard, pwi_oracle_mixture
+from oracles import pwi_dict_scores, pwi_oracle_hard, pwi_oracle_mixture
 
 
 def corpus_stats(texts, min_count=1):
@@ -258,6 +262,141 @@ class TestOracleEquivalence:
             # Same documents in the same order: the weight-1 members are
             # scored in the same order, so the sums are bit-equal.
             assert pwi_mixture(mixture, stats) == pwi_hard(hard, stats)
+
+
+def left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+@st.composite
+def dict_oracle_cases(draw):
+    """A corpus, a vocabulary built from it plus words it lacks, and a spec.
+
+    Words seen once are below the vocabulary floor, so a document can keep
+    no vocabulary token; ``x`` and ``y`` come only from a document outside
+    the scored corpus, so topic words can be absent from it.  Topics may
+    repeat a word, and proportions may hold zeros.
+    """
+    texts = draw(
+        st.lists(
+            st.lists(st.sampled_from("abcdefg"), max_size=10).map(" ".join),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    docs = [Document(id=f"d{i}", raw=t) for i, t in enumerate(texts)]
+    vocab = build_vocabulary(docs + [Document(id="v", raw="x x y y")], min_count=2)
+    indexed = index_documents(docs, vocab)
+    assume(any(len(d.tokens) for d in indexed))
+    n_topics = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 4))
+    word = st.sampled_from(vocab.words)
+    topics = tuple(
+        tuple(draw(st.lists(word, min_size=length, max_size=length)))
+        for _ in range(n_topics)
+    )
+    order = draw(st.permutations([d.id for d in docs]))
+    if draw(st.booleans()):
+        topic = st.integers(0, n_topics - 1)
+        spec = TopicSpec(
+            mode="hard",
+            topics=topics,
+            assignments={d: draw(topic) for d in order},
+        )
+    else:
+        weights = st.lists(
+            st.integers(0, 3), min_size=n_topics, max_size=n_topics
+        ).filter(any)
+        proportions = {}
+        for d in order:
+            row = draw(weights)
+            proportions[d] = tuple(w / sum(row) for w in row)
+        spec = TopicSpec(mode="mixture", topics=topics, proportions=proportions)
+    return indexed, vocab, spec, draw(st.integers(1, length))
+
+
+def dict_oracle(indexed, vocab, spec, topics):
+    return pwi_dict_scores(
+        [d.id for d in indexed],
+        [d.tokens.tolist() for d in indexed],
+        [[vocab.index[w] for w in words] for words in topics],
+        spec.assignments,
+        spec.proportions,
+    )
+
+
+class TestDictOracle:
+    """The array scorer forms the dict scorer's terms in its order: ``==``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dict_oracle_cases())
+    def test_scores_equal_the_dict_scorer(self, case):
+        indexed, vocab, spec, top_n = case
+        stats = build_stats(indexed, vocab)
+        expected = dict_oracle(indexed, vocab, spec, spec.topics)
+        pwi = pwi_hard if spec.mode == "hard" else pwi_mixture
+        assert pwi(spec, stats) == left_sum(expected)
+        prefixes = tuple(words[:top_n] for words in spec.topics)
+        expected = dict_oracle(indexed, vocab, spec, prefixes)
+        report = evaluate(spec, stats, top_n=top_n)
+        assert [s.pwi for s in report.per_topic] == expected
+        assert report.total == left_sum(expected)
+        assert "joint" not in vars(stats)
+
+    def test_totals_add_left_to_right(self, monkeypatch):
+        # Added left to right, 1e16 + 1 + 1 stays 1e16; a compensated sum
+        # (builtin sum from Python 3.12 on, math.fsum) gives 1e16 + 2.
+        _, _, stats = hand_stats()
+        spec = TopicSpec(
+            mode="hard",
+            topics=(("a",), ("b",), ("c",)),
+            assignments={"d0": 0, "d1": 2},
+        )
+        monkeypatch.setattr(
+            metric, "_topic_scores", lambda *args: [1e16, 1.0, 1.0]
+        )
+        assert pwi_hard(spec, stats) == 1e16
+        assert evaluate(spec, stats, top_n=1).total == 1e16
+
+
+class TestScoringMemory:
+    def test_scoring_builds_no_per_document_dicts(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(5000)]
+        ranks = np.minimum(rng.zipf(1.1, size=(3000, 100)), len(words)) - 1
+        docs = [
+            Document(id=f"d{i}", raw=" ".join(words[j] for j in row))
+            for i, row in enumerate(ranks)
+        ]
+        vocab = build_vocabulary(docs, min_count=2)
+        indexed = index_documents(docs, vocab)
+        topics = tuple(
+            tuple(vocab.words[j] for j in rng.choice(len(vocab), 10, replace=False))
+            for _ in range(20)
+        )
+        spec = TopicSpec(
+            mode="hard",
+            topics=topics,
+            assignments={d.id: int(rng.integers(20)) for d in indexed},
+        )
+        tracemalloc.start()
+        try:
+            stats = build_stats(indexed, vocab)
+            report = evaluate(spec, stats)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            expected = dict_oracle(indexed, vocab, spec, spec.topics)
+            _, oracle_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [s.pwi for s in report.per_topic] == expected
+        assert "joint" not in vars(stats)
+        # About 3.2 MB against 9.2 MB: the flat tokens are most of it.
+        assert 2 * peak < oracle_peak - base
 
 
 class TestSpecValidation:
