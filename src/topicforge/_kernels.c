@@ -581,7 +581,7 @@ static void search(boruvka *B, int64_t v, double box_r2, int64_t p, int64_t cp)
         for (int64_t q = N->start; q < N->end; q++) {
             if (B->comp[q] == cp)
                 continue;
-            /* The weight of ReachabilityRows: max(distance, core_q, core_p). */
+            /* The mutual reachability weight: max(distance, core_q, core_p). */
             double w = sqrt(squared_distance(xp, B->x + q * dim, dim));
             offer(B, cp, max2(max2(w, B->core[q]), core_p), p, q);
         }
@@ -626,7 +626,7 @@ static void label_components(boruvka *B, int64_t n_nodes)
  * given one coordinate per row of columns (dim x n, row-major) and their
  * core distances.  Edge (i, j) weighs max(sqrt(r2), core_i, core_j), where
  * r2 sums the squared coordinate differences one coordinate at a time
- * from coordinate 0, as ReachabilityRows in clustering.py does.
+ * from coordinate 0, as core_distances does below 8 coordinates.
  *
  * Borůvka's rounds over a KD-tree: in each round every component takes
  * its lightest outgoing edge, by the total order (weight, smaller index,

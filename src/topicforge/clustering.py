@@ -17,8 +17,10 @@ light spanning trees was found.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,10 +50,10 @@ class ClusterConfig:
 class CondensedTree:
     """Cluster hierarchy after small-side splits are folded away.
 
-    Cluster 0 is the root (all points, birth lambda 0).  ``fallout_points``
-    and ``fallout_lambdas`` record when individual points left each
-    cluster; ``children`` holds the sub-clusters of a genuine split.
-    Lambda is 1/distance, so larger means denser.  Each stability is one
+    Cluster 0 is the root (all points, birth lambda 0).
+    ``fallout_points`` records the points that left each cluster, and
+    ``children`` holds the sub-clusters of a genuine split.  Lambda is
+    1/distance, so larger means denser.  Each stability is one
     ``math.fsum``, so it does not depend on the order of its terms.
     """
 
@@ -59,22 +61,8 @@ class CondensedTree:
     parent: list[int]
     birth_lambda: list[float]
     children: list[list[int]]
-    size_at_birth: list[int]
     fallout_points: list[list[int]]
-    fallout_lambdas: list[list[float]]
-    stability: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        stab = np.zeros(len(self.parent))
-        for c, birth in enumerate(self.birth_lambda):
-            stab[c] = math.fsum(
-                [lam - birth for lam in self.fallout_lambdas[c]]
-                + [
-                    self.size_at_birth[ch] * (self.birth_lambda[ch] - birth)
-                    for ch in self.children[c]
-                ]
-            )
-        self.stability = stab
+    stability: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,9 +83,9 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
 
     The point itself is excluded, so ``min_samples`` must be at most
     ``n - 1``.  Below 8 coordinates the KD-tree sums squared differences
-    one coordinate at a time, as the mutual reachability rows do, so the
-    two agree bit for bit; from 8 it sums in four partial sums and they
-    may differ in the last bits.
+    one coordinate at a time, as the spanning tree's mutual reachability
+    distances do, so the two agree bit for bit; from 8 it sums in four
+    partial sums and they may differ in the last bits.
     """
     n = len(points)
     if not 1 <= min_samples <= n - 1:
@@ -112,37 +100,19 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReachabilityRows:
-    """Read-only rows of the mutual reachability matrix, built on request.
+    """The mutual reachability matrix, ``max(euclidean(i, j), core_i,
+    core_j)`` off the diagonal, held as its inputs and never formed.
 
-    ``rows[j]`` is a fresh array of ``max(euclidean(j, i), core_j, core_i)``
-    over every point i, with 0 at i = j; ``len(rows)`` is the point count.
-    ``columns`` holds the points one coordinate per row, and each row's
-    squared differences are summed one coordinate at a time.  Each row is
-    computed when it is read and is not kept.
+    ``columns`` holds the points one coordinate per row, and the
+    distances sum their squared differences one coordinate at a time.
     """
 
     columns: np.ndarray
     core: np.ndarray
 
-    def __len__(self) -> int:
-        return self.columns.shape[1]
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        row = np.zeros(len(self))
-        diff = np.empty_like(row)
-        for col in self.columns:
-            np.subtract(col[j], col, out=diff)
-            np.multiply(diff, diff, out=diff)
-            row += diff
-        np.sqrt(row, out=row)
-        np.maximum(row, self.core, out=row)
-        np.maximum(row, self.core[j], out=row)
-        row[j] = 0.0
-        return row
-
 
 def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRows:
-    """Row view of the pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix."""
+    """The pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix, unformed."""
     return ReachabilityRows(np.ascontiguousarray(points.T), core)
 
 
@@ -180,59 +150,45 @@ def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
     return edges
 
 
-def _single_linkage(n: int, mst_edges: np.ndarray):
-    """Merge MST edges in ascending weight order into a binary dendrogram.
-
-    Returns (children, dist, size) arrays indexed by node id; points are
-    nodes 0..n-1 and merge k creates node n+k, so node 2n-2 is the root.
+def _level_sets(n: int, mst_edges: np.ndarray):
+    """One union-find pass over the MST edges, a group of equal weights at a
+    time, lightest first.  Points are nodes 0..n-1, and each component that
+    a group forms is the next node, n + k, the last being the root.
+    Returns its parts (the components of the lighter edges that it joins,
+    the same for every minimum spanning tree) and weight, by ``node - n``,
+    and every node's point count.
     """
     order = np.argsort(mst_edges[:, 2], kind="stable")
-    parent = np.arange(2 * n - 1, dtype=np.int64)
+    owner = list(range(n))
+    node_of = list(range(n))
 
     def find(x: int) -> int:
         root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
+        while owner[root] != root:
+            root = owner[root]
+        while owner[x] != root:
+            owner[x], x = root, owner[x]
         return root
 
-    children = np.empty((n - 1, 2), dtype=np.int64)
-    dist = np.empty(n - 1)
-    size = np.ones(2 * n - 1, dtype=np.int64)
-    for k, e in enumerate(order):
-        i, j, w = mst_edges[e]
-        ra, rb = find(int(i)), find(int(j))
-        node = n + k
-        children[k] = (ra, rb)
-        dist[k] = w
-        size[node] = size[ra] + size[rb]
-        parent[ra] = node
-        parent[rb] = node
-    return children, dist, size
+    parts: list[list[int]] = []
+    dist: list[float] = []
+    size = [1] * n
+    for w, group in itertools.groupby(mst_edges[order].tolist(), key=itemgetter(2)):
+        ends = [(find(int(a)), find(int(b))) for a, b, _ in group]
+        for ra, rb in ends:
+            owner[find(ra)] = find(rb)
+        joined: dict[int, list[int]] = {}
+        for r in dict.fromkeys(itertools.chain.from_iterable(ends)):
+            joined.setdefault(find(r), []).append(node_of[r])
+        for root, nodes in joined.items():
+            node_of[root] = n + len(parts)
+            parts.append(nodes)
+            dist.append(w)
+            size.append(sum(size[p] for p in nodes))
+    return parts, dist, size
 
 
-def _parts(node: int, n: int, children: np.ndarray, dist: np.ndarray) -> list[int]:
-    """The parts that a node's distance splits it into: its highest
-    descendants below that distance, found through every merge at it.
-
-    The dendrogram orders equal-weight merges arbitrarily, but these parts
-    are the node's components in the graph of the lighter edges, the same
-    for every minimum spanning tree.
-    """
-    w = dist[node - n]
-    parts: list[int] = []
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if x >= n and dist[x - n] == w:
-            stack.extend(children[x - n].tolist())
-        else:
-            parts.append(x)
-    return parts
-
-
-def _leaves_below(node: int, n: int, children: np.ndarray) -> list[int]:
+def _leaves_below(node: int, n: int, parts: list[list[int]]) -> list[int]:
     out: list[int] = []
     stack = [node]
     while stack:
@@ -240,7 +196,7 @@ def _leaves_below(node: int, n: int, children: np.ndarray) -> list[int]:
         if x < n:
             out.append(x)
         else:
-            stack.extend(children[x - n])
+            stack.extend(parts[x - n])
     return out
 
 
@@ -255,31 +211,32 @@ def condense_tree(
     ``min_cluster_size`` points becomes a child cluster when there are two
     or more of them; a lone large part continues the cluster.  The points
     of smaller parts fall out at that lambda, so when no part is large the
-    cluster dies and sheds all remaining points.
+    cluster dies and sheds all remaining points.  A cluster's stability
+    sums ``lam - birth`` over the points that fall out of it and
+    ``size * (lam - birth)`` over its children.
     """
     if min_cluster_size < 2:
         raise ValidationError(
             f"min_cluster_size must be >= 2, got {min_cluster_size}"
         )
-    children, dist, size = _single_linkage(n_points, mst_edges)
+    n = n_points
+    parts, dist, size = _level_sets(n, mst_edges)
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
     kids: list[list[int]] = [[]]
-    size_at_birth: list[int] = [n_points]
     fallout_points: list[list[int]] = [[]]
-    fallout_lambdas: list[list[float]] = [[]]
-    stack: list[tuple[int, int]] = [(2 * n_points - 2, 0)]
+    terms: list[list[float]] = [[]]
+    stack: list[tuple[int, int]] = [(len(size) - 1, 0)]
     while stack:
         node, cluster = stack.pop()
-        k = node - n_points
-        lam = 1.0 / dist[k] if dist[k] > 0 else np.inf
-        parts = _parts(node, n_points, children, dist)
-        big = [part for part in parts if size[part] >= min_cluster_size]
-        for part in parts:
+        w = dist[node - n]
+        lam = 1.0 / w if w > 0 else math.inf
+        big = [part for part in parts[node - n] if size[part] >= min_cluster_size]
+        for part in parts[node - n]:
             if size[part] < min_cluster_size:
-                shed = _leaves_below(part, n_points, children)
+                shed = _leaves_below(part, n, parts)
                 fallout_points[cluster].extend(shed)
-                fallout_lambdas[cluster].extend([lam] * len(shed))
+                terms[cluster].extend([lam - birth[cluster]] * len(shed))
         if len(big) == 1:
             stack.append((big[0], cluster))
         elif big:
@@ -288,19 +245,18 @@ def condense_tree(
                 parent.append(cluster)
                 birth.append(lam)
                 kids.append([])
-                size_at_birth.append(int(size[part]))
                 fallout_points.append([])
-                fallout_lambdas.append([])
+                terms.append([])
                 kids[cluster].append(cid)
+                terms[cluster].append(size[part] * (lam - birth[cluster]))
                 stack.append((part, cid))
     return CondensedTree(
-        n_points=n_points,
+        n_points=n,
         parent=parent,
         birth_lambda=birth,
         children=kids,
-        size_at_birth=size_at_birth,
         fallout_points=fallout_points,
-        fallout_lambdas=fallout_lambdas,
+        stability=np.array([math.fsum(t) for t in terms]),
     )
 
 

@@ -167,7 +167,10 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     vector becomes the size-weighted mean of the pair, all documents are
     reassigned against the surviving vectors, and sizes are recomputed
     before the next step.  A target equal to the current count is a
-    no-op and returns the model itself; a zero smallest topic raises.
+    no-op and returns the model itself.  A topic with no documents merges
+    like any other, and two empty topics merge to the mean of their
+    vectors; a smallest topic whose vector is zero has no cosine to rank
+    its partner by, and raises.
     """
     if not 1 <= target <= model.n_topics:
         raise ValidationError(

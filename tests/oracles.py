@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written from the definitions alone, in plain Python, and
-deliberately shares no code with topicforge.
+Everything here is written from the definitions alone, in plain Python and
+numpy, and deliberately shares no code with topicforge.
 """
 
 import heapq
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def pwi_oracle_hard(doc_tokens, topic_words, topic_docs, base=2.0):
@@ -152,6 +154,142 @@ def mst_weight_kruskal(dist):
             if used == n - 1:
                 break
     return total
+
+
+def reachability_row(view, j):
+    """Row j of a mutual reachability view, as a fresh array.
+
+    ``view.columns`` holds the points one coordinate per row and
+    ``view.core`` their core distances.  Entry i is
+    ``max(euclidean(j, i), core_j, core_i)``, with 0 at i = j, and the
+    squared differences are summed one coordinate at a time from
+    coordinate 0, in the order the spanning-tree kernel sums them.
+    """
+    row = np.zeros(view.columns.shape[1])
+    diff = np.empty_like(row)
+    for col in view.columns:
+        np.subtract(col[j], col, out=diff)
+        np.multiply(diff, diff, out=diff)
+        row += diff
+    np.sqrt(row, out=row)
+    np.maximum(row, view.core, out=row)
+    np.maximum(row, view.core[j], out=row)
+    row[j] = 0.0
+    return row
+
+
+def _single_linkage(n, mst_edges):
+    """Merge MST edges in ascending weight order into a binary dendrogram.
+
+    Returns (children, dist, size) arrays indexed by node id; points are
+    nodes 0..n-1 and merge k creates node n+k, so node 2n-2 is the root.
+    """
+    order = np.argsort(mst_edges[:, 2], kind="stable")
+    parent = np.arange(2 * n - 1, dtype=np.int64)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    children = np.empty((n - 1, 2), dtype=np.int64)
+    dist = np.empty(n - 1)
+    size = np.ones(2 * n - 1, dtype=np.int64)
+    for k, e in enumerate(order):
+        i, j, w = mst_edges[e]
+        ra, rb = find(int(i)), find(int(j))
+        node = n + k
+        children[k] = (ra, rb)
+        dist[k] = w
+        size[node] = size[ra] + size[rb]
+        parent[ra] = node
+        parent[rb] = node
+    return children, dist, size
+
+
+def _parts(node, n, children, dist):
+    """The parts that a node's distance splits it into: its highest
+    descendants below that distance, found through every merge at it."""
+    w = dist[node - n]
+    parts = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x >= n and dist[x - n] == w:
+            stack.extend(children[x - n].tolist())
+        else:
+            parts.append(x)
+    return parts
+
+
+def _dendrogram_leaves(node, n, children):
+    out = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x < n:
+            out.append(x)
+        else:
+            stack.extend(children[x - n])
+    return out
+
+
+def condense_by_dendrogram(n_points, mst_edges, min_cluster_size):
+    """The condensed hierarchy read back from a binary dendrogram.
+
+    The single-linkage dendrogram orders equal-weight merges arbitrarily;
+    walking down through every merge at one distance recovers that
+    distance's level sets.  Each part of at least ``min_cluster_size``
+    points is a child cluster when there are two or more; a lone large
+    part continues the cluster; smaller parts' points fall out at that
+    lambda (1/distance).  Returns a dict of per-cluster lists: ``parent``,
+    ``birth_lambda``, ``children``, ``size_at_birth``, ``fallout_points``
+    and ``fallout_lambdas``, plus ``stability``, one ``math.fsum`` per
+    cluster of ``lam - birth`` per fallen point and ``size * (birth_child
+    - birth)`` per child.
+    """
+    children, dist, size = _single_linkage(n_points, mst_edges)
+    tree = {key: [[]] for key in ("children", "fallout_points", "fallout_lambdas")}
+    tree.update(parent=[-1], birth_lambda=[0.0], size_at_birth=[n_points])
+    stack = [(2 * n_points - 2, 0)]
+    while stack:
+        node, cluster = stack.pop()
+        k = node - n_points
+        lam = 1.0 / dist[k] if dist[k] > 0 else np.inf
+        parts = _parts(node, n_points, children, dist)
+        big = [part for part in parts if size[part] >= min_cluster_size]
+        for part in parts:
+            if size[part] < min_cluster_size:
+                shed = _dendrogram_leaves(part, n_points, children)
+                tree["fallout_points"][cluster].extend(shed)
+                tree["fallout_lambdas"][cluster].extend([lam] * len(shed))
+        if len(big) == 1:
+            stack.append((big[0], cluster))
+        elif big:
+            for part in big:
+                cid = len(tree["parent"])
+                tree["parent"].append(cluster)
+                tree["birth_lambda"].append(lam)
+                tree["size_at_birth"].append(int(size[part]))
+                for key in ("children", "fallout_points", "fallout_lambdas"):
+                    tree[key].append([])
+                tree["children"][cluster].append(cid)
+                stack.append((part, cid))
+    birth = tree["birth_lambda"]
+    tree["stability"] = [
+        math.fsum(
+            [lam - birth[c] for lam in tree["fallout_lambdas"][c]]
+            + [
+                tree["size_at_birth"][ch] * (birth[ch] - birth[c])
+                for ch in tree["children"][c]
+            ]
+        )
+        for c in range(len(birth))
+    ]
+    return tree
 
 
 def _prufer_tree_weight(seq, dist, n):

@@ -5,13 +5,17 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicforge import ClusterConfig, ValidationError, cluster, reduce
 from topicforge.clustering import (
+    CondensedTree,
     ReachabilityRows,
     build_mst,
     condense_tree,
@@ -21,7 +25,12 @@ from topicforge.clustering import (
 )
 from topicforge.reduction import ReductionConfig
 
-from oracles import mst_weight_exhaustive, mst_weight_kruskal
+from oracles import (
+    condense_by_dendrogram,
+    mst_weight_exhaustive,
+    mst_weight_kruskal,
+    reachability_row,
+)
 
 
 def random_symmetric_matrix(rng, n):
@@ -92,9 +101,9 @@ def blocked_core_distances(points, min_samples, block=256):
     return core
 
 
-def stacked(rows):
+def stacked(view):
     """The rows of a mutual reachability view as one dense matrix."""
-    return np.array([rows[j] for j in range(len(rows))])
+    return np.array([reachability_row(view, j) for j in range(len(view.core))])
 
 
 class TestMutualReachability:
@@ -123,10 +132,10 @@ class TestMutualReachability:
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((30, 4)) * rng.uniform(0.1, 5.0, 4)
         core = core_distances(pts, 3)
-        rows = mutual_reachability(pts, core)
-        assert len(rows) == 30
+        view = mutual_reachability(pts, core)
+        assert view.columns.shape == (4, 30)
         for i in range(30):
-            row = rows[i]
+            row = reachability_row(view, i)
             for j in range(30):
                 dist = math.dist(pts[i].tolist(), pts[j].tolist())
                 expected = 0.0 if i == j else max(core[i], core[j], dist)
@@ -212,11 +221,11 @@ class TestBuildMst:
             build_mst(rows)
 
 
-def prim_over_rows(rows):
-    """Prim's tree of a dense matrix or a view, reading each row once."""
-    n = len(rows)
+def prim_over_rows(view):
+    """Prim's tree of a mutual reachability view, building each row once."""
+    n = len(view.core)
     visited = np.zeros(n, dtype=bool)
-    best_weight = np.array(rows[0], dtype=np.float64)
+    best_weight = reachability_row(view, 0)
     best_source = np.zeros(n, dtype=np.int64)
     visited[0] = True
     best_weight[0] = np.inf
@@ -225,7 +234,7 @@ def prim_over_rows(rows):
         j = int(np.argmin(np.where(visited, np.inf, best_weight)))
         edges[e] = (best_source[j], j, best_weight[j])
         visited[j] = True
-        row = rows[j]
+        row = reachability_row(view, j)
         closer = ~visited & (row < best_weight)
         best_source[closer] = j
         best_weight[closer] = row[closer]
@@ -247,11 +256,11 @@ def assert_spans(edges, n):
     assert len({find(i) for i in range(n)}) == 1
 
 
-def assert_matches_prim(rows, cluster_sizes):
+def assert_matches_prim(view, cluster_sizes):
     """The view's tree against Prim's on the same rows: equal sorted
     weights, and byte-equal labels and stabilities for each cluster size."""
-    n = len(rows)
-    tree, oracle = build_mst(rows), prim_over_rows(rows)
+    n = len(view.core)
+    tree, oracle = build_mst(view), prim_over_rows(view)
     assert_spans(tree, n)
     assert np.array_equal(np.sort(tree[:, 2]), np.sort(oracle[:, 2]))
     for mcs in cluster_sizes:
@@ -496,6 +505,58 @@ class TestCondenseAndExtract:
             labels, stability = union_find_extract(tree)
             assert np.array_equal(labeling.labels, labels)
             assert np.array_equal(labeling.cluster_stability, stability)
+
+
+@st.composite
+def tie_heavy_msts(draw):
+    """A random spanning tree with few distinct integer weights, its
+    points relabeled, its edges shuffled and some endpoints swapped."""
+    n = draw(st.integers(2, 120))
+    top = draw(st.integers(0, 6))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        ends = [label[i], label[draw(st.integers(0, i - 1))]]
+        if draw(st.booleans()):
+            ends.reverse()
+        edges.append(ends + [float(draw(st.integers(0, top)))])
+    return n, np.array(draw(st.permutations(edges)), dtype=np.float64).reshape(-1, 3)
+
+
+class TestDendrogramOracle:
+    """Condensation from one union-find pass against the binary dendrogram
+    walked back through its equal-weight merges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_msts(), st.sampled_from([2, 3, 5, 10]))
+    def test_same_clusters_labels_and_stabilities(self, case, min_cluster_size):
+        n, mst = case
+        tree = condense_tree(n, mst, min_cluster_size)
+        oracle = condense_by_dendrogram(n, mst, min_cluster_size)
+
+        def clusters(birth, fallout, stability):
+            return Counter(
+                (b, tuple(sorted(f)), s) for b, f, s in zip(birth, fallout, stability)
+            )
+
+        assert clusters(
+            tree.birth_lambda, tree.fallout_points, tree.stability.tolist()
+        ) == clusters(
+            oracle["birth_lambda"], oracle["fallout_points"], oracle["stability"]
+        )
+        want = extract_clusters(
+            CondensedTree(
+                n_points=n,
+                parent=oracle["parent"],
+                birth_lambda=oracle["birth_lambda"],
+                children=oracle["children"],
+                fallout_points=oracle["fallout_points"],
+                stability=np.array(oracle["stability"]),
+            )
+        )
+        got = extract_clusters(tree)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.cluster_stability.tobytes() == want.cluster_stability.tobytes()
 
 
 class TestCluster:

@@ -1,0 +1,143 @@
+"""Committed SHA-256 digests of the outputs whose bytes do not depend on the CPU.
+
+Other tests require two runs in one checkout to agree; these pin the bytes
+across commits.  Each output is recomputed from small inputs built only
+from literals, ``rng.random`` and ``rng.integers``, and its digest must
+equal the one in ``output_digests.json``.  A change that means to move
+bytes rewrites that file with ``PYTHONPATH=src python
+tests/test_digests.py`` and names each digest that moved, and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from topicforge import (
+    ClusterConfig,
+    Document,
+    FuzzyGraph,
+    ReductionConfig,
+    TopicSpec,
+    build_stats,
+    build_vocabulary,
+    cluster,
+    index_documents,
+)
+from topicforge.clustering import build_mst, core_distances, mutual_reachability
+from topicforge.metric import evaluate, report_to_json
+from topicforge.reduction import knn_graph, optimize_layout
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+
+def knn_bytes():
+    points = np.random.default_rng(601).random((400, 16)) - 0.5
+    indices, distances = knn_graph(points, 15)
+    return indices.tobytes() + distances.tobytes()
+
+
+def layout_bytes():
+    rng = np.random.default_rng(602)
+    n, m = 300, 2_000
+    ends = rng.integers(0, n, (2, m))
+    ends[1] = (ends[0] + 1 + rng.integers(0, n - 1, m)) % n
+    graph = FuzzyGraph(
+        n_points=n,
+        heads=ends.min(axis=0),
+        tails=ends.max(axis=0),
+        weights=0.05 + 0.95 * rng.random(m),
+    )
+    config = ReductionConfig(n_components=3, layout_epochs=30)
+    return optimize_layout(graph, config, np.random.default_rng(603)).tobytes()
+
+
+def blob_points():
+    """800 points around 6 centers, with a run of equal rows and an
+    integer-valued tail, so that many reachability weights tie."""
+    rng = np.random.default_rng(604)
+    centers = 20.0 * rng.random((6, 4))
+    points = centers[rng.integers(0, 6, 800)] + rng.random((800, 4))
+    points[100:120] = points[5]
+    points[700:] = rng.integers(0, 20, (100, 4))
+    return points
+
+
+def mst_bytes():
+    points = blob_points()
+    return build_mst(mutual_reachability(points, core_distances(points, 10))).tobytes()
+
+
+def cluster_bytes():
+    out = b""
+    for min_cluster_size in (5, 10, 30):
+        labeling = cluster(blob_points(), ClusterConfig(min_cluster_size=min_cluster_size))
+        out += labeling.labels.tobytes() + labeling.cluster_stability.tobytes()
+    return out
+
+
+def evaluation_inputs():
+    """A 60-document corpus over 30 words, skewed toward the low ones, with
+    empty documents, and four 6-word topics."""
+    rng = np.random.default_rng(605)
+    words = [f"w{i:02d}" for i in range(30)]
+    docs = []
+    for d in range(60):
+        length = int(rng.integers(0, 25))
+        ids = np.minimum(rng.integers(0, 30, length), rng.integers(0, 30, length))
+        docs.append(Document(id=f"d{d}", raw=" ".join(words[i] for i in ids)))
+    vocab = build_vocabulary(docs, min_count=1)
+    stats = build_stats(index_documents(docs, vocab), vocab)
+    topics = tuple(tuple(words[6 * t : 6 * t + 6]) for t in range(4))
+    return rng, docs, stats, topics
+
+
+def evaluate_hard_bytes():
+    rng, docs, stats, topics = evaluation_inputs()
+    assignments = {doc.id: int(t) for doc, t in zip(docs, rng.integers(0, 4, len(docs)))}
+    spec = TopicSpec(mode="hard", topics=topics, assignments=assignments)
+    return report_to_json(evaluate(spec, stats, 5)).encode()
+
+
+def evaluate_mixture_bytes():
+    rng, docs, stats, topics = evaluation_inputs()
+    weights = rng.random((len(docs), 4))
+    weights[rng.random((len(docs), 4)) < 0.3] = 0.0
+    weights[:, 0] += 0.01
+    proportions = {
+        doc.id: tuple(map(float, row / row.sum())) for doc, row in zip(docs, weights)
+    }
+    spec = TopicSpec(mode="mixture", topics=topics, proportions=proportions)
+    return report_to_json(evaluate(spec, stats, 5)).encode()
+
+
+OUTPUTS = {
+    "knn_graph": knn_bytes,
+    "optimize_layout": layout_bytes,
+    "mst_edges": mst_bytes,
+    "cluster": cluster_bytes,
+    "evaluate_hard_json": evaluate_hard_bytes,
+    "evaluate_mixture_json": evaluate_mixture_bytes,
+}
+
+
+def digest(name):
+    return hashlib.sha256(OUTPUTS[name]()).hexdigest()
+
+
+def test_every_output_has_a_committed_digest():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(OUTPUTS)
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_bytes_match_the_committed_digest(name):
+    committed = json.loads(DIGESTS.read_text())[name]
+    assert digest(name) == committed, f"the bytes of {name} moved"
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(
+        json.dumps({name: digest(name) for name in sorted(OUTPUTS)}, indent=2) + "\n"
+    )

@@ -255,6 +255,39 @@ class TestReduceTopics:
         with pytest.raises(ValidationError, match="zero norm"):
             reduce_topics(zeroed, 2)
 
+    @staticmethod
+    def with_empty_topics(model, *vectors):
+        """The model with topics appended that no document is nearest to."""
+        k = model.n_topics
+        return dataclasses.replace(
+            model,
+            vectors=np.vstack([model.vectors, vectors]),
+            provenance=model.provenance + tuple((k + i,) for i in range(len(vectors))),
+        )
+
+    def test_empty_topic_merges_into_its_nearest(self):
+        model = self.with_empty_topics(three_cluster_model(), [0.0, 1.0, 0.0])
+        assert model.sizes.tolist() == [4, 2, 5, 0]
+        reduced = reduce_topics(model, 3)
+        record = reduced.merge_history[-1]
+        assert (record.absorbed, record.absorbing) == (3, 1)
+        assert (record.absorbed_size, record.absorbing_size) == (0, 2)
+        assert np.array_equal(record.vector, model.vectors[1])
+        assert reduced.provenance == ((0,), (1, 3), (2,))
+        assert reduced.sizes.tolist() == [4, 2, 5]
+
+    def test_two_empty_topics_merge_to_their_mean(self):
+        model = self.with_empty_topics(
+            three_cluster_model(), [0.0, 1.0, 0.0], [0.0, 1.0, 0.2]
+        )
+        assert model.sizes.tolist() == [4, 2, 5, 0, 0]
+        reduced = reduce_topics(model, 4)
+        record = reduced.merge_history[-1]
+        assert (record.absorbed, record.absorbing) == (3, 4)
+        assert (record.absorbed_size, record.absorbing_size) == (0, 0)
+        assert np.array_equal(record.vector, [0.0, 1.0, 0.1])
+        assert reduced.provenance == ((0,), (1,), (2,), (4, 3))
+
     @pytest.mark.parametrize("target", [0, 4, -1])
     def test_rejects_bad_targets(self, target):
         with pytest.raises(ValidationError):
