@@ -221,6 +221,8 @@ def condense_tree(
         )
     n = n_points
     parts, dist, size = _level_sets(n, mst_edges)
+    if not parts or size[-1] != n:
+        raise ValidationError(f"mst_edges must connect all {n} points, at least 2")
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
     kids: list[list[int]] = [[]]

@@ -488,6 +488,14 @@ class TestCondenseAndExtract:
         with pytest.raises(ValidationError):
             condense_tree(4, np.array([[0, 1, 1.0]]), min_cluster_size=1)
 
+    @pytest.mark.parametrize(
+        "n, edges", [(4, [[0, 1, 1.0], [1, 2, 1.0]]), (1, []), (3, [[0, 1, 1.0]] * 2)]
+    )
+    def test_rejects_edges_that_leave_a_point_out(self, n, edges):
+        mst = np.array(edges, dtype=np.float64).reshape(-1, 3)
+        with pytest.raises(ValidationError, match=f"connect all {n} points"):
+            condense_tree(n, mst, min_cluster_size=2)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_labels_match_union_find_reference(self, seed):
         rng = np.random.default_rng(seed)
