@@ -154,13 +154,13 @@ def _level_sets(n: int, mst_edges: np.ndarray):
     """One union-find pass over the MST edges, a group of equal weights at a
     time, lightest first.  Points are nodes 0..n-1, and each component that
     a group forms is the next node, n + k, the last being the root.
-    Returns its parts (the components of the lighter edges that it joins,
-    the same for every minimum spanning tree) and weight, by ``node - n``,
-    and every node's point count.
+    Returns each such node's parts (the components of the lighter edges
+    that it joins, the same for every minimum spanning tree) and weight,
+    indexed by ``node - n``, and every node's point count.
     """
-    order = np.argsort(mst_edges[:, 2], kind="stable")
+    sorted_edges = mst_edges[np.argsort(mst_edges[:, 2], kind="stable")]
     owner = list(range(n))
-    node_of = list(range(n))
+    node_of = owner.copy()
 
     def find(x: int) -> int:
         root = x
@@ -173,7 +173,7 @@ def _level_sets(n: int, mst_edges: np.ndarray):
     parts: list[list[int]] = []
     dist: list[float] = []
     size = [1] * n
-    for w, group in itertools.groupby(mst_edges[order].tolist(), key=itemgetter(2)):
+    for w, group in itertools.groupby(zip(*sorted_edges.T.tolist()), key=itemgetter(2)):
         ends = [(find(int(a)), find(int(b))) for a, b, _ in group]
         for ra, rb in ends:
             owner[find(ra)] = find(rb)
