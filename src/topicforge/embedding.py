@@ -36,7 +36,7 @@ class EmbeddingConfig:
 
     The learning rate decays linearly from ``INITIAL_LR`` to ``FINAL_LR``
     over all scheduled center positions.  A seed fully determines the
-    trained matrices.
+    trained vectors.
     """
 
     vector_size: int = 300

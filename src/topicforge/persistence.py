@@ -2,25 +2,28 @@
 
 An archive is a single file: the magic bytes ``TPFG``, a little-endian
 u32 format version, a length-prefixed UTF-8 JSON header, then raw
-little-endian float32 matrix blocks in row-major order, in the order the
-header declares.  The blocks are stored (and kept in memory) as float32,
-stabilities, epoch losses and merge vectors as JSON doubles, so a
-save/load round trip is bit-identical.
+little-endian float32 matrix blocks in row-major order, in the order of
+``_MATRIX_NAMES``.  Each block's shape is sized from the header's counts:
+the document ids, the vocabulary words, the vector size, the layout
+components and the topic provenance lists.  The blocks are stored (and
+kept in memory) as float32, stabilities, epoch losses and merge vectors
+as JSON doubles, so a save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
-unsupported version, a truncated file, inconsistent shapes or a header
-value missing or of the wrong JSON kind raise ``ArchiveError`` and never
-yield a partially loaded model.  Block sizes are checked against the
-file length before any block is allocated, and each block is read
-straight into its own array.  Older versions are rejected, not
-converted: version 1 stored the word matrix twice, version 2's
-reduction config carried three options that no longer exist, version
-3's configs carried ``min_dist``, ``initial_lr`` and ``final_lr``, and
-its vocabulary repeated the embedding config's ``min_count`` and
-``subsample_threshold``, version 4 stored each topic's ranked words, the
-cluster count beside the stabilities, and a ``min_samples`` cluster
-setting, and version 5's reduction config carried
-``negative_sample_rate``.
+unsupported version, a truncated file, counts that do not account for
+the file's length or a header value missing or of the wrong JSON kind
+raise ``ArchiveError`` and never yield a partially loaded model.  Block
+sizes are checked against the file length before any block is
+allocated, and each block is read straight into its own array.  Older
+versions are rejected, not converted: version 1 stored the word matrix
+twice, version 2's reduction config carried three options that no
+longer exist, version 3's configs carried ``min_dist``, ``initial_lr``
+and ``final_lr``, and its vocabulary repeated the embedding config's
+``min_count`` and ``subsample_threshold``, version 4 stored each topic's
+ranked words, the cluster count beside the stabilities, and a
+``min_samples`` cluster setting, version 5's reduction config carried
+``negative_sample_rate``, and version 6 repeated each block's name,
+rows and columns in a list beside the counts that already fix them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -55,6 +58,11 @@ _MATRIX_NAMES = (
     "inner_node_vectors",
     "reduced_coords",
     "topic_vectors",
+)
+_HEADER_KEYS = (
+    "embedding_config", "reduction_config", "cluster_config", "vocabulary",
+    "doc_ids", "epoch_losses", "labels", "cluster_stability", "assignment",
+    "topic_provenance", "merge_history",
 )
 
 
@@ -113,10 +121,11 @@ class ModelArchive:
 
 def _archive_parts(archive: ModelArchive) -> list:
     """The archive as a sequence of buffers: the magic, version and header
-    bytes, then each matrix block as a little-endian float32 array."""
+    bytes, then each matrix block, in ``_MATRIX_NAMES`` order, as a
+    little-endian float32 array."""
     topic_model = archive.topic_model
     embedding = topic_model.embedding
-    matrices = {
+    blocks = {
         "doc_vectors": embedding.doc_vectors,
         "word_vectors": embedding.word_vectors,
         "inner_node_vectors": embedding.coding.inner_node_vectors,
@@ -149,17 +158,13 @@ def _archive_parts(archive: ModelArchive) -> list:
             }
             for r in topic_model.merge_history
         ],
-        "matrices": [
-            {"name": name, "rows": int(m.shape[0]), "cols": int(m.shape[1])}
-            for name, m in matrices.items()
-        ],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return [
         MAGIC,
         struct.pack("<II", FORMAT_VERSION, len(header_bytes)),
         header_bytes,
-        *(np.ascontiguousarray(m, dtype="<f4") for m in matrices.values()),
+        *(np.ascontiguousarray(blocks[name], dtype="<f4") for name in _MATRIX_NAMES),
     ]
 
 
@@ -225,11 +230,16 @@ def _read_archive(fh: BinaryIO) -> ModelArchive:
 _read = JsonReader(ArchiveError, "archive ", "header")
 
 
+def _known(obj: dict, keys, path: str) -> None:
+    """The header object ``obj`` at ``path`` holds no key outside ``keys``."""
+    unknown = sorted(set(obj) - set(keys))
+    _require(not unknown, f"archive {path} has unknown fields {unknown}")
+
+
 def _record(cls: type, obj: dict, path: str, **given):
     """``cls`` from the header object ``obj``, which holds exactly its fields."""
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(obj) - set(kinds))
-    _require(not unknown, f"archive {path} has unknown fields {unknown}")
+    _known(obj, kinds, path)
     read = {k: _read.value(obj, k, kinds[k], path) for k in kinds if k not in given}
     return cls(**read, **given)
 
@@ -253,29 +263,12 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"archive header is not valid JSON: {exc}") from exc
-    _read.object(header)
-    manifest = _read.list(header, "matrices", "object")
-    _require(
-        tuple(m.get("name") for m in manifest) == _MATRIX_NAMES,
-        f"archive must declare matrices {list(_MATRIX_NAMES)}",
-    )
-    shapes: dict[str, tuple[int, int]] = {}
-    offset = 12 + header_len
-    for i, m in enumerate(manifest):
-        rows, cols = (
-            _read.value(m, k, "int", f"matrices[{i}]") for k in ("rows", "cols")
-        )
-        _require(rows >= 0 and cols >= 0, f"matrix {m['name']} has negative shape")
-        offset += rows * cols * 4
-        _require(size >= offset, f"archive is truncated inside matrix {m['name']!r}")
-        shapes[m["name"]] = (rows, cols)
-    _require(
-        offset == size, f"archive has {size - offset} unexpected trailing bytes"
-    )
+    _known(_read.object(header), _HEADER_KEYS, "header")
     embedding_config = _parse_config(EmbeddingConfig, header, "embedding_config")
     reduction_config = _parse_config(ReductionConfig, header, "reduction_config")
     cluster_config = _parse_config(ClusterConfig, header, "cluster_config")
     v = _read.value(header, "vocabulary", "object")
+    _known(v, ("words", "counts", "total_tokens"), "vocabulary")
     words = tuple(_read.list(v, "words", "str", "vocabulary"))
     counts = np.array(_read.list(v, "counts", "int", "vocabulary"), dtype=np.int64)
     _require(len(words) >= 1, "archive vocabulary is empty")
@@ -292,22 +285,24 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
     doc_ids = tuple(_read.list(header, "doc_ids", "str"))
     _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
-    n_docs = len(doc_ids)
-    n_words = len(words)
+    provenance = _read.list(header, "topic_provenance", "list")
+    n_docs, n_words, n_topics = len(doc_ids), len(words), len(provenance)
     dim = embedding_config.vector_size
-    n_topics = shapes["topic_vectors"][0]
-    shape_checks = (
-        ("doc_vectors", (n_docs, dim)),
-        ("word_vectors", (n_words, dim)),
-        ("inner_node_vectors", (max(n_words - 1, 0), dim)),
-        ("reduced_coords", (n_docs, reduction_config.n_components)),
-        ("topic_vectors", (n_topics, dim)),
+    shapes = {
+        "doc_vectors": (n_docs, dim),
+        "word_vectors": (n_words, dim),
+        "inner_node_vectors": (n_words - 1, dim),
+        "reduced_coords": (n_docs, reduction_config.n_components),
+        "topic_vectors": (n_topics, dim),
+    }
+    offset = 12 + header_len
+    for name in _MATRIX_NAMES:
+        rows, cols = shapes[name]
+        offset += rows * cols * 4
+        _require(size >= offset, f"archive is truncated inside matrix {name!r}")
+    _require(
+        offset == size, f"archive has {size - offset} unexpected trailing bytes"
     )
-    for name, shape in shape_checks:
-        _require(
-            shapes[name] == shape,
-            f"matrix {name!r} has shape {shapes[name]}, expected {shape}",
-        )
     labels = np.array(_read.list(header, "labels", "int"), dtype=np.int64)
     stability = np.array(
         _read.list(header, "cluster_stability", "float"), dtype=np.float64
@@ -320,11 +315,6 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     )
     assignment = np.array(_read.list(header, "assignment", "int"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
-    provenance = _read.list(header, "topic_provenance", "list")
-    _require(
-        len(provenance) == n_topics,
-        "topic provenance does not match the topic vector count",
-    )
     _require(
         n_topics > 0 and bool(np.all((assignment >= 0) & (assignment < n_topics))),
         "topic assignment out of range",
@@ -339,9 +329,14 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         vector = np.array(_read.list(r, "vector", "float", path), dtype=np.float64)
         _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
         history.append(_record(MergeRecord, r, path, vector=vector))
+    originals = sorted(i for p in provenance for i in p)
+    _require(
+        all(provenance) and originals == list(range(n_topics + len(history))),
+        "topic provenance does not partition the original topics",
+    )
     blocks: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        blocks[name] = block = np.empty(shape, dtype="<f4")
+    for name in _MATRIX_NAMES:
+        blocks[name] = block = np.empty(shapes[name], dtype="<f4")
         _require(
             fh.readinto(block) == block.nbytes,
             f"archive is truncated inside matrix {name!r}",

@@ -237,17 +237,3 @@ def mutate_header(data, mutate):
     hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return data[:8] + struct.pack("<I", len(hb)) + hb + data[12 + header_len :]
 
-
-def halve_topic_columns(data):
-    """Archive bytes whose last block, ``topic_vectors``, is declared with
-    half its columns and cut to match, so every offset and length agrees
-    and only the block's shape is wrong."""
-    (header_len,) = struct.unpack("<I", data[8:12])
-    header = json.loads(data[12 : 12 + header_len])
-    block = header["matrices"][-1]
-    assert block["name"] == "topic_vectors"
-    cut = block["rows"] * (block["cols"] - block["cols"] // 2) * 4
-    block["cols"] //= 2
-    hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    blocks = data[12 + header_len : len(data) - cut]
-    return data[:8] + struct.pack("<I", len(hb)) + hb + blocks

@@ -5,7 +5,8 @@ across commits.  Each output is recomputed from small inputs built only
 from literals, ``rng.random`` and ``rng.integers``, and its digest must
 equal the one in ``output_digests.json``.  A change that means to move
 bytes rewrites that file with ``PYTHONPATH=src python
-tests/test_digests.py`` and names each digest that moved, and why.
+tests/test_digests.py``, which prints each digest it adds, moves or
+removes, and names each of them, and why, in CHANGES.md.
 """
 
 import hashlib
@@ -17,10 +18,17 @@ import pytest
 
 from topicforge import (
     ClusterConfig,
+    ClusterLabeling,
     Document,
+    EmbeddingConfig,
     FuzzyGraph,
+    ModelArchive,
     ReductionConfig,
+    SemanticEmbedding,
+    TopicModel,
     TopicSpec,
+    Vocabulary,
+    build_huffman_coding,
     build_stats,
     build_vocabulary,
     cluster,
@@ -28,7 +36,9 @@ from topicforge import (
 )
 from topicforge.clustering import build_mst, core_distances, mutual_reachability
 from topicforge.metric import evaluate, report_to_json
+from topicforge.persistence import archive_from_bytes, archive_to_bytes
 from topicforge.reduction import knn_graph, optimize_layout
+from topicforge.topics import MergeRecord
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
@@ -113,6 +123,63 @@ def evaluate_mixture_bytes():
     return report_to_json(evaluate(spec, stats, 5)).encode()
 
 
+def archive_bytes():
+    """A 12-document, 9-word archive with three topics, the second merged
+    from two, built from its parts so that no training and no BLAS product
+    enters."""
+    rng = np.random.default_rng(606)
+    n_docs, n_words, dim = 12, 9, 6
+    counts = np.sort(rng.integers(1, 50, n_words))[::-1]
+    vocab = Vocabulary(
+        words=tuple(f"w{i}" for i in range(n_words)),
+        counts=counts,
+        total_tokens=int(counts.sum()) + 7,
+        keep_probability=np.ones(n_words),
+    )
+    embedding = SemanticEmbedding(
+        doc_vectors=rng.random((n_docs, dim)) - 0.5,
+        word_vectors=rng.random((n_words, dim)) - 0.5,
+        coding=build_huffman_coding(
+            vocab, dim, rng.random((n_words - 1, dim)) - 0.5
+        ),
+        vocabulary=vocab,
+        doc_ids=tuple(f"d{i}" for i in range(n_docs)),
+        epoch_losses=[float(x) for x in 3.0 + rng.random(4)],
+    )
+    labeling = ClusterLabeling(
+        labels=rng.integers(-1, 4, n_docs),
+        n_clusters=4,
+        cluster_stability=rng.random(4),
+    )
+    # Topic 3 of four merged into topic 1, as reduce_topics records it.
+    merge = MergeRecord(
+        absorbed=3,
+        absorbing=1,
+        absorbed_size=2,
+        absorbing_size=3,
+        vector=rng.random(dim),
+    )
+    model = TopicModel(
+        vectors=0.1 + rng.random((3, dim)),
+        provenance=((0,), (1, 3), (2,)),
+        assignment=rng.integers(0, 3, n_docs),
+        embedding=embedding,
+        merge_history=(merge,),
+    )
+    archive = ModelArchive.from_pipeline(
+        embedding,
+        rng.random((n_docs, 2)) * 10.0,
+        labeling,
+        model,
+        EmbeddingConfig(vector_size=dim, window=3, epochs=4, min_count=2, seed=7),
+        ReductionConfig(n_neighbors=4, n_components=2, layout_epochs=20, seed=8),
+        ClusterConfig(min_cluster_size=3),
+    )
+    data = archive_to_bytes(archive)
+    archive_from_bytes(data)  # the bytes form an archive that loads
+    return data
+
+
 OUTPUTS = {
     "knn_graph": knn_bytes,
     "optimize_layout": layout_bytes,
@@ -120,6 +187,7 @@ OUTPUTS = {
     "cluster": cluster_bytes,
     "evaluate_hard_json": evaluate_hard_bytes,
     "evaluate_mixture_json": evaluate_mixture_bytes,
+    "archive": archive_bytes,
 }
 
 
@@ -138,6 +206,13 @@ def test_output_bytes_match_the_committed_digest(name):
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(
-        json.dumps({name: digest(name) for name in sorted(OUTPUTS)}, indent=2) + "\n"
-    )
+    old = json.loads(DIGESTS.read_text())
+    new = {name: digest(name) for name in sorted(OUTPUTS)}
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            print(f"added {name}")
+        elif name not in new:
+            print(f"removed {name}")
+        elif old[name] != new[name]:
+            print(f"moved {name}")
+    DIGESTS.write_text(json.dumps(new, indent=2) + "\n")

@@ -27,6 +27,7 @@ from topicforge import (
     build_topic_model,
     cluster,
     load_model,
+    persistence,
     reduce,
     reduce_topics,
     save_model,
@@ -35,7 +36,7 @@ from topicforge import (
 from topicforge.cli import _write_manifest
 from topicforge.persistence import FORMAT_VERSION, archive_from_bytes, archive_to_bytes
 
-from conftest import halve_topic_columns, make_two_theme_docs, mutate_header
+from conftest import make_two_theme_docs, mutate_header
 
 
 @functools.cache
@@ -78,10 +79,17 @@ def merged_archive(archive):
 
 
 def header_at(header, path):
-    """The header object at a path such as ``vocabulary`` or ``matrices[0]``."""
+    """The header object at a path such as ``vocabulary`` or ``merge_history[0]``."""
     for part in re.findall(r"[a-z_]+|\d+", path):
         header = header[int(part) if part.isdigit() else part]
     return header
+
+
+def empty_first_topic(h):
+    """Move topic 0's original topics to the last topic, leaving it none."""
+    provenance = h["topic_provenance"]
+    provenance[-1] += provenance[0]
+    provenance[0] = []
 
 
 @functools.cache
@@ -96,16 +104,28 @@ class TestRoundTrip:
         assert archive_to_bytes(loaded) == data
 
     def test_declares_five_blocks(self, archive):
-        data = archive_to_bytes(archive)
-        (header_len,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12 : 12 + header_len])
-        assert [m["name"] for m in header["matrices"]] == [
+        # The header states no block shape: the bytes after it are the five
+        # arrays in _MATRIX_NAMES order, each sized from the header's counts.
+        assert persistence._MATRIX_NAMES == (
             "doc_vectors",
             "word_vectors",
             "inner_node_vectors",
             "reduced_coords",
             "topic_vectors",
-        ]
+        )
+        embedding = archive.embedding
+        blocks = (
+            embedding.doc_vectors,
+            embedding.word_vectors,
+            embedding.coding.inner_node_vectors,
+            archive.reduced_coords,
+            archive.topic_model.vectors,
+        )
+        data = archive_to_bytes(archive)
+        (header_len,) = struct.unpack("<I", data[8:12])
+        assert data[12 + header_len :] == b"".join(
+            np.ascontiguousarray(block, dtype="<f4").tobytes() for block in blocks
+        )
 
     def test_vocabulary_repeats_no_config_value(self, archive):
         data = archive_to_bytes(archive)
@@ -121,6 +141,7 @@ class TestRoundTrip:
         header = json.loads(data[12 : 12 + header_len])
         assert "topic_words" not in header
         assert "n_clusters" not in header
+        assert "matrices" not in header
         assert set(header["cluster_config"]) == {"min_cluster_size"}
 
     def test_file_round_trip(self, archive, tmp_path):
@@ -209,7 +230,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -274,14 +295,6 @@ class TestRejection:
         last = archive.topic_model.n_topics - 1
         assert str(excinfo.value) == f"matrix 'topic_vectors' has zero rows [{last}]"
 
-    def test_wrong_matrix_manifest(self, archive):
-        def rename(h):
-            h["matrices"][0]["name"] = "mystery"
-
-        data = mutate_header(archive_to_bytes(archive), rename)
-        with pytest.raises(ArchiveError, match="declare matrices"):
-            archive_from_bytes(data)
-
     def test_truncated_matrix_block(self, archive):
         data = archive_to_bytes(archive)
         with pytest.raises(ArchiveError, match="truncated inside matrix"):
@@ -318,17 +331,36 @@ class TestRejection:
 
     def test_shape_mismatch(self, archive):
         def shrink(h):
-            h["matrices"][0]["rows"] -= 1
+            h["doc_ids"].pop()
 
         data = mutate_header(archive_to_bytes(archive), shrink)
-        # One row less shifts every later block; the total length check or
-        # the shape check must catch it, never a silent misread.
-        with pytest.raises(ArchiveError):
+        # One document less sizes two blocks a row shorter than the file
+        # holds; the length check must catch it, never a silent misread.
+        row_bytes = 4 * (
+            archive.embedding_config.vector_size
+            + archive.reduction_config.n_components
+        )
+        with pytest.raises(ArchiveError) as excinfo:
             archive_from_bytes(data)
+        assert str(excinfo.value) == (
+            f"archive has {row_bytes} unexpected trailing bytes"
+        )
 
     def test_topic_block_of_the_wrong_width(self, archive):
-        data = halve_topic_columns(archive_to_bytes(archive))
-        with pytest.raises(ArchiveError, match="'topic_vectors' has shape"):
+        def narrow(h):
+            h["embedding_config"]["vector_size"] //= 2
+
+        data = mutate_header(archive_to_bytes(archive), narrow)
+        with pytest.raises(ArchiveError, match="unexpected trailing bytes"):
+            archive_from_bytes(data)
+
+        def one_topic_more(h):
+            h["topic_provenance"].append([len(h["topic_provenance"])])
+
+        data = mutate_header(archive_to_bytes(archive), one_topic_more)
+        with pytest.raises(
+            ArchiveError, match="truncated inside matrix 'topic_vectors'"
+        ):
             archive_from_bytes(data)
 
     @pytest.mark.parametrize(
@@ -341,13 +373,54 @@ class TestRejection:
                 ),
                 "repeats a word",
             ),
+            (
+                lambda h: h["topic_provenance"][0].append(-5),
+                "provenance does not partition",
+            ),
+            (
+                lambda h: h["topic_provenance"][-1].append(
+                    h["topic_provenance"][0][0]
+                ),
+                "provenance does not partition",
+            ),
+            (empty_first_topic, "provenance does not partition"),
         ],
-        ids=["duplicate_doc_id", "duplicate_word"],
+        ids=[
+            "duplicate_doc_id",
+            "duplicate_word",
+            "negative_original_topic",
+            "original_topic_in_two_topics",
+            "topic_without_original",
+        ],
     )
     def test_self_inconsistent_header(self, archive, tamper, message):
         data = mutate_header(archive_to_bytes(archive), tamper)
         with pytest.raises(ArchiveError, match=message):
             archive_from_bytes(data)
+
+    def test_provenance_counts_the_merged_topics(self, merged_archive):
+        def unmerge(h):
+            h["merge_history"].pop()
+
+        data = mutate_header(archive_to_bytes(merged_archive), unmerge)
+        with pytest.raises(ArchiveError, match="does not partition"):
+            archive_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "path,key",
+        # Format 6's block manifest, and format 3's repeated config value.
+        [("", "matrices"), ("vocabulary", "min_count")],
+        ids=["header", "vocabulary"],
+    )
+    def test_header_object_with_an_unknown_field(self, archive, path, key):
+        def widen(h):
+            header_at(h, path)[key] = []
+
+        data = mutate_header(archive_to_bytes(archive), widen)
+        with pytest.raises(ArchiveError) as excinfo:
+            archive_from_bytes(data)
+        named = path or "header"
+        assert str(excinfo.value) == f"archive {named} has unknown fields [{key!r}]"
 
     def test_empty_vocabulary(self, archive):
         def empty(h):
@@ -395,7 +468,6 @@ class TestRejection:
             ("embedding_config", "subsample_threshold", True, "a number"),
             ("embedding_config", "subsample_threshold", "0.01", "a number"),
             ("vocabulary", "total_tokens", 2.5, "an integer"),
-            ("matrices[0]", "rows", "40", "an integer"),
         ],
     )
     def test_config_value_of_the_wrong_type(
@@ -611,7 +683,7 @@ class TestBlockIO:
         archive = wide_archive()
 
         def inflate(h):
-            h["matrices"][-1]["rows"] = 10**9
+            h["embedding_config"]["vector_size"] = 10**9
 
         path = tmp_path / "inflated.tpfg"
         path.write_bytes(mutate_header(archive_to_bytes(archive), inflate))
