@@ -50,18 +50,16 @@ class ClusterConfig:
 class CondensedTree:
     """Cluster hierarchy after small-side splits are folded away.
 
-    Cluster 0 is the root (all points, birth lambda 0).
-    ``fallout_points`` records the points that left each cluster, and
-    ``children`` holds the sub-clusters of a genuine split.  Lambda is
+    Cluster 0 is the root (all points, birth lambda 0), and every other
+    cluster's ``parent`` has a lower id than it.  ``fallout_cluster``
+    holds, per point, the cluster that the point fell out of.  Lambda is
     1/distance, so larger means denser.  Each stability is one
     ``math.fsum``, so it does not depend on the order of its terms.
     """
 
-    n_points: int
     parent: list[int]
     birth_lambda: list[float]
-    children: list[list[int]]
-    fallout_points: list[list[int]]
+    fallout_cluster: np.ndarray
     stability: np.ndarray
 
 
@@ -188,18 +186,6 @@ def _level_sets(n: int, mst_edges: np.ndarray):
     return parts, dist, size
 
 
-def _leaves_below(node: int, n: int, parts: list[list[int]]) -> list[int]:
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if x < n:
-            out.append(x)
-        else:
-            stack.extend(parts[x - n])
-    return out
-
-
 def condense_tree(
     n_points: int, mst_edges: np.ndarray, min_cluster_size: int
 ) -> CondensedTree:
@@ -225,39 +211,34 @@ def condense_tree(
         raise ValidationError(f"mst_edges must connect all {n} points, at least 2")
     parent: list[int] = [-1]
     birth: list[float] = [0.0]
-    kids: list[list[int]] = [[]]
-    fallout_points: list[list[int]] = [[]]
     terms: list[list[float]] = [[]]
-    stack: list[tuple[int, int]] = [(len(size) - 1, 0)]
-    while stack:
-        node, cluster = stack.pop()
+    # Each node's cluster: the one it continues, or the one a small part
+    # fell out of.  A node's parts have lower ids than the node, so one
+    # pass down from the root hands every node's cluster to its parts.
+    cluster_of = [0] * len(size)
+    root = len(size) - 1
+    for node in range(root, n - 1, -1):
+        cluster = cluster_of[node]
+        for part in parts[node - n]:
+            cluster_of[part] = cluster
+        if size[node] < min_cluster_size and node < root:
+            continue  # a small part only hands its cluster to its points
         w = dist[node - n]
         lam = 1.0 / w if w > 0 else math.inf
         big = [part for part in parts[node - n] if size[part] >= min_cluster_size]
-        for part in parts[node - n]:
-            if size[part] < min_cluster_size:
-                shed = _leaves_below(part, n, parts)
-                fallout_points[cluster].extend(shed)
-                terms[cluster].extend([lam - birth[cluster]] * len(shed))
-        if len(big) == 1:
-            stack.append((big[0], cluster))
-        elif big:
+        shed = size[node] - sum(size[part] for part in big)
+        terms[cluster].extend([lam - birth[cluster]] * shed)
+        if len(big) > 1:
             for part in big:
-                cid = len(parent)
+                cluster_of[part] = len(parent)
                 parent.append(cluster)
                 birth.append(lam)
-                kids.append([])
-                fallout_points.append([])
                 terms.append([])
-                kids[cluster].append(cid)
                 terms[cluster].append(size[part] * (lam - birth[cluster]))
-                stack.append((part, cid))
     return CondensedTree(
-        n_points=n,
         parent=parent,
         birth_lambda=birth,
-        children=kids,
-        fallout_points=fallout_points,
+        fallout_cluster=np.array(cluster_of[:n], dtype=np.int64),
         stability=np.array([math.fsum(t) for t in terms]),
     )
 
@@ -265,56 +246,42 @@ def condense_tree(
 def extract_clusters(tree: CondensedTree) -> ClusterLabeling:
     """Select the most stable clusters and label the points.
 
-    A cluster beats its descendants when its stability is at least the
+    A cluster keeps itself when its stability is at least the
     ``math.fsum`` of its children's winning stabilities; the root never
-    competes.  If no split ever qualified, all points form a single
-    cluster.  Points are labeled with the selected cluster whose subtree
-    they fell out of; everything that fell out above the selected level is
-    noise.  Labels number the selected clusters in the order of their
-    smallest member index, and ``cluster_stability`` follows that order.
+    competes.  One pass from the highest cluster id down decides this, as
+    every child has a higher id than its parent.  A cluster is selected
+    when it keeps itself and no cluster between it and the root does, so
+    one pass down the ``parent`` links gives each cluster the selected
+    cluster at or above it, or -1.  If no split ever qualified, the root
+    is that cluster for all points.  Each point takes the label of the
+    cluster it fell out of, so a point that fell out above the selected
+    level is noise.  Labels number the selected clusters in the order of
+    their smallest member index, and ``cluster_stability`` follows that
+    order.
     """
     m = len(tree.parent)
-    selected = [False] + [True] * (m - 1)
-    winning = tree.stability.copy()
+    child_wins: list[list[float]] = [[] for _ in range(m)]
+    keeps = [False] * m
     for c in range(m - 1, 0, -1):
-        if not tree.children[c]:
-            continue
-        child_sum = math.fsum(winning[ch] for ch in tree.children[c])
-        if child_sum > tree.stability[c]:
-            selected[c] = False
-            winning[c] = child_sum
-        else:
-            stack = list(tree.children[c])
-            while stack:
-                d = stack.pop()
-                selected[d] = False
-                stack.extend(tree.children[d])
-    chosen = [c for c in range(1, m) if selected[c]]
-    if not chosen:
-        return ClusterLabeling(
-            labels=np.zeros(tree.n_points, dtype=np.int64),
-            n_clusters=1,
-            cluster_stability=np.array([tree.stability[0]]),
-        )
-    # No chosen cluster contains another, so each point that fell out in a
-    # chosen cluster's subtree gets that cluster's label.
-    labels = np.full(tree.n_points, -1, dtype=np.int64)
-    for rank, c in enumerate(chosen):
-        stack = [c]
-        while stack:
-            d = stack.pop()
-            labels[tree.fallout_points[d]] = rank
-            stack.extend(tree.children[d])
-    # Every chosen cluster has members; renumber by the first of each.
+        child_sum = math.fsum(child_wins[c])
+        keeps[c] = not child_sum > tree.stability[c]
+        child_wins[tree.parent[c]].append(tree.stability[c] if keeps[c] else child_sum)
+    selected_at = [0 if m == 1 else -1]
+    for c in range(1, m):
+        above = selected_at[tree.parent[c]]
+        selected_at.append(above if above >= 0 or not keeps[c] else c)
+    labels = np.array(selected_at, dtype=np.int64)[tree.fallout_cluster]
+    # Every selected cluster has members; renumber by the first of each.
     member = labels >= 0
-    by_first = np.argsort(np.unique(labels[member], return_index=True)[1])
-    renumber = np.empty(len(chosen), dtype=np.int64)
-    renumber[by_first] = np.arange(len(chosen))
-    labels[member] = renumber[labels[member]]
+    ids, first = np.unique(labels[member], return_index=True)
+    chosen = ids[np.argsort(first)]
+    rank = np.empty(m, dtype=np.int64)
+    rank[chosen] = np.arange(len(chosen))
+    labels[member] = rank[labels[member]]
     return ClusterLabeling(
         labels=labels,
         n_clusters=len(chosen),
-        cluster_stability=tree.stability[chosen][by_first],
+        cluster_stability=tree.stability[chosen],
     )
 
 

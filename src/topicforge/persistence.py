@@ -274,10 +274,15 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
+    total_tokens = _read.value(v, "total_tokens", "int", "vocabulary")
+    _require(
+        total_tokens >= sum(counts.tolist()),
+        "vocabulary total_tokens is below the sum of its counts",
+    )
     vocab = Vocabulary(
         words=words,
         counts=counts,
-        total_tokens=_read.value(v, "total_tokens", "int", "vocabulary"),
+        total_tokens=total_tokens,
         keep_probability=keep_probabilities(
             counts, embedding_config.subsample_threshold
         ),
@@ -312,6 +317,11 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(
         bool(np.all((labels >= -1) & (labels < n_clusters))),
         "cluster labels out of range",
+    )
+    _require(bool(np.all(stability >= 0)), "cluster stabilities must be non-negative")
+    _require(
+        np.array_equal(np.unique(labels[labels >= 0]), np.arange(n_clusters)),
+        "cluster labels do not use every cluster",
     )
     assignment = np.array(_read.list(header, "assignment", "int"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")

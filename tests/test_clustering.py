@@ -401,8 +401,9 @@ class TestCanonicalLabels:
         for _ in range(6):
             mst = np.array(chains + bridges)[rng.permutation(12)]
             tree = condense_tree(13, mst, min_cluster_size=3)
-            assert len(tree.children[0]) == 3
-            assert tree.fallout_points[0] == [12]
+            assert tree.parent == [-1, 0, 0, 0]
+            assert tree.fallout_cluster[12] == 0
+            assert np.count_nonzero(tree.fallout_cluster == 0) == 1
             assert tree.stability[0] == pytest.approx(0.1 + 3 * 4 * 0.1)
             labeling = extract_clusters(tree)
             assert labeling.labels.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [-1]
@@ -416,22 +417,25 @@ def union_find_extract(tree):
     Points join the cluster they fell out of and unselected clusters join
     their parent, so the selected clusters cut the tree into labeled parts.
     """
-    m, n = len(tree.parent), tree.n_points
+    m, n = len(tree.parent), len(tree.fallout_cluster)
+    children = [[] for _ in range(m)]
+    for c in range(1, m):
+        children[tree.parent[c]].append(c)
     selected = [False] + [True] * (m - 1)
     winning = tree.stability.copy()
     for c in range(m - 1, 0, -1):
-        if not tree.children[c]:
+        if not children[c]:
             continue
-        child_sum = math.fsum(winning[ch] for ch in tree.children[c])
+        child_sum = math.fsum(winning[ch] for ch in children[c])
         if child_sum > tree.stability[c]:
             selected[c] = False
             winning[c] = child_sum
         else:
-            stack = list(tree.children[c])
+            stack = list(children[c])
             while stack:
                 d = stack.pop()
                 selected[d] = False
-                stack.extend(tree.children[d])
+                stack.extend(children[d])
     chosen = [c for c in range(1, m) if selected[c]]
     if not chosen:
         return np.zeros(n, dtype=np.int64), np.array([tree.stability[0]])
@@ -445,9 +449,8 @@ def union_find_extract(tree):
     for c in range(1, m):
         if not selected[c]:
             parent_uf[find(n + c)] = find(n + tree.parent[c])
-    for c in range(m):
-        for p in tree.fallout_points[c]:
-            parent_uf[find(p)] = find(n + c)
+    for p, c in enumerate(tree.fallout_cluster.tolist()):
+        parent_uf[find(p)] = find(n + c)
     label_of_root = {find(n + c): rank for rank, c in enumerate(chosen)}
     labels = np.array([label_of_root.get(find(p), -1) for p in range(n)])
     return renumber_by_smallest_member(labels, tree.stability[chosen])
@@ -471,7 +474,7 @@ class TestCondenseAndExtract:
         )
         tree = condense_tree(6, mst, min_cluster_size=3)
         assert len(tree.parent) == 3
-        assert tree.children[0] == [1, 2]
+        assert tree.parent == [-1, 0, 0]
         assert tree.birth_lambda[1] == pytest.approx(0.1)
         # Each side keeps its 3 points from lambda 0.1 until they shed at 1.
         assert tree.stability[1] == pytest.approx(3 * (1.0 - 0.1))
@@ -483,6 +486,24 @@ class TestCondenseAndExtract:
         assert len(set(labeling.labels[3:])) == 1
         assert labeling.labels[0] != labeling.labels[3]
         assert labeling.noise_count == 0
+
+    def test_a_cluster_that_ties_its_children_keeps_itself(self):
+        # Cluster A (points 0-7, born at lambda 1/4) sheds four points and
+        # splits into two pairs at 1/2; the pairs die at 1.  A's stability,
+        # 4 * 1/4 + 4 * 1/4, equals the pairs' 2 * 1/2 + 2 * 1/2 exactly,
+        # and a tie keeps the parent.
+        mst = np.array(
+            [[0, 1, 1.0], [2, 3, 1.0], [8, 9, 1.0], [1, 4, 2.0], [4, 5, 2.0],
+             [5, 6, 2.0], [6, 7, 2.0], [7, 2, 2.0], [7, 8, 4.0]]
+        )
+        tree = condense_tree(10, mst, min_cluster_size=2)
+        assert tree.parent == [-1, 0, 0, 1, 1]
+        assert tree.stability[1] == math.fsum(tree.stability[3:]) == 2.0
+        labeling = extract_clusters(tree)
+        assert labeling.labels.tolist() == [0] * 8 + [1] * 2
+        labels, stability = union_find_extract(tree)
+        assert labels.tolist() == labeling.labels.tolist()
+        assert stability.tolist() == labeling.cluster_stability.tolist()
 
     def test_rejects_small_min_cluster_size(self):
         with pytest.raises(ValidationError):
@@ -533,7 +554,8 @@ def tie_heavy_msts(draw):
 
 class TestDendrogramOracle:
     """Condensation from one union-find pass against the binary dendrogram
-    walked back through its equal-weight merges."""
+    walked back through its equal-weight merges, and extraction against
+    the union-find reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_msts(), st.sampled_from([2, 3, 5, 10]))
@@ -541,6 +563,10 @@ class TestDendrogramOracle:
         n, mst = case
         tree = condense_tree(n, mst, min_cluster_size)
         oracle = condense_by_dendrogram(n, mst, min_cluster_size)
+        fallout_points = [
+            np.flatnonzero(tree.fallout_cluster == c).tolist()
+            for c in range(len(tree.parent))
+        ]
 
         def clusters(birth, fallout, stability):
             return Counter(
@@ -548,23 +574,28 @@ class TestDendrogramOracle:
             )
 
         assert clusters(
-            tree.birth_lambda, tree.fallout_points, tree.stability.tolist()
+            tree.birth_lambda, fallout_points, tree.stability.tolist()
         ) == clusters(
             oracle["birth_lambda"], oracle["fallout_points"], oracle["stability"]
         )
+        fallout_cluster = np.full(n, -1, dtype=np.int64)
+        for c, points in enumerate(oracle["fallout_points"]):
+            fallout_cluster[points] = c
         want = extract_clusters(
             CondensedTree(
-                n_points=n,
                 parent=oracle["parent"],
                 birth_lambda=oracle["birth_lambda"],
-                children=oracle["children"],
-                fallout_points=oracle["fallout_points"],
+                fallout_cluster=fallout_cluster,
                 stability=np.array(oracle["stability"]),
             )
         )
         got = extract_clusters(tree)
-        assert got.labels.tobytes() == want.labels.tobytes()
-        assert got.cluster_stability.tobytes() == want.cluster_stability.tobytes()
+        for labels, stability in (
+            (want.labels, want.cluster_stability),
+            union_find_extract(tree),
+        ):
+            assert got.labels.tobytes() == labels.tobytes()
+            assert got.cluster_stability.tobytes() == stability.tobytes()
 
 
 class TestCluster:

@@ -384,6 +384,22 @@ class TestRejection:
                 "provenance does not partition",
             ),
             (empty_first_topic, "provenance does not partition"),
+            (
+                lambda h: h["cluster_stability"].__setitem__(0, -3.0),
+                "stabilities must be non-negative",
+            ),
+            (
+                lambda h: h["cluster_stability"].__setitem__(0, float("nan")),
+                "stabilities must be non-negative",
+            ),
+            (
+                lambda h: h["cluster_stability"].append(1.0),
+                "labels do not use every cluster",
+            ),
+            (
+                lambda h: h["vocabulary"].__setitem__("total_tokens", -1),
+                "total_tokens is below the sum of its counts",
+            ),
         ],
         ids=[
             "duplicate_doc_id",
@@ -391,12 +407,25 @@ class TestRejection:
             "negative_original_topic",
             "original_topic_in_two_topics",
             "topic_without_original",
+            "negative_stability",
+            "nan_stability",
+            "stability_without_label",
+            "total_tokens_below_counts",
         ],
     )
     def test_self_inconsistent_header(self, archive, tamper, message):
         data = mutate_header(archive_to_bytes(archive), tamper)
         with pytest.raises(ArchiveError, match=message):
             archive_from_bytes(data)
+
+    def test_infinite_stability_loads(self, archive):
+        # A split at distance 0 has lambda infinity, so clustering can
+        # give a cluster an infinite stability.
+        def tamper(h):
+            h["cluster_stability"][0] = float("inf")
+
+        loaded = archive_from_bytes(mutate_header(archive_to_bytes(archive), tamper))
+        assert loaded.labeling.cluster_stability[0] == float("inf")
 
     def test_provenance_counts_the_merged_topics(self, merged_archive):
         def unmerge(h):
