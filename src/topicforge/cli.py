@@ -251,6 +251,7 @@ def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
         raise ValidationError("evaluate needs exactly one of --model or --external")
     docs = load_corpus(args.corpus, args.corpus_format)
     inputs = [args.corpus]
+    scan = None
     if args.model:
         archive = load_model(args.model)
         inputs.append(args.model)
@@ -266,12 +267,15 @@ def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
                 model = reduce_topics(model, args.topics)
         spec = model_topic_spec(model, args.top_n)
     else:
-        from .corpus import build_vocabulary
+        from .corpus import build_vocabulary, scan_tokens
 
-        vocab = build_vocabulary(docs, min_count=args.min_count)
+        scan = scan_tokens(docs)
+        vocab = build_vocabulary(docs, min_count=args.min_count, scan=scan)
         spec = load_external_topics(args.external, vocab)
         inputs.append(args.external)
-    stats = build_stats(index_documents(docs, vocab), vocab)
+    indexed = index_documents(docs, vocab, scan=scan)
+    del scan  # one id per token: free it before the stats are built
+    stats = build_stats(indexed, vocab)
     report = evaluate(spec, stats, args.top_n)
     text = (
         report_to_csv(report) if args.format == "csv" else report_to_json(report) + "\n"

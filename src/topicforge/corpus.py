@@ -2,7 +2,9 @@
 
 Documents come in as raw text (JSON lines or one document per plain-text
 line), get tokenized into lowercase word strings, and are indexed against
-a frequency-filtered vocabulary.  The vocabulary also carries the
+a frequency-filtered vocabulary.  One pass, ``scan_tokens``, tokenizes
+each document once and numbers its words; the vocabulary counts and the
+index are both read from its ids.  The vocabulary also carries the
 subsampling keep-probability used to thin very frequent words during
 embedding training.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -102,15 +104,65 @@ def keep_probabilities(counts: np.ndarray, threshold: float) -> np.ndarray:
     return np.minimum(1.0, np.sqrt(threshold / ratios))
 
 
+@dataclass(frozen=True)
+class TokenScan:
+    """Every token of a corpus as a corpus-local word id, from one pass.
+
+    ``words`` lists the distinct words in first-seen order, ``ids`` holds
+    each token's index into ``words``, the documents end to end, and
+    ``ends[i]`` is where document ``i``'s tokens end in ``ids``.
+    """
+
+    words: list[str]
+    ids: np.ndarray
+    ends: np.ndarray
+
+
+def scan_tokens(docs: list[Document]) -> TokenScan:
+    """Tokenize every document once and number its words as they come.
+
+    No token string outlives its document: the pass keeps one 4-byte id
+    per token and one entry per distinct word.
+    """
+    table: defaultdict[str, int] = defaultdict()
+    table.default_factory = table.__len__
+    word_id = table.__getitem__
+    ids = array("i")
+    ends = array("q")
+    for doc in docs:
+        ids.extend(map(word_id, tokenize(doc.raw)))
+        ends.append(len(ids))
+    return TokenScan(
+        words=list(table),
+        ids=np.frombuffer(ids, dtype=np.int32),
+        ends=np.frombuffer(ends, dtype=np.int64),
+    )
+
+
+def _scan_of(docs: list[Document], scan: TokenScan | None) -> TokenScan:
+    if scan is None:
+        return scan_tokens(docs)
+    if len(scan.ends) != len(docs):
+        raise ValidationError(
+            f"token scan covers {len(scan.ends)} documents, not {len(docs)}"
+        )
+    return scan
+
+
 def build_vocabulary(
     docs: list[Document],
     min_count: int = 50,
     subsample_threshold: float = 1e-5,
+    *,
+    scan: TokenScan | None = None,
 ) -> Vocabulary:
     """Count tokens across documents and keep words seen at least min_count times.
 
-    Keep probabilities are computed from each retained word's share of the
-    retained token mass.
+    The counts come from one ``np.add.at`` over the ids of
+    ``scan_tokens(docs)``; a caller that also indexes the documents passes
+    the same ``scan`` to both functions, so each document is tokenized
+    once.  Keep probabilities are computed from each retained word's
+    share of the retained token mass.
     """
     if min_count < 1:
         raise ValidationError(f"min_count must be at least 1, got {min_count}")
@@ -118,45 +170,53 @@ def build_vocabulary(
         raise ValidationError(
             f"subsample threshold must be positive, got {subsample_threshold}"
         )
-    counter: Counter[str] = Counter()
-    total = 0
-    for doc in docs:
-        toks = tokenize(doc.raw)
-        total += len(toks)
-        counter.update(toks)
-    retained = [(w, c) for w, c in counter.items() if c >= min_count]
-    if not retained:
+    scan = _scan_of(docs, scan)
+    # ``np.add.at`` reads the int32 ids as they are, where ``np.bincount``
+    # would first copy them to 8 bytes each.
+    counts = np.zeros(len(scan.words), dtype=np.int64)
+    np.add.at(counts, scan.ids, 1)
+    retained = np.flatnonzero(counts >= min_count)
+    if not retained.size:
         raise EmptyVocabularyError(
             f"no word appears at least {min_count} times "
-            f"({len(counter)} distinct words, {total} tokens)"
+            f"({len(scan.words)} distinct words, {len(scan.ids)} tokens)"
         )
-    retained.sort(key=itemgetter(0))
-    retained.sort(key=itemgetter(1), reverse=True)
-    words = tuple(w for w, _ in retained)
-    counts = np.array([c for _, c in retained], dtype=np.int64)
+    # By word, then stably by descending count: ties keep the word order.
+    by_word = np.array(sorted(retained.tolist(), key=scan.words.__getitem__))
+    order = by_word[np.argsort(-counts[by_word], kind="stable")]
+    counts = counts[order]
     return Vocabulary(
-        words=words,
+        words=tuple(scan.words[i] for i in order.tolist()),
         counts=counts,
-        total_tokens=total,
+        total_tokens=len(scan.ids),
         keep_probability=keep_probabilities(counts, subsample_threshold),
     )
 
 
-def index_documents(docs: list[Document], vocab: Vocabulary) -> list[Document]:
+def index_documents(
+    docs: list[Document], vocab: Vocabulary, *, scan: TokenScan | None = None
+) -> list[Document]:
     """Return documents with tokens mapped to vocabulary indices.
 
-    Tokens outside the vocabulary are dropped.  Documents may end up
-    empty; they stay in the corpus so downstream indexing lines up.
+    Each distinct word of ``scan_tokens(docs)``, or of the ``scan`` the
+    caller hands in, is looked up in the vocabulary once; that table maps
+    every token id at once.  Tokens outside the vocabulary are dropped.
+    Documents may end up empty; they stay in the corpus so downstream
+    indexing lines up.
     """
+    scan = _scan_of(docs, scan)
     lookup = vocab.index.get
-    indexed = []
-    for doc in docs:
-        tokens = tokenize(doc.raw)
-        ids = np.fromiter(
-            map(lookup, tokens, itertools.repeat(-1)), np.int64, len(tokens)
-        )
-        indexed.append(Document(id=doc.id, raw=doc.raw, tokens=ids[ids >= 0]))
-    return indexed
+    remap = np.fromiter(
+        map(lookup, scan.words, itertools.repeat(-1)), np.int64, len(scan.words)
+    )
+    mapped = remap[scan.ids]
+    dropped = np.flatnonzero(mapped < 0)
+    tokens = mapped[mapped >= 0]
+    ends = (scan.ends - np.searchsorted(dropped, scan.ends)).tolist()
+    return [
+        Document(id=doc.id, raw=doc.raw, tokens=tokens[start:end])
+        for doc, start, end in zip(docs, [0, *ends], ends)
+    ]
 
 
 def load_corpus(path: str, fmt: str = "jsonl") -> list[Document]:

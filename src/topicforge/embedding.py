@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .corpus import Document, Vocabulary, build_vocabulary, index_documents
+from .corpus import Document, Vocabulary, build_vocabulary, index_documents, scan_tokens
 from .errors import ValidationError
 
 # The learning rate decays linearly between these over a whole training run.
@@ -275,8 +275,12 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
     """
     if not docs:
         raise ValidationError("cannot train on an empty corpus")
-    vocab = build_vocabulary(docs, config.min_count, config.subsample_threshold)
-    indexed = index_documents(docs, vocab)
+    scan = scan_tokens(docs)
+    vocab = build_vocabulary(
+        docs, config.min_count, config.subsample_threshold, scan=scan
+    )
+    indexed = index_documents(docs, vocab, scan=scan)
+    del scan
     # A document with no token to train on would keep its random start
     # vector, and such vectors cluster together into a topic of their own.
     empty = [d.id for d in indexed if len(d.tokens) == 0]

@@ -344,6 +344,12 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         all(provenance) and originals == list(range(n_topics + len(history))),
         "topic provenance does not partition the original topics",
     )
+    epoch_losses = [float(x) for x in _read.list(header, "epoch_losses", "float")]
+    _require(
+        len(epoch_losses) == embedding_config.epochs,
+        f"archive has {len(epoch_losses)} epoch losses for "
+        f"{embedding_config.epochs} epochs",
+    )
     blocks: dict[str, np.ndarray] = {}
     for name in _MATRIX_NAMES:
         blocks[name] = block = np.empty(shapes[name], dtype="<f4")
@@ -364,7 +370,7 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         coding=coding,
         vocabulary=vocab,
         doc_ids=doc_ids,
-        epoch_losses=[float(x) for x in _read.list(header, "epoch_losses", "float")],
+        epoch_losses=epoch_losses,
     )
     return ModelArchive(
         embedding_config=embedding_config,

@@ -229,6 +229,22 @@ def fail_writes(monkeypatch):
     return fail
 
 
+@pytest.fixture
+def tokenized_texts(monkeypatch):
+    """Every text ``corpus.tokenize`` is called on, in call order."""
+    from topicforge import corpus
+
+    calls = []
+    real_tokenize = corpus.tokenize
+
+    def tokenize(text):
+        calls.append(text)
+        return real_tokenize(text)
+
+    monkeypatch.setattr(corpus, "tokenize", tokenize)
+    return calls
+
+
 def mutate_header(data, mutate):
     """Rewrite the header JSON in place, keeping the matrix blocks."""
     (header_len,) = struct.unpack("<I", data[8:12])

@@ -7,9 +7,57 @@ numpy, and deliberately shares no code with topicforge.
 import heapq
 import itertools
 import math
+import re
 from collections import Counter
+from operator import itemgetter
 
 import numpy as np
+
+
+def _regex_tokens(text):
+    """The tokenizer's definition: lowercase runs of letters and digits."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+def vocabulary_oracle(docs, min_count, subsample_threshold):
+    """Words, counts, total tokens and keep probabilities, counted with
+    one ``Counter.update`` per document.
+
+    Words seen at least ``min_count`` times are kept, by descending count
+    and then by word.  A word's keep probability is ``min(1, sqrt(threshold
+    / ratio))``, its ratio taken over the kept tokens.  When no word is
+    kept this raises ``ValueError`` with the package's message.
+    """
+    counter = Counter()
+    total = 0
+    for doc in docs:
+        toks = _regex_tokens(doc.raw)
+        total += len(toks)
+        counter.update(toks)
+    retained = [(w, c) for w, c in counter.items() if c >= min_count]
+    if not retained:
+        raise ValueError(
+            f"no word appears at least {min_count} times "
+            f"({len(counter)} distinct words, {total} tokens)"
+        )
+    retained.sort(key=itemgetter(0))
+    retained.sort(key=itemgetter(1), reverse=True)
+    kept = sum(c for _, c in retained)
+    keep = [min(1.0, math.sqrt(subsample_threshold / (c / kept))) for _, c in retained]
+    return [w for w, _ in retained], [c for _, c in retained], total, keep
+
+
+def index_oracle(docs, word_index):
+    """Each document's word indices as int64, one ``np.fromiter`` per
+    document, with the words ``word_index`` lacks dropped."""
+    indexed = []
+    for doc in docs:
+        tokens = _regex_tokens(doc.raw)
+        ids = np.fromiter(
+            map(word_index.get, tokens, itertools.repeat(-1)), np.int64, len(tokens)
+        )
+        indexed.append(ids[ids >= 0])
+    return indexed
 
 
 def pwi_oracle_hard(doc_tokens, topic_words, topic_docs, base=2.0):

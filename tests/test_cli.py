@@ -452,6 +452,29 @@ class TestEvaluate:
         assert rc == 1
         capsys.readouterr()
 
+    def test_external_topics_tokenize_each_document_once(
+        self, env, tmp_path, capsys, tokenized_texts
+    ):
+        spec = {
+            "mode": "hard",
+            "topics": [{"words": ["ocean", "wave"]}],
+            "assignments": {f"d{i:04d}": 0 for i in range(env["n_docs"])},
+        }
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(spec))
+        rc = main(
+            [
+                "evaluate",
+                "--external", str(path),
+                "--corpus", str(env["corpus"]),
+                "--top-n", "2",
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        docs = load_corpus(str(env["corpus"]))
+        assert tokenized_texts == [d.raw for d in docs]
+
     def test_external_topics(self, env, tmp_path, capsys):
         spec = {
             "mode": "hard",

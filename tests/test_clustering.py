@@ -597,6 +597,25 @@ class TestDendrogramOracle:
             assert got.labels.tobytes() == labels.tobytes()
             assert got.cluster_stability.tobytes() == stability.tobytes()
 
+    def test_a_selected_cluster_holds_self_keeping_clusters(self):
+        # Cluster 1 loses to its children 3 and 4 (2 + 5 > 1).  Cluster 3
+        # keeps itself against its leaves 5 and 6, and cluster 2 against its
+        # leaves 7 and 8, so the selected clusters are 2, 3 and 4, and the
+        # points of leaves 5-8 take the label of the cluster above them.
+        # Points that fell out of the root or of cluster 1 are noise.
+        tree = CondensedTree(
+            parent=[-1, 0, 0, 1, 1, 3, 3, 2, 2],
+            birth_lambda=[0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 2.0, 2.0],
+            fallout_cluster=np.array([5, 0, 7, 3, 1, 4, 6, 8, 2, 1, 4, 3]),
+            stability=np.array([0.0, 1.0, 3.0, 5.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
+        )
+        labeling = extract_clusters(tree)
+        assert labeling.labels.tolist() == [0, -1, 1, 0, -1, 2, 0, 1, 1, -1, 2, 0]
+        assert labeling.cluster_stability.tolist() == [5.0, 3.0, 2.0]
+        labels, stability = union_find_extract(tree)
+        assert labels.tobytes() == labeling.labels.tobytes()
+        assert stability.tobytes() == labeling.cluster_stability.tobytes()
+
 
 class TestCluster:
     def two_chains(self):

@@ -7,7 +7,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topicforge import (
@@ -20,7 +20,9 @@ from topicforge import (
     load_corpus,
     tokenize,
 )
-from topicforge.corpus import keep_probabilities
+from topicforge.corpus import keep_probabilities, scan_tokens
+
+from oracles import index_oracle, vocabulary_oracle
 
 
 def subsample_keep_probability(frequency_ratio, threshold):
@@ -244,6 +246,86 @@ class TestIndexDocuments:
         indexed = index_documents(docs, vocab)
         assert len(indexed) == 2
         assert len(indexed[1]) == 0
+
+
+# Pieces of corpus text: ASCII and other scripts, a final sigma, a dotted
+# capital I, composed and combining accents, digits, and separators down to
+# NUL and a lone surrogate.  Few distinct words, so counts tie often.
+TEXT_PIECES = [
+    "a", "ab", "Ab", "x1", "7", "\u03a3\u0391\u03a3", "\u03c3\u03b1\u03c2",
+    "\u0130", "caf\u00e9", "cafe\u0301", "\u0301", "snake_case", " ", "_",
+    "\r", "\x00", "\ud800", "\u00a0", ",",
+]
+corpus_texts = st.lists(
+    st.lists(st.sampled_from(TEXT_PIECES), max_size=16).map("".join)
+    | st.text(max_size=12),
+    max_size=10,
+)
+
+
+class TestOnePass:
+    """One tokenizing pass against the per-document loops it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_texts, st.sampled_from([1, 3]))
+    def test_matches_the_per_document_loops(self, texts, min_count):
+        docs = [Document(id=str(i), raw=t) for i, t in enumerate(texts)]
+        try:
+            words, counts, total, keep = vocabulary_oracle(docs, min_count, 1e-2)
+        except ValueError as exc:
+            with pytest.raises(EmptyVocabularyError) as info:
+                build_vocabulary(docs, min_count, 1e-2)
+            assert str(info.value) == str(exc)
+            return
+        scan = scan_tokens(docs)
+        for vocab in (
+            build_vocabulary(docs, min_count, 1e-2),
+            build_vocabulary(docs, min_count, 1e-2, scan=scan),
+        ):
+            assert vocab.words == tuple(words)
+            assert vocab.counts.dtype == np.int64
+            assert vocab.counts.tolist() == counts
+            assert type(vocab.total_tokens) is int and vocab.total_tokens == total
+            assert vocab.keep_probability.tolist() == keep
+        for indexed in (
+            index_documents(docs, vocab),
+            index_documents(docs, vocab, scan=scan),
+        ):
+            for doc, expected in zip(indexed, index_oracle(docs, vocab.index), strict=True):
+                assert doc.tokens.dtype == np.int64
+                assert doc.tokens.tolist() == expected.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpus_texts, corpus_texts)
+    def test_indexes_against_another_corpus_vocabulary(self, texts, others):
+        # As ``evaluate --model`` does with the archive's vocabulary.
+        docs = [Document(id=str(i), raw=t) for i, t in enumerate(texts)]
+        source = [Document(id=str(i), raw=t) for i, t in enumerate(others + ["a"])]
+        vocab = build_vocabulary(source, min_count=1)
+        got = index_documents(docs, vocab)
+        for doc, expected in zip(got, index_oracle(docs, vocab.index), strict=True):
+            assert doc.tokens.dtype == np.int64
+            assert doc.tokens.tolist() == expected.tolist()
+
+    def test_numbers_words_as_they_come(self):
+        docs = [
+            Document(id="a", raw="b a b"),
+            Document(id="b", raw=""),
+            Document(id="c", raw="c, A"),
+        ]
+        scan = scan_tokens(docs)
+        assert scan.words == ["b", "a", "c"]
+        assert scan.ids.tolist() == [0, 1, 0, 2, 1]
+        assert scan.ends.tolist() == [3, 3, 5]
+
+    def test_rejects_a_scan_of_other_documents(self):
+        docs = [Document(id="a", raw="apple apple"), Document(id="b", raw="apple")]
+        scan = scan_tokens(docs[:1])
+        with pytest.raises(ValidationError, match="covers 1 documents, not 2"):
+            build_vocabulary(docs, min_count=1, scan=scan)
+        vocab = build_vocabulary(docs, min_count=1)
+        with pytest.raises(ValidationError, match="covers 1 documents, not 2"):
+            index_documents(docs, vocab, scan=scan)
 
 
 class TestLoadCorpus:

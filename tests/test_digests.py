@@ -88,6 +88,53 @@ def cluster_bytes():
     return out
 
 
+# Words and separators a corpus document is drawn from: ASCII and other
+# scripts, a final sigma, a dotted capital I that lowercases to i plus a
+# combining dot, decomposed accents, digits, and every kind of separator
+# the tokenizer meets, down to NUL and a lone surrogate.
+CORPUS_PIECES = (
+    "apple", "Apple", "banana", "x2", "42", "\u03a3\u0391\u03a3", "\u03c3\u03b1\u03c2",
+    "\u0130stanbul", "caf\u00e9", "cafe\u0301", "n\u0303o", "stra\u00dfe", "STRASSE",
+    "\u65e5\u672c\u8a9e", "snake_case",
+    " ", "_", "\r", "\x00", "\ud800", ", ", "\u0301", "\u00a0", "-", "\t",
+)
+
+
+def corpus_documents():
+    """120 documents of 0-30 pieces drawn from ``CORPUS_PIECES``, skewed
+    toward the early ones, plus literal documents: empty, separators only,
+    and two words that tie on count."""
+    rng = np.random.default_rng(607)
+    docs = [
+        Document(id="empty", raw=""),
+        Document(id="separators", raw=" _\r\x00\ud800\u0301,\t"),
+        Document(id="tie", raw="kiwi lime lime kiwi Kiwi_LIME"),
+    ]
+    n = len(CORPUS_PIECES)
+    for d in range(120):
+        length = int(rng.integers(0, 31))
+        picks = np.minimum(rng.integers(0, n, length), rng.integers(0, n, length))
+        pieces = [CORPUS_PIECES[i] for i in picks]
+        joins = rng.integers(0, 2, length)
+        raw = "".join(p + (" " if j else "") for p, j in zip(pieces, joins))
+        docs.append(Document(id=f"d{d}", raw=raw))
+    return docs
+
+
+def corpus_bytes():
+    docs = corpus_documents()
+    out = b""
+    for min_count in (1, 4):
+        vocab = build_vocabulary(docs, min_count=min_count, subsample_threshold=1e-2)
+        indexed = index_documents(docs, vocab)
+        out += "\n".join(vocab.words).encode("utf-8", "surrogatepass")
+        out += vocab.counts.tobytes() + np.int64(vocab.total_tokens).tobytes()
+        out += vocab.keep_probability.tobytes()
+        out += np.array([len(d) for d in indexed], dtype=np.int64).tobytes()
+        out += b"".join(d.tokens.astype(np.int64).tobytes() for d in indexed)
+    return out
+
+
 def evaluation_inputs():
     """A 60-document corpus over 30 words, skewed toward the low ones, with
     empty documents, and four 6-word topics."""
@@ -181,6 +228,7 @@ def archive_bytes():
 
 
 OUTPUTS = {
+    "corpus": corpus_bytes,
     "knn_graph": knn_bytes,
     "optimize_layout": layout_bytes,
     "mst_edges": mst_bytes,

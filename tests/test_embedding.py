@@ -415,6 +415,11 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train([], self.small_config())
 
+    def test_tokenizes_each_document_once(self, tokenized_texts):
+        docs, _ = make_two_theme_docs(10)
+        train(docs, self.small_config(epochs=1))
+        assert tokenized_texts == [d.raw for d in docs]
+
     def test_documents_without_vocabulary_tokens_rejected(self):
         # Each of these words occurs once, below min_count=2.  Kept, the
         # documents' untrained vectors would form a topic of their own.

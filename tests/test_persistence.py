@@ -400,6 +400,7 @@ class TestRejection:
                 lambda h: h["vocabulary"].__setitem__("total_tokens", -1),
                 "total_tokens is below the sum of its counts",
             ),
+            (lambda h: h["epoch_losses"].pop(), "epoch losses for"),
         ],
         ids=[
             "duplicate_doc_id",
@@ -411,6 +412,7 @@ class TestRejection:
             "nan_stability",
             "stability_without_label",
             "total_tokens_below_counts",
+            "epoch_loss_missing",
         ],
     )
     def test_self_inconsistent_header(self, archive, tamper, message):
@@ -602,6 +604,7 @@ def wide_archive():
         coding=build_huffman_coding(vocab, dim),
         vocabulary=vocab,
         doc_ids=tuple(f"d{i}" for i in range(n_docs)),
+        epoch_losses=[4.0],
     )
     labeling = ClusterLabeling(
         labels=np.arange(n_docs) % 2, n_clusters=2, cluster_stability=np.ones(2)
@@ -611,7 +614,7 @@ def wide_archive():
         rng.standard_normal((n_docs, 5)),
         labeling,
         build_topic_model(embedding, labeling),
-        EmbeddingConfig(vector_size=dim, min_count=1),
+        EmbeddingConfig(vector_size=dim, epochs=1, min_count=1),
         ReductionConfig(),
         ClusterConfig(),
     )
@@ -637,6 +640,7 @@ def wide_vocabulary_archive():
         ),
         vocabulary=vocab,
         doc_ids=tuple(f"d{i}" for i in range(n_docs)),
+        epoch_losses=[4.0],
     )
     labeling = ClusterLabeling(
         labels=np.arange(n_docs) % 2, n_clusters=2, cluster_stability=np.ones(2)
@@ -646,7 +650,7 @@ def wide_vocabulary_archive():
         rng.standard_normal((n_docs, 5)),
         labeling,
         build_topic_model(embedding, labeling),
-        EmbeddingConfig(vector_size=dim, min_count=1),
+        EmbeddingConfig(vector_size=dim, epochs=1, min_count=1),
         ReductionConfig(),
         ClusterConfig(),
     )

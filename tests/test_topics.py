@@ -358,12 +358,13 @@ def planted_model():
 def stored_planted_model():
     """The planted model as a float32 model loaded back from an archive."""
     model, labeling = planted_model()
+    model.embedding.epoch_losses.append(4.0)  # one loss for the one epoch below
     archive = ModelArchive.from_pipeline(
         model.embedding,
         np.zeros((len(labeling.labels), 5)),
         labeling,
         model,
-        EmbeddingConfig(vector_size=model.embedding.vector_size, min_count=1),
+        EmbeddingConfig(vector_size=model.embedding.vector_size, epochs=1, min_count=1),
         ReductionConfig(),
         ClusterConfig(),
     )
