@@ -348,53 +348,108 @@ def _unit_rows(rows: np.ndarray, zero_message: str) -> np.ndarray:
     return np.divide(unit, norms, out=unit)
 
 
+# Float64 entries that the exact recheck holds per temporary array.
+_RECHECK_ENTRIES = 1 << 20
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added from coordinate 0 one term at a time,
+    so that the rounding depends on no BLAS, CPU feature or batch."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    # accumulate is defined as that loop, where a reduction may pair terms.
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _approximate_cosines(matrix: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Float32 cosines of each row of ``matrix`` against each float32 unit
+    query in ``units`` (queries x rows), NaN in every column of a row whose
+    float32 norm is not finite or below 2**-48, where ``_rank_by_cosine``'s
+    bound does not hold."""
+    with np.errstate(all="ignore"):
+        rows = matrix.astype(np.float32, copy=False)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        approx = units @ rows.T
+        approx /= norms
+    unsure = ~((norms >= 2.0**-48) & (norms < np.inf))
+    if unsure.any():
+        approx[:, unsure] = np.nan
+    return approx
+
+
 def _rank_by_cosine(
     matrix: np.ndarray, queries: np.ndarray, top_n: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact top-n rows of ``matrix`` by cosine against each row of ``queries``.
 
-    Ties rank the lower row index first.  Rows with zero norm sink to the
-    bottom.  Returns one (indices, similarities) pair per query, with
-    top_n clamped to the row count; top_n below 1 is rejected.  The row
-    and query norms, taken in float64 so that float32 cannot overflow them,
-    and the cast of ``matrix`` to the queries' precision, are computed
-    once per call.  Each query is still scored with its own matrix-vector
-    product, so a block of queries ranks exactly as the same queries one
-    at a time.  Each query, and each row whose product overflows, is first
-    scaled by ``_scale_rows``, which leaves the similarities unchanged.
+    A row's similarity to a query is the cosine of the two after
+    ``_scale_rows``, in float64: the products of their entries, summed
+    from coordinate 0 (``_ordered_sum``), divided by the product of their
+    norms taken by the same rule, then cast to ``result_type(matrix,
+    queries)``.  Rows rank by (-similarity, row index); NaN sorts after
+    every number, and a zero row, or one with a NaN entry, scores -inf.
+    Returns one (indices, similarities) pair per query, with top_n clamped
+    to the row count; top_n below 1 and a zero query are rejected.  The
+    result depends on no BLAS, thread count or CPU feature, nor on the
+    other queries in the block.
+
+    Only candidate rows get that value.  One float32 product of every
+    unit query, rounded to float32, with the matrix in float32, divided by
+    the rows' float32 norms (``_approximate_cosines``), gives each row an
+    approximate similarity a.  With u = 2**-24, d the row length and
+    gamma_d = d u / (1 - d u), a differs from the exact similarity by at
+    most: 2u for the cast of a float64 row to float32, u for the rounding
+    of the query, gamma_d for the float32 sum in any order, gamma_d / 2 + u
+    for the float32 norm, u for the division and u / 2 for the exact
+    value's own rounding.  Products and squares that underflow add at most
+    d 2**-150 each, negligible for a row of float32 norm at least 2**-48.
+    The sum, 1.5 gamma_d + 5.5 u, stays below beta = (d + 4) 2**-23 for d
+    below 2**22.  A row of smaller or non-finite float32 norm, and every
+    row against a query with a NaN or infinite entry, has a NaN a and is
+    always a candidate.  Every other row is a candidate when a >= a_(k) -
+    2 beta, for a_(k) the k-th largest finite a.  The k rows of largest a
+    have exact similarities of at least a_(k) - beta, and a row with a <
+    a_(k) - 2 beta has an exact similarity below that, so the candidates
+    hold the exact top k.
     """
     if top_n < 1:
         raise ValidationError(f"top_n must be >= 1, got {top_n}")
     queries = np.asarray(queries)
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
-    nonzero = norms > 0.0
-    rows = matrix.astype(np.result_type(matrix, queries), copy=False)
-    k = min(top_n, len(matrix))
-    ranked = []
-    for query in queries:
-        query, _ = _scale_rows(query)
-        qn = float(np.sqrt(np.einsum("i,i->", query, query, dtype=np.float64)))
-        if qn == 0.0:
-            raise ValidationError("query vector has zero norm")
-        with np.errstate(over="ignore"):
-            dots = rows @ query
-        scale = norms * qn
-        big = ~np.isfinite(dots)
-        if big.any():
-            part, e = _scale_rows(rows[big])
-            dots[big], scale[big] = part @ query, np.ldexp(scale[big], -e)
-        sims = np.full_like(dots, -np.inf)
-        np.divide(dots, scale, out=sims, where=nonzero)
-        neg = -sims
-        # The entries within the k-th value, in index order, then a stable
-        # sort: the first k are those of a stable sort of all (NaN sorts last).
-        if k < len(neg) and not np.isnan(kth := np.partition(neg, k - 1)[k - 1]):
-            near = np.flatnonzero(neg <= kth)
-        else:
-            near = np.arange(len(neg))
-        order = near[np.argsort(neg[near], kind="stable")[:k]]
-        ranked.append((order, sims[order]))
-    return ranked
+    dtype = np.result_type(matrix, queries)
+    scaled, _ = _scale_rows(queries.astype(np.float64))
+    query_norms = np.sqrt(_ordered_sum(scaled * scaled))
+    if not query_norms.all():
+        raise ValidationError("query vector has zero norm")
+    n, dim = matrix.shape
+    k = min(top_n, n)
+    if k == 0:
+        return [(np.empty(0, np.intp), np.empty(0, dtype)) for _ in queries]
+    with np.errstate(invalid="ignore"):
+        units = (scaled / query_norms[:, None]).astype(np.float32)
+    # Negated, so that the partition puts NaN after the k-th largest a.
+    neg = _approximate_cosines(matrix, units)
+    np.negative(neg, out=neg)
+    beta = (dim + 4) * 2.0**-23
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1].astype(np.float64)
+    # Rounded up to float32, so that no candidate is lost to the rounding.
+    limit = np.nextafter((kth + 2.0 * beta).astype(np.float32), np.float32(np.inf))
+    query, row = np.divmod(np.flatnonzero(~(neg > limit[:, None])), n)
+    sims = np.full(len(row), -np.inf)
+    # In blocks, so that many tied or unsure rows cannot fill memory.
+    block = max(1, _RECHECK_ENTRIES // max(dim, 1))
+    for start in range(0, len(row), block):
+        pairs = slice(start, start + block)
+        with np.errstate(invalid="ignore"):
+            rows, _ = _scale_rows(matrix[row[pairs]].astype(np.float64))
+            dots = _ordered_sum(rows * scaled[query[pairs]])
+            norms = np.sqrt(_ordered_sum(rows * rows))
+            scale = norms * query_norms[query[pairs]]
+            np.divide(dots, scale, out=sims[pairs], where=norms > 0.0)
+    sims = sims.astype(dtype)
+    # Stable: within a query the candidates stay in row order.
+    ranked = np.lexsort((-sims, query))
+    starts = np.searchsorted(query, np.arange(len(queries)))
+    return [(row[ranked[s : s + k]], sims[ranked[s : s + k]]) for s in starts]
 
 
 def nearest_words_each(
@@ -402,7 +457,10 @@ def nearest_words_each(
 ) -> list[list[tuple[str, float]]]:
     """Exact top-n vocabulary words by cosine against each query row.
 
-    Equal to calling ``nearest_words`` once per row, for less work.
+    Equal to calling ``nearest_words`` once per row, bit for bit, for less
+    work: one float32 product of every query with the word matrix picks
+    each query's candidates, and each candidate's similarity is the
+    fixed-order float64 cosine that ``_rank_by_cosine`` defines.
     """
     words = embedding.vocabulary.words
     return [

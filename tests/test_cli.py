@@ -815,6 +815,54 @@ class TestKernelBuild:
         assert done.stdout.split()[-1] == "0"
 
 
+class TestRankingPortability:
+    """``topics`` and ``search`` print the same bytes whatever BLAS thread
+    count, BLAS kernel or numpy CPU features the process runs with."""
+
+    SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from topicforge.cli import main
+from topicforge.embedding import _rank_by_cosine
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+rng = np.random.default_rng(37)
+matrix = rng.standard_normal((12_000, 300)).astype(np.float32)
+queries = matrix[rng.integers(0, 12_000, 40)] + rng.standard_normal((40, 300)).astype(np.float32)
+digest = hashlib.sha256()
+for order, sims in _rank_by_cosine(matrix, queries, 10):
+    digest.update(order.tobytes() + sims.tobytes())
+print(digest.hexdigest())
+"""
+
+    SETTINGS = [
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ]
+
+    def test_stdout_equal_under_every_setting(self, env):
+        model = str(env["model"])
+        commands = [
+            ["topics", "--model", model, "--format", "json"],
+            ["search", "--model", model, "--words", "ocean,wave"],
+            ["search", "--model", model, "--words", "violin", "--what", "topics"],
+        ]
+        src = os.path.dirname(os.path.dirname(topicforge.__file__))
+        outputs = []
+        for setting in self.SETTINGS:
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                env=dict(os.environ, PYTHONPATH=src, **setting),
+                capture_output=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, (setting, done.stderr)
+            outputs.append(done.stdout)
+        assert outputs[0].count(b"topic_id") > 0
+        assert len(set(outputs)) == 1
+
 class TestModule:
     """The CLI module run as a program, and what importing it loads."""
 

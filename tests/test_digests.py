@@ -35,6 +35,7 @@ from topicforge import (
     index_documents,
 )
 from topicforge.clustering import build_mst, core_distances, mutual_reachability
+from topicforge.embedding import _rank_by_cosine
 from topicforge.metric import evaluate, report_to_json
 from topicforge.persistence import archive_from_bytes, archive_to_bytes
 from topicforge.reduction import knn_graph, optimize_layout
@@ -170,6 +171,24 @@ def evaluate_mixture_bytes():
     return report_to_json(evaluate(spec, stats, 5)).encode()
 
 
+def ranking_bytes():
+    """The orders and similarities of ``_rank_by_cosine``, as ``nearest_words``
+    ranks them, on 3,000 float32 word rows with a run of equal rows, a zero
+    row and 300 rows that differ from their neighbors in the last bit, for
+    five float32 queries and one float64 query."""
+    rng = np.random.default_rng(608)
+    matrix = (rng.random((3_000, 64)) - 0.5).astype(np.float32)
+    matrix[1_000:1_020] = matrix[7]
+    matrix[2_000] = 0.0
+    matrix[2_500:2_800] = np.nextafter(matrix[2_200:2_500], np.float32(1.0))
+    queries = matrix[[7, 2_200, 11, 12, 13]] + np.float32(0.01)
+    out = b""
+    for query_block in (queries, queries[:1].astype(np.float64)):
+        for order, sims in _rank_by_cosine(matrix, query_block, 25):
+            out += order.astype("<i8").tobytes() + sims.tobytes()
+    return out
+
+
 def archive_bytes():
     """A 12-document, 9-word archive with three topics, the second merged
     from two, built from its parts so that no training and no BLAS product
@@ -235,6 +254,7 @@ OUTPUTS = {
     "cluster": cluster_bytes,
     "evaluate_hard_json": evaluate_hard_bytes,
     "evaluate_mixture_json": evaluate_mixture_bytes,
+    "nearest_words": ranking_bytes,
     "archive": archive_bytes,
 }
 

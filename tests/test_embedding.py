@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from topicforge import (
@@ -22,7 +25,8 @@ from topicforge import (
     train_step_dbow,
     train_step_skipgram,
 )
-from topicforge.embedding import _rank_by_cosine
+from topicforge import embedding
+from topicforge.embedding import _ordered_sum, _rank_by_cosine
 
 from conftest import make_two_theme_docs
 from oracles import huffman_paths_oracle
@@ -450,23 +454,53 @@ class TestTrain:
         assert to_ocean > to_music
 
 
+def full_similarities(matrix, query):
+    """Every row's cosine against the query, by the definition alone.
+
+    The row and the query are cast to float64 and scaled by the power of
+    two that brings their largest |entry| into [0.5, 1).  A similarity is
+    the sum of their products, added one coordinate at a time from
+    coordinate 0, over the product of the two norms taken the same way,
+    cast to the inputs' result type; a row whose norm is not positive
+    scores -inf.
+    """
+
+    def scaled(rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        top = np.abs(rows).max(axis=-1, keepdims=True, initial=0.0)
+        return np.ldexp(rows, -np.frexp(top)[1])
+
+    def column_sum(terms):
+        total = terms[:, 0]
+        for column in range(1, terms.shape[1]):
+            total = total + terms[:, column]
+        return total
+
+    rows, q = scaled(matrix), scaled(np.asarray(query)[None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dots = column_sum(rows * q)
+        norms = np.sqrt(column_sum(rows * rows))
+        sims = np.where(norms > 0.0, dots / (norms * np.sqrt(column_sum(q * q))), -np.inf)
+    return sims.astype(np.result_type(matrix, query))
+
+
 def rank_by_full_sort(matrix, query, top_n):
-    """Top-n rows by cosine from a stable argsort of every row, with the
-    row norms in float64 and the similarities in the scores' precision."""
-    norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-    rows = matrix.astype(np.result_type(matrix, query), copy=False)
-    qn = float(np.linalg.norm(query.astype(np.float64)))
-    dots = rows @ query
-    sims = np.where(
-        norms > 0.0, dots / (np.maximum(norms, 1e-300) * qn), -np.inf
-    ).astype(dots.dtype)
+    """Top-n rows by a stable sort of every row's ``full_similarities``."""
+    sims = full_similarities(matrix, query)
     order = np.argsort(-sims, kind="stable")[:top_n]
     return order, sims[order]
 
 
-# The reference divides 0 by 0 for zero rows, and infinite rows divide inf
-# by inf, before np.where masks or keeps the result.
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def assert_ranks_as_full_sort(matrix, queries, top_n):
+    ranked = _rank_by_cosine(matrix, queries, top_n)
+    assert len(ranked) == len(queries)
+    for (order, sims), query in zip(ranked, queries):
+        ref_order, ref_sims = rank_by_full_sort(matrix, query, top_n)
+        assert np.array_equal(order, ref_order)
+        assert np.array_equal(sims, ref_sims, equal_nan=True)
+        assert sims.dtype == ref_sims.dtype
+
+
 class TestRankByCosine:
     def matrix(self, dtype=np.float64):
         rng = np.random.default_rng(4)
@@ -477,26 +511,17 @@ class TestRankByCosine:
         m[[0, 11, 30]] = 0.0
         return m
 
-    def check(self, matrix, queries, top_n):
-        ranked = _rank_by_cosine(matrix, queries, top_n)
-        assert len(ranked) == len(queries)
-        for (order, sims), query in zip(ranked, queries):
-            ref_order, ref_sims = rank_by_full_sort(matrix, query, top_n)
-            assert np.array_equal(order, ref_order)
-            assert np.array_equal(sims, ref_sims, equal_nan=True)
-            assert sims.dtype == ref_sims.dtype
-
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_equals_the_full_sort(self, top_n):
         matrix = self.matrix()
         queries = np.vstack([matrix[3], matrix[5], [1.0, -0.5, 0.25]])
-        self.check(matrix, queries, top_n)
+        assert_ranks_as_full_sort(matrix, queries, top_n)
 
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_float32_queries(self, top_n):
         for matrix in (self.matrix(np.float32), self.matrix()):
             queries = np.vstack([matrix[3], matrix[8]]).astype(np.float32)
-            self.check(matrix, queries, top_n)
+            assert_ranks_as_full_sort(matrix, queries, top_n)
 
     @pytest.mark.parametrize("top_n", [1, 39, 40, 45])
     def test_float32_zero_rows_warn_nothing(self, top_n):
@@ -507,7 +532,7 @@ class TestRankByCosine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _rank_by_cosine(matrix, queries, top_n)
-        self.check(matrix, queries, top_n)
+        assert_ranks_as_full_sort(matrix, queries, top_n)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_large_finite_rows_do_not_overflow_the_norm(self, dtype):
@@ -519,7 +544,7 @@ class TestRankByCosine:
             [(order, sims)] = _rank_by_cosine(matrix, query, 3)
         assert order.tolist() == [0, 1, 2]
         assert sims[0] == pytest.approx(1.0)
-        self.check(matrix, query, 3)
+        assert_ranks_as_full_sort(matrix, query, 3)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_large_finite_queries_do_not_overflow_the_norm(self, dtype):
@@ -535,7 +560,7 @@ class TestRankByCosine:
         assert order.tolist() == [3, 0, 1, 2]
         assert sims.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert query.tolist() == pytest.approx([2**-0.5, 2**-0.5, 0.0])
-        self.check(matrix, np.array([[0.0, 0.0, 1e20]], dtype), 4)
+        assert_ranks_as_full_sort(matrix, np.array([[0.0, 0.0, 1e20]], dtype), 4)
 
     def test_large_rows_against_large_queries_do_not_overflow_the_product(self):
         # Formed in float32, row 0 times itself overflows to inf.
@@ -578,12 +603,169 @@ class TestRankByCosine:
         matrix[5] = np.nan
         # An infinite row scores NaN, which sorts after every number.
         matrix[[9, 17, 25]] = [np.inf, 1.0, 0.0]
-        self.check(matrix, np.vstack([matrix[3], matrix[12]]), top_n)
+        assert_ranks_as_full_sort(matrix, np.vstack([matrix[3], matrix[12]]), top_n)
+
+    def test_empty_matrix_and_zero_length_rows(self):
+        [(order, sims)] = _rank_by_cosine(np.zeros((0, 3)), np.ones((1, 3)), 2)
+        assert order.size == sims.size == 0
+        with pytest.raises(ValidationError, match="query vector has zero norm"):
+            _rank_by_cosine(np.zeros((3, 0)), np.zeros((1, 0)), 2)
 
     @pytest.mark.parametrize("top_n", [1, 36, 37, 38, 39, 40, 45])
     def test_kth_value_nan(self, top_n):
         # A NaN query scores every row NaN but the zero rows' -inf.
-        self.check(self.matrix(), np.array([[np.nan, 1.0, 0.0]]), top_n)
+        assert_ranks_as_full_sort(self.matrix(), np.array([[np.nan, 1.0, 0.0]]), top_n)
+
+
+U = 2.0**-24
+
+# Rows set to a constant, and row magnitudes: float32 squares overflow past
+# 1.8e19 and products past 3.4e38; squares turn subnormal below 1.1e-19 and
+# vanish below 3.7e-23, and float32 entries turn subnormal below 1.2e-38
+# and vanish below 1.4e-45.
+CONSTANT_ROWS = (0.0, np.nan, np.inf)
+MAGNITUDES = (1e20, 3e38, 1e-20, 1e-30, 1e-40, 1e-45)
+# Float64 only: the cast to float32 overflows, and float64 subnormals.
+MAGNITUDES_64 = (1e300, 1e-310, 5e-324)
+
+
+def derived_bound(dim):
+    """The float32 step's error bound that ``_rank_by_cosine`` derives,
+    1.5 gamma_d + 5.5 u, below its beta = (d + 4) 2**-23."""
+    gamma = dim * U / (1.0 - dim * U)
+    return 1.5 * gamma + 5.5 * U
+
+
+@st.composite
+def near_tie_cases(draw):
+    """(matrix, queries, top_n): rows whose cosines with the first query
+    lie 0-4 float32 ulps either side of a planted value c, with exact
+    copies, power-of-two multiples and rows of extreme magnitude among
+    them, constant rows and random filler; top_n puts the k-th similarity
+    at the row of cosine c, give or take two, or at the row count and
+    beyond."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dim = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = rng.standard_normal(dim)
+    unit = query / np.linalg.norm(query)
+    c = rng.uniform(-0.9, 0.95)
+    steps = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=12))
+    rows = []
+    for cos in c + np.array([0] + steps) * np.spacing(np.float32(abs(c))):
+        away = rng.standard_normal(dim)
+        away -= (away @ unit) * unit
+        away /= np.linalg.norm(away)
+        rows.append((cos * unit + np.sqrt(1.0 - cos * cos) * away) * rng.uniform(0.3, 3))
+    rows = np.array(rows)
+    magnitudes = MAGNITUDES + (MAGNITUDES_64 if dtype == np.float64 else ())
+    extra = []
+    for kind in draw(st.lists(st.integers(0, 4), max_size=8)):
+        source = rows[rng.integers(len(rows))]
+        if kind == 0:
+            extra.append(source)
+        elif kind == 1:
+            extra.append(np.ldexp(source, int(rng.integers(-6, 7))))
+        elif kind == 2:
+            top = np.abs(source).max()
+            extra.append(source / top * magnitudes[rng.integers(len(magnitudes))])
+        elif kind == 3:
+            extra.append(np.full(dim, CONSTANT_ROWS[rng.integers(3)]))
+        else:
+            poisoned = source.copy()
+            poisoned[rng.integers(dim)] = CONSTANT_ROWS[1 + rng.integers(2)]
+            extra.append(poisoned)
+    filler = rng.standard_normal((draw(st.integers(0, 30)), dim))
+    parts = [rows] + ([np.array(extra)] if extra else []) + [filler]
+    matrix = np.vstack(parts)
+    order = rng.permutation(len(matrix))
+    planted = int(np.argmin(order))  # where row 0, of cosine c, lands
+    with np.errstate(over="ignore"):
+        matrix = matrix[order].astype(dtype)
+    queries = np.vstack([query, rng.standard_normal(dim)])
+    queries = queries.astype(draw(st.sampled_from([dtype, np.float32, np.float64])))
+    ref_order, _ = rank_by_full_sort(matrix, queries[0], len(matrix))
+    k = int(np.flatnonzero(ref_order == planted)[0]) + 1
+    if draw(st.booleans()):
+        top_n = len(matrix) + draw(st.integers(0, 3))
+    else:
+        top_n = max(1, k + draw(st.integers(-2, 2)))
+    return matrix, queries, top_n
+
+
+def adversarial_cosines(matrix, queries, top_n, error):
+    """A stand-in for ``_approximate_cosines``: each finite exact similarity
+    moved by ``error``, the true top n down and every other row up, so
+    that the k-th approximate value lies above true top-n rows; NaN where
+    the exact similarity is not finite."""
+    out = []
+    for query in queries:
+        sims = full_similarities(matrix, query).astype(np.float64)
+        order = np.argsort(-sims, kind="stable")
+        moved = sims + error
+        moved[order[:top_n]] -= 2.0 * error
+        moved[~np.isfinite(sims)] = np.nan
+        out.append(moved)
+    return np.array(out, dtype=np.float32)
+
+
+class TestCandidateBound:
+    """The float32 product only picks candidates: the exact top n is found
+    whatever the approximation, within the derived bound."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_tie_cases())
+    def test_near_ties_and_extreme_rows_rank_as_the_full_sort(self, case):
+        matrix, queries, top_n = case
+        assert_ranks_as_full_sort(matrix, queries, top_n)
+        # The float32 step keeps within the bound on every row it trusts ...
+        units = queries.astype(np.float64)
+        units = (units / np.linalg.norm(units, axis=1, keepdims=True)).astype(np.float32)
+        approx = embedding._approximate_cosines(matrix, units).astype(np.float64)
+        for row, query in zip(approx, queries):
+            sure = np.isfinite(row)
+            exact = full_similarities(matrix, query)[sure]
+            assert np.all(np.abs(row[sure] - exact) <= derived_bound(matrix.shape[1]))
+        # ... and the candidates hold the top n for any approximation that
+        # does: the float32 rounding of the stand-in takes at most U / 2.
+        error = derived_bound(matrix.shape[1]) - U
+        stand_in = adversarial_cosines(matrix, queries, top_n, error)
+        with mock.patch.object(embedding, "_approximate_cosines", lambda *_: stand_in):
+            assert_ranks_as_full_sort(matrix, queries, top_n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(near_tie_cases())
+    def test_a_block_ranks_as_its_queries_one_at_a_time(self, case):
+        matrix, queries, top_n = case
+        queries = np.vstack([queries, queries[::-1] * 3.0])
+        block = _rank_by_cosine(matrix, queries, top_n)
+        for (order, sims), query in zip(block, queries):
+            [(alone, alone_sims)] = _rank_by_cosine(matrix, query[None], top_n)
+            assert np.array_equal(order, alone)
+            assert sims.tobytes() == alone_sims.tobytes()
+
+    def test_recheck_in_small_blocks(self):
+        # A NaN query makes every row a candidate, so the blocks hold 40
+        # pairs per query, three rows at a time.
+        matrix = TestRankByCosine().matrix()
+        queries = np.vstack([[np.nan, 1.0, 0.0], matrix[3], matrix[5]])
+        with mock.patch.object(embedding, "_RECHECK_ENTRIES", 9):
+            for top_n in (1, 39, 45):
+                assert_ranks_as_full_sort(matrix, queries, top_n)
+
+    def test_ordered_sum_adds_one_column_at_a_time(self):
+        rng = np.random.default_rng(8)
+        for shape in [(1, 300), (2, 300), (5, 1), (40, 33)]:
+            terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            total = _ordered_sum(terms)
+            for row, got in zip(terms.tolist(), total.tolist()):
+                want = row[0]
+                for term in row[1:]:
+                    want += term
+                assert got == want
+        # On such terms the order shows: numpy's pairwise sum differs.
+        terms = rng.standard_normal((1, 300)) * 10.0 ** rng.integers(-8, 9, (1, 300))
+        assert np.add.reduce(terms, axis=1)[0] != _ordered_sum(terms)[0]
 
 
 class TestSimilarity:
