@@ -70,15 +70,18 @@ def _write_manifest(
     artifact_path: str,
     invocation: dict,
     config: dict,
-    inputs: list[str],
+    inputs: dict[str, str],
     timings: dict[str, float],
 ) -> None:
-    """Write the manifest; ``invocation`` is what ``main`` records at dispatch."""
+    """Write the manifest; ``invocation`` is what ``main`` records at dispatch.
+
+    ``inputs`` maps each input path to its SHA-256, taken before the artifact
+    was written, because the artifact may have replaced an input."""
     manifest = {
         **invocation,
         "package_version": __version__,
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "artifact": {artifact_path: _sha256(artifact_path)},
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
     }
@@ -134,15 +137,14 @@ def cmd_train(args: argparse.Namespace, invocation: dict) -> int:
         embedding, reduced, labeling, model,
         embedding_config, reduction_config, cluster_config,
     )
+    inputs = {args.corpus: _sha256(args.corpus)}
     save_model(archive, args.output)
     config = {
         "embedding": dataclasses.asdict(embedding_config),
         "reduction": dataclasses.asdict(reduction_config),
         "clustering": dataclasses.asdict(cluster_config),
     }
-    _write_manifest(
-        args.output, invocation, config, [args.corpus], timings
-    )
+    _write_manifest(args.output, invocation, config, inputs, timings)
     print(
         f"{model.n_topics} topics across {len(docs)} documents "
         f"({labeling.noise_count} noise); model written to {args.output}"
@@ -178,10 +180,9 @@ def cmd_topics(args: argparse.Namespace, invocation: dict) -> int:
             )
         text = "\n".join(lines) + "\n"
     if args.output:
+        inputs = {args.model: _sha256(args.model)}
         write_atomically(args.output, text.encode("utf-8"))
-        _write_manifest(
-            args.output, invocation, {"top_n": args.top_n}, [args.model], {}
-        )
+        _write_manifest(args.output, invocation, {"top_n": args.top_n}, inputs, {})
     else:
         sys.stdout.write(text)
     return 0
@@ -201,10 +202,9 @@ def cmd_reduce(args: argparse.Namespace, invocation: dict) -> int:
         archive.reduction_config,
         archive.cluster_config,
     )
+    inputs = {args.model: _sha256(args.model)}
     save_model(new_archive, args.output)
-    _write_manifest(
-        args.output, invocation, {"to": args.to}, [args.model], timings
-    )
+    _write_manifest(args.output, invocation, {"to": args.to}, inputs, timings)
     print(
         f"reduced to {reduced_model.n_topics} topics "
         f"({len(reduced_model.merge_history)} merges recorded); "
@@ -281,10 +281,9 @@ def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
         report_to_csv(report) if args.format == "csv" else report_to_json(report) + "\n"
     )
     if args.output:
+        digests = {p: _sha256(p) for p in inputs}
         write_atomically(args.output, text.encode("utf-8"))
-        _write_manifest(
-            args.output, invocation, {"top_n": args.top_n}, inputs, {}
-        )
+        _write_manifest(args.output, invocation, {"top_n": args.top_n}, digests, {})
     else:
         sys.stdout.write(text)
     return 0
@@ -328,10 +327,9 @@ def cmd_export(args: argparse.Namespace, invocation: dict) -> int:
             writer.writerow(
                 [doc_id] + [repr(float(x)) for x in archive.embedding.doc_vectors[i]]
             )
+    inputs = {args.model: _sha256(args.model)}
     write_atomically(args.output, buf.getvalue().encode("utf-8"))
-    _write_manifest(
-        args.output, invocation, {"what": args.what}, [args.model], timings
-    )
+    _write_manifest(args.output, invocation, {"what": args.what}, inputs, timings)
     print(f"wrote {args.what} for {len(doc_ids)} documents to {args.output}")
     return 0
 

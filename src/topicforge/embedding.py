@@ -69,10 +69,9 @@ class HuffmanCoding:
 
     The coding keeps the vocabulary ``counts`` and ``inner_node_vectors``,
     one trained vector per inner node (a one-word vocabulary has none).
-    The tree itself is only needed to train or to score words, so it is
-    built from the counts the first time ``paths``, ``signs`` or
-    ``labels`` is read, and kept from then on; loading and querying a
-    stored model never build it.
+    Only training and word scoring use it, so archives do not store it.
+    The tree itself is built from the counts the first time ``paths``,
+    ``signs`` or ``labels`` is read, and kept from then on.
 
     ``paths[w]`` lists the inner-node ids on the root-to-leaf path of word
     ``w``; inner node ``n - 2`` is the root.  ``signs[w]`` and
@@ -144,23 +143,12 @@ def _huffman_tree(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return points, bits, offsets
 
 
-def build_huffman_coding(
-    vocab: Vocabulary, vector_size: int, inner_node_vectors: np.ndarray | None = None
-) -> HuffmanCoding:
-    """Huffman coding of the vocabulary counts.
+def build_huffman_coding(vocab: Vocabulary, vector_size: int) -> HuffmanCoding:
+    """Huffman coding of the vocabulary counts, its inner-node vectors at zero.
 
-    The inner-node vectors start at zero unless ``inner_node_vectors`` gives
-    a stored block of shape ``(len(vocab) - 1, vector_size)``, which is used
-    as it is.  The tree is built on first use of its paths, signs or labels.
+    The tree is built on first use of its paths, signs or labels.
     """
-    shape = (max(len(vocab) - 1, 0), vector_size)
-    if inner_node_vectors is None:
-        inner_node_vectors = np.zeros(shape, dtype=np.float64)
-    elif inner_node_vectors.shape != shape:
-        raise ValidationError(
-            f"inner-node vectors must have shape {shape}, "
-            f"got {inner_node_vectors.shape}"
-        )
+    inner_node_vectors = np.zeros((max(len(vocab) - 1, 0), vector_size))
     return HuffmanCoding(counts=vocab.counts, inner_node_vectors=inner_node_vectors)
 
 
@@ -176,10 +164,16 @@ def hs_probability(predictor: np.ndarray, word: int, coding: HuffmanCoding) -> f
 
 
 def _checked_step(
-    matrix: np.ndarray, row: int, word: int, coding: HuffmanCoding, lr: float
+    matrix: np.ndarray, row: int, word: int, coding: HuffmanCoding | None, lr: float
 ) -> float:
-    """``_apply_hs_step`` for library callers: an index out of range raises
-    instead of wrapping.  Training calls ``_apply_hs_step`` directly."""
+    """``_apply_hs_step`` for library callers: a missing coding or an index
+    out of range raises instead of wrapping.  Training calls
+    ``_apply_hs_step`` directly."""
+    if coding is None:
+        raise ValidationError(
+            "no hierarchical-softmax output layer: archives do not store it, "
+            "so a loaded model cannot be trained further or score words"
+        )
     if not 0 <= row < len(matrix):
         raise ValidationError(f"row index {row} out of range")
     if not 0 <= word < len(coding.paths):
@@ -247,13 +241,16 @@ class SemanticEmbedding:
 
     ``word_vectors`` is both the skip-gram input side and the context-word
     space that similarity queries and topic words rank against.
+    ``coding`` is the hierarchical-softmax output layer that training
+    updates.  Archives do not store it, so a loaded model's is None: it can
+    be queried, reduced, evaluated and exported, but not trained further.
     ``epoch_losses`` records the mean per-step negative log-likelihood of
     each training epoch.
     """
 
     doc_vectors: np.ndarray
     word_vectors: np.ndarray
-    coding: HuffmanCoding
+    coding: HuffmanCoding | None
     vocabulary: Vocabulary
     doc_ids: tuple[str, ...]
     epoch_losses: list[float] = field(default_factory=list)

@@ -22,8 +22,12 @@ and ``final_lr``, and its vocabulary repeated the embedding config's
 ``min_count`` and ``subsample_threshold``, version 4 stored each topic's
 ranked words, the cluster count beside the stabilities, and a
 ``min_samples`` cluster setting, version 5's reduction config carried
-``negative_sample_rate``, and version 6 repeated each block's name,
-rows and columns in a list beside the counts that already fix them.
+``negative_sample_rate``, version 6 repeated each block's name, rows
+and columns in a list beside the counts that already fix them, and
+version 7 stored the hierarchical-softmax inner-node vectors, which no
+command reads after a load.  A loaded model therefore carries no output
+layer: it can be queried, reduced, evaluated and exported, but not
+trained further.
 """
 
 from __future__ import annotations
@@ -43,19 +47,18 @@ from .corpus import Vocabulary, keep_probabilities
 from .embedding import (
     EmbeddingConfig,
     SemanticEmbedding,
-    build_huffman_coding,
+    build_huffman_coding,  # noqa: F401  (tfbench wraps the name in this module)
 )
 from .errors import ArchiveError, JsonReader
 from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _MATRIX_NAMES = (
     "doc_vectors",
     "word_vectors",
-    "inner_node_vectors",
     "reduced_coords",
     "topic_vectors",
 )
@@ -92,16 +95,14 @@ class ModelArchive:
         reduction_config: ReductionConfig,
         cluster_config: ClusterConfig,
     ) -> "ModelArchive":
-        """Cast a pipeline's float64 results down to storage precision."""
+        """Cast a pipeline's float64 results down to storage precision;
+        the coding, which the file does not store, is dropped."""
         f4 = lambda a: np.ascontiguousarray(a, dtype=np.float32)  # noqa: E731
         stored = dataclasses.replace(
             embedding,
             doc_vectors=f4(embedding.doc_vectors),
             word_vectors=f4(embedding.word_vectors),
-            coding=dataclasses.replace(
-                embedding.coding,
-                inner_node_vectors=f4(embedding.coding.inner_node_vectors),
-            ),
+            coding=None,
             epoch_losses=list(embedding.epoch_losses),
         )
         return cls(
@@ -128,7 +129,6 @@ def _archive_parts(archive: ModelArchive) -> list:
     blocks = {
         "doc_vectors": embedding.doc_vectors,
         "word_vectors": embedding.word_vectors,
-        "inner_node_vectors": embedding.coding.inner_node_vectors,
         "reduced_coords": archive.reduced_coords,
         "topic_vectors": topic_model.vectors,
     }
@@ -296,7 +296,6 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     shapes = {
         "doc_vectors": (n_docs, dim),
         "word_vectors": (n_words, dim),
-        "inner_node_vectors": (n_words - 1, dim),
         "reduced_coords": (n_docs, reduction_config.n_components),
         "topic_vectors": (n_topics, dim),
     }
@@ -363,11 +362,10 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         )
     zero = np.flatnonzero(~blocks["topic_vectors"].any(axis=1))
     _require(not zero.size, f"matrix 'topic_vectors' has zero rows {zero.tolist()}")
-    coding = build_huffman_coding(vocab, dim, blocks["inner_node_vectors"])
     embedding = SemanticEmbedding(
         doc_vectors=blocks["doc_vectors"],
         word_vectors=blocks["word_vectors"],
-        coding=coding,
+        coding=None,
         vocabulary=vocab,
         doc_ids=doc_ids,
         epoch_losses=epoch_losses,

@@ -351,6 +351,17 @@ class TestReduceCommand:
         assert len(data) == 1
         assert data[0]["size"] == env["n_docs"]
 
+    def test_in_place_manifest_records_the_input_it_read(self, env, tmp_path):
+        model = tmp_path / "model.tpfg"
+        model.write_bytes(env["model"].read_bytes())
+        before = sha256(model)
+        argv = ["reduce", "--model", str(model), "--to", "1", "--output", str(model)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "model.tpfg.manifest.json").read_text())
+        assert sha256(model) != before
+        assert manifest["inputs"] == {str(model): before}
+        assert manifest["artifact"] == {str(model): sha256(model)}
+
     def test_bad_target_exits_1(self, env, tmp_path, capsys):
         rc = main(
             [
@@ -932,6 +943,21 @@ class TestAtomicOutput:
             "--what", "labels", "--output", str(out),
         ]
         self.rerun_with_failing_writes(argv, out, fail_writes, capsys)
+
+
+def test_commands_without_a_manifest_hash_nothing(env, monkeypatch, capsys):
+    def no_hash(path):
+        raise AssertionError(f"{path} hashed with no manifest to write")
+
+    monkeypatch.setattr(topicforge.cli, "_sha256", no_hash)
+    model, corpus = str(env["model"]), str(env["corpus"])
+    commands = [
+        ["search", "--model", model, "--words", "ocean"],
+        ["topics", "--model", model],
+        ["evaluate", "--model", model, "--corpus", corpus],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class _NoHeap:

@@ -28,7 +28,6 @@ from topicforge import (
     TopicModel,
     TopicSpec,
     Vocabulary,
-    build_huffman_coding,
     build_stats,
     build_vocabulary,
     cluster,
@@ -202,12 +201,15 @@ def archive_bytes():
         total_tokens=int(counts.sum()) + 7,
         keep_probability=np.ones(n_words),
     )
+    doc_vectors = rng.random((n_docs, dim)) - 0.5
+    word_vectors = rng.random((n_words, dim)) - 0.5
+    # Format 7 stored these inner-node vectors; drawing them still keeps
+    # every later draw, so only the version word and that block moved.
+    rng.random((n_words - 1, dim))
     embedding = SemanticEmbedding(
-        doc_vectors=rng.random((n_docs, dim)) - 0.5,
-        word_vectors=rng.random((n_words, dim)) - 0.5,
-        coding=build_huffman_coding(
-            vocab, dim, rng.random((n_words - 1, dim)) - 0.5
-        ),
+        doc_vectors=doc_vectors,
+        word_vectors=word_vectors,
+        coding=None,
         vocabulary=vocab,
         doc_ids=tuple(f"d{i}" for i in range(n_docs)),
         epoch_losses=[float(x) for x in 3.0 + rng.random(4)],

@@ -22,16 +22,20 @@ from topicforge import (
     ModelArchive,
     ReductionConfig,
     SemanticEmbedding,
+    ValidationError,
     Vocabulary,
     build_huffman_coding,
     build_topic_model,
     cluster,
+    hs_probability,
     load_model,
     persistence,
     reduce,
     reduce_topics,
     save_model,
     train,
+    train_step_dbow,
+    train_step_skipgram,
 )
 from topicforge.cli import _write_manifest
 from topicforge.persistence import FORMAT_VERSION, archive_from_bytes, archive_to_bytes
@@ -103,13 +107,12 @@ class TestRoundTrip:
         loaded = archive_from_bytes(data)
         assert archive_to_bytes(loaded) == data
 
-    def test_declares_five_blocks(self, archive):
-        # The header states no block shape: the bytes after it are the five
+    def test_declares_four_blocks(self, archive):
+        # The header states no block shape: the bytes after it are the four
         # arrays in _MATRIX_NAMES order, each sized from the header's counts.
         assert persistence._MATRIX_NAMES == (
             "doc_vectors",
             "word_vectors",
-            "inner_node_vectors",
             "reduced_coords",
             "topic_vectors",
         )
@@ -117,7 +120,6 @@ class TestRoundTrip:
         blocks = (
             embedding.doc_vectors,
             embedding.word_vectors,
-            embedding.coding.inner_node_vectors,
             archive.reduced_coords,
             archive.topic_model.vectors,
         )
@@ -184,22 +186,28 @@ class TestRoundTrip:
         assert np.array_equal(
             loaded.embedding.word_vectors, archive.embedding.word_vectors
         )
-        assert np.array_equal(
-            loaded.embedding.coding.inner_node_vectors,
-            archive.embedding.coding.inner_node_vectors,
-        )
         assert np.array_equal(loaded.reduced_coords, archive.reduced_coords)
         assert np.array_equal(
             loaded.topic_model.vectors,
             archive.topic_model.vectors,
         )
 
-    def test_huffman_paths_rebuilt_identically(self, archive):
-        loaded = archive_from_bytes(archive_to_bytes(archive))
-        for a, b in zip(loaded.embedding.coding.paths, archive.embedding.coding.paths):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.embedding.coding.labels, archive.embedding.coding.labels):
-            assert np.array_equal(a, b)
+    def test_loaded_model_has_no_output_layer(self, archive, tmp_path):
+        # The file stores no inner-node vectors, so neither the archive in
+        # memory nor a loaded one carries a coding, and every step refuses.
+        assert archive.embedding.coding is None
+        path = str(tmp_path / "model.tpfg")
+        save_model(archive, path)
+        embedding = load_model(path).embedding
+        assert embedding.coding is None
+        steps = (
+            lambda: train_step_skipgram(embedding, 0, 1, 0.025),
+            lambda: train_step_dbow(embedding, 0, 1, 0.025),
+            lambda: hs_probability(embedding.word_vectors[0], 1, embedding.coding),
+        )
+        for step in steps:
+            with pytest.raises(ValidationError, match="no hierarchical-softmax"):
+                step()
 
     def test_merge_history_survives(self, archive):
         if archive.topic_model.n_topics < 2:
@@ -230,7 +238,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -620,42 +628,6 @@ def wide_archive():
     )
 
 
-@functools.cache
-def wide_vocabulary_archive():
-    """A 4,000-word vocabulary of 512 dimensions over 20 documents, so the
-    inner-node block is as large as the word block and the rest is small."""
-    rng = np.random.default_rng(5)
-    n_words, n_docs, dim = 4000, 20, 512
-    vocab = Vocabulary(
-        words=tuple(f"w{i}" for i in range(n_words)),
-        counts=np.arange(n_words, 0, -1),
-        total_tokens=n_words * (n_words + 1) // 2,
-        keep_probability=np.ones(n_words),
-    )
-    embedding = SemanticEmbedding(
-        doc_vectors=rng.standard_normal((n_docs, dim)),
-        word_vectors=rng.standard_normal((n_words, dim)),
-        coding=build_huffman_coding(
-            vocab, dim, rng.standard_normal((n_words - 1, dim))
-        ),
-        vocabulary=vocab,
-        doc_ids=tuple(f"d{i}" for i in range(n_docs)),
-        epoch_losses=[4.0],
-    )
-    labeling = ClusterLabeling(
-        labels=np.arange(n_docs) % 2, n_clusters=2, cluster_stability=np.ones(2)
-    )
-    return ModelArchive.from_pipeline(
-        embedding,
-        rng.standard_normal((n_docs, 5)),
-        labeling,
-        build_topic_model(embedding, labeling),
-        EmbeddingConfig(vector_size=dim, epochs=1, min_count=1),
-        ReductionConfig(),
-        ClusterConfig(),
-    )
-
-
 def block_bytes(archive):
     embedding = archive.embedding
     return sum(
@@ -663,7 +635,6 @@ def block_bytes(archive):
         for m in (
             embedding.doc_vectors,
             embedding.word_vectors,
-            embedding.coding.inner_node_vectors,
             archive.reduced_coords,
             archive.topic_model.vectors,
         )
@@ -689,15 +660,6 @@ class TestBlockIO:
         path = str(tmp_path / "wide.tpfg")
         save_model(archive, path)
         assert traced_peak(load_model, path) < 1.5 * block_bytes(archive)
-
-    def test_load_reads_the_inner_nodes_into_the_coding(self, tmp_path):
-        # The coding takes the stored block: no zero matrix of the inner
-        # nodes is allocated on the way.
-        path = str(tmp_path / "vocab.tpfg")
-        save_model(wide_vocabulary_archive(), path)
-        loaded = load_model(path)
-        inner = loaded.embedding.coding.inner_node_vectors.nbytes
-        assert traced_peak(load_model, path) < block_bytes(loaded) + inner
 
     def test_save_streams_the_blocks(self, tmp_path):
         archive = wide_archive()
@@ -782,11 +744,11 @@ class TestAtomicWrite:
         artifact.write_text("topic 0\n")
         manifest = tmp_path / "topics.txt.manifest.json"
         run = {"command": "topics", "argv": [], "started_at": "2026-01-01T00:00:00"}
-        _write_manifest(str(artifact), run, {}, [], {})
+        _write_manifest(str(artifact), run, {}, {}, {})
         before = manifest.read_bytes()
         fail_writes()
         with pytest.raises(OSError, match="no space"):
-            _write_manifest(str(artifact), dict(run, argv=["again"]), {}, [], {})
+            _write_manifest(str(artifact), dict(run, argv=["again"]), {}, {}, {})
         assert manifest.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == [
             "topics.txt",
