@@ -130,7 +130,10 @@ def assign_documents(
     """Assign every document to its highest-cosine topic.
 
     Noise documents are not special here: everything gets a topic.  Ties
-    go to the lower topic index.
+    go to the lower topic index.  The cosines come from one BLAS product,
+    so at a near-tie the winning topic depends on the BLAS kernel: the
+    ``assign-tie`` row of the portability table in ``tests/test_cli.py``
+    moves under ``OPENBLAS_CORETYPE=Haswell`` and ``=Prescott``.
     """
     return _nearest_topics(_unit_rows(doc_vectors, _ZERO_NORM), topic_vectors)
 

@@ -1,8 +1,11 @@
 """Shared fixtures: synthetic corpora and one session-scoped trained pipeline."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -20,6 +23,22 @@ from topicforge import (
     train,
 )
 from topicforge.corpus import Document
+
+
+SRC = str(Path(topicforge.__file__).parents[1])
+
+
+def python_command(*args, pythonpath=SRC, **env):
+    """Keyword arguments for ``subprocess.run`` or ``Popen`` that run
+    ``python *args`` with ``env`` added to this process's environment and
+    ``pythonpath`` as its ``PYTHONPATH``, capturing its output as text."""
+    return {
+        "args": [sys.executable, *args],
+        "env": dict(os.environ, PYTHONPATH=pythonpath, **env),
+        "stdout": subprocess.PIPE,
+        "stderr": subprocess.PIPE,
+        "text": True,
+    }
 
 
 def copy_package(root):

@@ -1,8 +1,6 @@
 """Building, caching and loading the compiled kernels."""
 
-import os
 import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +9,7 @@ import pytest
 
 from topicforge import ValidationError, kernels
 
-from conftest import copy_package
+from conftest import SRC, copy_package, python_command
 
 # A small layout whose bytes a child process prints.
 LAYOUT = """
@@ -31,13 +29,7 @@ print(hashlib.sha256(coords.tobytes()).hexdigest())
 
 
 def run_layout(pythonpath):
-    return subprocess.Popen(
-        [sys.executable, "-c", LAYOUT],
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    return subprocess.Popen(**python_command("-c", LAYOUT, pythonpath=pythonpath))
 
 
 def finish(child):
@@ -49,7 +41,7 @@ def finish(child):
 def built_library_digest():
     """The layout's digest with the package under test, built already."""
     kernels.load()
-    return finish(run_layout(str(Path(kernels.__file__).parents[1])))
+    return finish(run_layout(SRC))
 
 
 class TestCache:

@@ -2,9 +2,6 @@
 
 import ctypes
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -802,65 +799,6 @@ class TestPortablePower:
                 want = x**e
             assert np.array_equal(kernel_power(x, e), want)
             assert np.array_equal(portable_power(x, e), want)
-
-
-class TestKernelPortability:
-    """Given the graph and a generator, the layout's bytes, and the
-    spanning tree, labels and neighbor graph of fixed points, do not
-    depend on which CPU features numpy, OpenBLAS or glibc pick in the
-    process."""
-
-    SCRIPT = """
-import hashlib
-import numpy as np
-from topicforge import ClusterConfig, cluster
-from topicforge.clustering import build_mst, core_distances, mutual_reachability
-from topicforge.reduction import FuzzyGraph, ReductionConfig, knn_graph, optimize_layout
-rng = np.random.default_rng(35)
-n, m = 400, 3000
-heads = rng.integers(0, n, m)
-tails = (heads + 1 + rng.integers(0, n - 1, m)) % n
-graph = FuzzyGraph(n, heads, tails, rng.uniform(0.05, 1.0, m))
-config = ReductionConfig(layout_epochs=40, seed=36)
-coords = optimize_layout(graph, config, np.random.default_rng(config.seed))
-print(hashlib.sha256(coords.tobytes()).hexdigest())
-points = rng.uniform(-10.0, 10.0, (12, 5))[rng.integers(0, 12, 1500)]
-points += rng.normal(0.0, 0.7, points.shape)
-edges = build_mst(mutual_reachability(points, core_distances(points, 15)))
-print(hashlib.sha256(edges.tobytes()).hexdigest())
-labels = cluster(points, ClusterConfig(min_cluster_size=15)).labels
-print(hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest())
-centers = rng.standard_normal((20, 300))
-blobs = centers[rng.integers(0, 20, 2000)] + 0.3 * rng.standard_normal((2000, 300))
-indices, distances = knn_graph(blobs, 15)
-print(hashlib.sha256(indices.tobytes() + distances.tobytes()).hexdigest())
-"""
-
-    SETTINGS = [
-        {},
-        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
-        {"OPENBLAS_CORETYPE": "Haswell"},
-        {"OPENBLAS_CORETYPE": "Prescott"},
-        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
-    ]
-
-    def test_bytes_equal_under_every_setting(self):
-        kernels.load()  # build the library once, before the children start
-        src = os.path.dirname(os.path.dirname(kernels.__file__))
-        digests = []
-        for setting in self.SETTINGS:
-            env = dict(os.environ, PYTHONPATH=src, **setting)
-            done = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert done.returncode == 0, (setting, done.stderr)
-            assert len(done.stdout.split()) == 4, done.stdout
-            digests.append(done.stdout)
-        assert len(set(digests)) == 1, digests
 
 
 class TestReduce:
