@@ -1,17 +1,22 @@
 /* Compiled kernels of topicforge, loaded through ctypes by kernels.py.
  *
- * Built with gcc -O2 -shared -fPIC -ffp-contract=off: no fused multiply-add
- * and no fast-math, so every + - * / rounds once as IEEE double arithmetic
- * does, whatever the CPU's vector width.  The one libm call is sqrt, in the
- * spanning tree's distances, which IEEE 754 requires to be correctly
- * rounded, so it gives the same bits on every CPU.  The layout's powers
- * come from an exp and a log made of + - * / and exact exponent-bit
- * scaling, so the bytes do not depend on which variant of libm's pow the C
- * library picks for the CPU.  The numpy twins in tests/test_reduction.py
- * repeat every operation of the layout and must give equal bits, and the
- * kNN's distances must equal its fixed-order dense oracle's.
+ * Built with gcc -O2 -shared -fPIC -ffp-contract=off -pthread: no fused
+ * multiply-add and no fast-math, so every + - * / rounds once as IEEE
+ * double arithmetic does, whatever the CPU's vector width.  The one libm
+ * call is sqrt, in the spanning tree's distances, which IEEE 754 requires
+ * to be correctly rounded, so it gives the same bits on every CPU.  The
+ * layout's powers come from an exp and a log made of + - * / and exact
+ * exponent-bit scaling, so the bytes do not depend on which variant of
+ * libm's pow the C library picks for the CPU.  The layout's threads write
+ * disjoint rows that one thread adds up in a fixed order, so its bytes do
+ * not depend on the thread count either.  The numpy twins in
+ * tests/test_reduction.py repeat every operation of the layout and must
+ * give equal bits, and the kNN's distances must equal its fixed-order
+ * dense oracle's.
  */
 #include <math.h> /* sqrt, INFINITY and NAN */
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -239,84 +244,107 @@ static inline double squared_distance(const double *x, const double *y, int64_t 
 }
 
 typedef struct {
-    double *coords, *delta, *grad, *r2, *hi, *lo, *coeff, *push;
-    int64_t *due, *samples;
-    int64_t n, dim, nsr;
+    const double *coords;
+    const int64_t *heads, *tails, *due;
+    double *grad, *push_heads, *push_tails;
+    int64_t n, dim, nsr, m;
     double a, two_b, minus_two_ab;
     exponent b, b1;
     uint64_t seed, drawn;
+    atomic_int_fast64_t claimed; /* the next chunk's first position */
 } layout;
 
-/* Clipped attraction of every due edge's head toward its tail, into grad. */
-static void attract(layout *L, const int64_t *heads, const int64_t *tails, int64_t m)
+/* One thread's view of the layout and its own per-chunk scratch. */
+typedef struct {
+    layout *L;
+    double *r2, *hi, *lo, *coeff;
+    int64_t *samples;
+} worker;
+
+/* Clipped attraction of the head of each due edge at positions
+ * [c0, c0 + cn) toward its tail, into grad. */
+static void attract(worker *W, int64_t c0, int64_t cn)
 {
-    int64_t dim = L->dim;
-    for (int64_t c0 = 0; c0 < m; c0 += CHUNK) {
-        int64_t cn = m - c0 < CHUNK ? m - c0 : CHUNK;
-        for (int64_t i = 0; i < cn; i++) {
-            int64_t e = L->due[c0 + i];
-            L->r2[i] = squared_distance(L->coords + heads[e] * dim, L->coords + tails[e] * dim, dim);
+    const layout *L = W->L;
+    const int64_t dim = L->dim, *heads = L->heads, *tails = L->tails, *due = L->due + c0;
+    const double *coords = L->coords;
+    for (int64_t i = 0; i < cn; i++)
+        W->r2[i] = squared_distance(coords + heads[due[i]] * dim, coords + tails[due[i]] * dim, dim);
+    logs(W->r2, cn, W->hi, W->lo);
+    powers(W->r2, cn, L->b1, W->hi, W->lo, W->coeff); /* r2^(b-1), for now */
+    for (int64_t i = 0; i < cn; i++) {
+        double x = W->r2[i], p1 = W->coeff[i];
+        double p = finite_positive(x) ? power_from_log(W->hi[i], W->lo[i], L->b)
+                                      : special_power(x, L->b.e);
+        W->coeff[i] = x > 0.0 ? (L->minus_two_ab * p1) / (1.0 + L->a * p) : 0.0;
+    }
+    for (int64_t i = 0; i < cn; i++) {
+        const double *xh = coords + heads[due[i]] * dim, *xt = coords + tails[due[i]] * dim;
+        double *g = L->grad + (c0 + i) * dim;
+        for (int64_t c = 0; c < dim; c++)
+            g[c] = clip(W->coeff[i] * (xh[c] - xt[c]));
+    }
+}
+
+/* Push the anchor of each due edge at positions [c0, c0 + cn) away from
+ * nsr sampled points, summing its pushes in draw order into push.  Sample
+ * s of position i is draw first + i * nsr + s, whichever thread runs it. */
+static void repel(worker *W, const int64_t *anchors, double *push, uint64_t first,
+                  int64_t c0, int64_t cn)
+{
+    const layout *L = W->L;
+    const int64_t dim = L->dim, nsr = L->nsr;
+    const uint64_t seed = L->seed, n = (uint64_t)L->n;
+    const double a = L->a, two_b = L->two_b, *coords = L->coords;
+    double *r2 = W->r2, *coeff = W->coeff;
+    int64_t *samples = W->samples;
+    uint64_t drawn = first + (uint64_t)(c0 * nsr);
+    for (int64_t i = 0; i < cn; i++) {
+        const double *xa = coords + anchors[L->due[c0 + i]] * dim;
+        for (int64_t s = 0; s < nsr; s++) {
+            int64_t j = negative_sample(seed, drawn++, n);
+            samples[i * nsr + s] = j;
+            r2[i * nsr + s] = squared_distance(xa, coords + j * dim, dim);
         }
-        logs(L->r2, cn, L->hi, L->lo);
-        powers(L->r2, cn, L->b1, L->hi, L->lo, L->coeff); /* r2^(b-1), for now */
-        for (int64_t i = 0; i < cn; i++) {
-            double x = L->r2[i], p1 = L->coeff[i];
-            double p = finite_positive(x) ? power_from_log(L->hi[i], L->lo[i], L->b)
-                                          : special_power(x, L->b.e);
-            L->coeff[i] = x > 0.0 ? (L->minus_two_ab * p1) / (1.0 + L->a * p) : 0.0;
-        }
-        for (int64_t i = 0; i < cn; i++) {
-            int64_t e = L->due[c0 + i];
-            const double *xh = L->coords + heads[e] * dim, *xt = L->coords + tails[e] * dim;
-            double *g = L->grad + (c0 + i) * dim;
+    }
+    logs(r2, cn * nsr, W->hi, W->lo);
+    powers(r2, cn * nsr, L->b, W->hi, W->lo, coeff);
+    for (int64_t k = 0; k < cn * nsr; k++)
+        coeff[k] = two_b / ((0.001 + r2[k]) * (1.0 + a * coeff[k]));
+    for (int64_t i = 0; i < cn; i++) {
+        const double *xa = coords + anchors[L->due[c0 + i]] * dim;
+        const int64_t *js = samples + i * nsr;
+        const double *cs = coeff + i * nsr;
+        /* One running sum per component, all components at once. */
+        double *p = push + (c0 + i) * dim;
+        for (int64_t c = 0; c < dim; c++)
+            p[c] = clip(cs[0] * (xa[c] - coords[js[0] * dim + c]));
+        for (int64_t s = 1; s < nsr; s++) {
+            const double *xj = coords + js[s] * dim;
             for (int64_t c = 0; c < dim; c++)
-                g[c] = clip(L->coeff[i] * (xh[c] - xt[c]));
+                p[c] += clip(cs[s] * (xa[c] - xj[c]));
         }
     }
 }
 
-/* Push each due edge's anchor away from nsr sampled points, adding each
- * anchor's pushes in draw order to its delta. */
-static void repel(layout *L, const int64_t *anchors, int64_t m)
+/* Claim chunks of the due list until none is left, and compute each
+ * chunk's attractions and pushes into its own rows. */
+static void *run_chunks(void *arg)
 {
-    const int64_t dim = L->dim, nsr = L->nsr;
-    const uint64_t seed = L->seed, n = (uint64_t)L->n;
-    const double a = L->a, two_b = L->two_b, *coords = L->coords;
-    double *r2 = L->r2, *coeff = L->coeff, *push = L->push, *delta = L->delta;
-    int64_t *samples = L->samples;
-    uint64_t drawn = L->drawn;
-    for (int64_t c0 = 0; c0 < m; c0 += CHUNK) {
-        int64_t cn = m - c0 < CHUNK ? m - c0 : CHUNK;
-        for (int64_t i = 0; i < cn; i++) {
-            const double *xa = coords + anchors[L->due[c0 + i]] * dim;
-            for (int64_t s = 0; s < nsr; s++) {
-                int64_t j = negative_sample(seed, drawn++, n);
-                samples[i * nsr + s] = j;
-                r2[i * nsr + s] = squared_distance(xa, coords + j * dim, dim);
-            }
-        }
-        logs(r2, cn * nsr, L->hi, L->lo);
-        powers(r2, cn * nsr, L->b, L->hi, L->lo, coeff);
-        for (int64_t k = 0; k < cn * nsr; k++)
-            coeff[k] = two_b / ((0.001 + r2[k]) * (1.0 + a * coeff[k]));
-        for (int64_t i = 0; i < cn; i++) {
-            int64_t p = anchors[L->due[c0 + i]];
-            const double *xa = coords + p * dim;
-            const int64_t *js = samples + i * nsr;
-            const double *cs = coeff + i * nsr;
-            /* One running sum per component, all components at once. */
-            for (int64_t c = 0; c < dim; c++)
-                push[c] = clip(cs[0] * (xa[c] - coords[js[0] * dim + c]));
-            for (int64_t s = 1; s < nsr; s++) {
-                const double *xj = coords + js[s] * dim;
-                for (int64_t c = 0; c < dim; c++)
-                    push[c] += clip(cs[s] * (xa[c] - xj[c]));
-            }
-            for (int64_t c = 0; c < dim; c++)
-                delta[p * dim + c] += push[c];
+    worker *W = arg;
+    layout *L = W->L;
+    const uint64_t tail_draws = L->drawn + (uint64_t)(L->m * L->nsr);
+    for (;;) {
+        int64_t c0 = atomic_fetch_add_explicit(&L->claimed, CHUNK, memory_order_relaxed);
+        if (c0 >= L->m)
+            return NULL;
+        int64_t cn = L->m - c0 < CHUNK ? L->m - c0 : CHUNK;
+        attract(W, c0, cn);
+        if (L->nsr > 0) {
+            repel(W, L->heads, L->push_heads, L->drawn, c0, cn);
+            repel(W, L->tails, L->push_tails, tail_draws, c0, cn);
         }
     }
-    L->drawn = drawn;
 }
 
 /* Lay the graph out in place in coords (n x dim, row-major).
@@ -326,39 +354,58 @@ static void repel(layout *L, const int64_t *anchors, int64_t m)
  * computed from the epoch-start coordinates, and each point's delta adds
  * in the order: attractions as head, attractions as tail, pushes as head
  * anchor, pushes as tail anchor.  Then coords += lr * delta with
- * lr = 1 - epoch / epochs.  Returns 0, or -1 when memory runs out.
+ * lr = 1 - epoch / epochs.
+ *
+ * Up to `threads` threads, this one included, claim CHUNK-edge chunks of
+ * an epoch's due list and write each edge's attraction and summed pushes
+ * to rows of their own; this thread then adds the rows into delta in the
+ * order above.  The draws are numbered by position in the due list, so
+ * the bytes do not depend on the thread count, and a thread that cannot
+ * be started leaves its chunks to the others.  Returns 0, or -1 when
+ * memory runs out.
  */
 int tf_optimize_layout(double *coords, int64_t n, int64_t dim,
                        const int64_t *heads, const int64_t *tails,
                        const double *weights, int64_t n_edges,
                        int64_t epochs, int64_t nsr, double a, double b,
-                       uint64_t seed)
+                       uint64_t seed, int64_t threads)
 {
     if (n_edges <= 0)
         return 0;
     int64_t per_chunk = CHUNK * (nsr > 1 ? nsr : 1);
+    int64_t max_chunks = (n_edges + CHUNK - 1) / CHUNK;
+    int64_t n_workers = threads < 1 ? 1 : (threads < max_chunks ? threads : max_chunks);
+    int64_t *due = malloc(n_edges * sizeof(int64_t));
     layout L = {
-        .coords = coords,
-        .delta = malloc(n * dim * sizeof(double)),
+        .coords = coords, .heads = heads, .tails = tails, .due = due,
         .grad = malloc(n_edges * dim * sizeof(double)),
-        .r2 = malloc(per_chunk * sizeof(double)),
-        .hi = malloc(per_chunk * sizeof(double)),
-        .lo = malloc(per_chunk * sizeof(double)),
-        .coeff = malloc(per_chunk * sizeof(double)),
-        .due = malloc(n_edges * sizeof(int64_t)),
-        .samples = malloc(per_chunk * sizeof(int64_t)),
-        .push = malloc(dim * sizeof(double)),
+        .push_heads = malloc(n_edges * dim * sizeof(double)),
+        .push_tails = malloc(n_edges * dim * sizeof(double)),
         .n = n, .dim = dim, .nsr = nsr,
         .a = a, .two_b = 2.0 * b, .minus_two_ab = -2.0 * a * b,
         .b = split(b), .b1 = split(b - 1.0),
         .seed = seed, .drawn = 0,
     };
+    double *delta = malloc(n * dim * sizeof(double));
     double *step = malloc(n_edges * sizeof(double));
     double *next = malloc(n_edges * sizeof(double));
+    worker *workers = calloc(n_workers, sizeof(worker));
+    pthread_t *ids = malloc(n_workers * sizeof(pthread_t));
     int status = -1;
-    if (!L.delta || !L.grad || !L.r2 || !L.hi || !L.lo || !L.coeff || !L.due
-        || !L.samples || !L.push || !step || !next)
+    if (!due || !L.grad || !L.push_heads || !L.push_tails || !delta || !step
+        || !next || !workers || !ids)
         goto done;
+    for (int64_t t = 0; t < n_workers; t++) {
+        worker *W = workers + t;
+        W->L = &L;
+        W->r2 = malloc(per_chunk * sizeof(double));
+        W->hi = malloc(per_chunk * sizeof(double));
+        W->lo = malloc(per_chunk * sizeof(double));
+        W->coeff = malloc(per_chunk * sizeof(double));
+        W->samples = malloc(per_chunk * sizeof(int64_t));
+        if (!W->r2 || !W->hi || !W->lo || !W->coeff || !W->samples)
+            goto done;
+    }
     double w_max = weights[0];
     for (int64_t e = 1; e < n_edges; e++)
         if (weights[e] > w_max)
@@ -369,38 +416,58 @@ int tf_optimize_layout(double *coords, int64_t n, int64_t dim,
         int64_t m = 0;
         for (int64_t e = 0; e < n_edges; e++)
             if (next[e] <= (double)epoch)
-                L.due[m++] = e;
+                due[m++] = e;
         if (m == 0)
             continue;
         double lr = 1.0 - (double)epoch / (double)epochs;
-        memset(L.delta, 0, n * dim * sizeof(double));
-        attract(&L, heads, tails, m);
+        L.m = m;
+        atomic_store_explicit(&L.claimed, 0, memory_order_relaxed);
+        int64_t chunks = (m + CHUNK - 1) / CHUNK;
+        int64_t started = 1;
+        while (started < (n_workers < chunks ? n_workers : chunks)
+               && pthread_create(ids + started, NULL, run_chunks, workers + started) == 0)
+            started++;
+        run_chunks(workers);
+        for (int64_t t = 1; t < started; t++)
+            pthread_join(ids[t], NULL);
+        memset(delta, 0, n * dim * sizeof(double));
         for (int64_t i = 0; i < m; i++)
             for (int64_t c = 0; c < dim; c++)
-                L.delta[heads[L.due[i]] * dim + c] += L.grad[i * dim + c];
+                delta[heads[due[i]] * dim + c] += L.grad[i * dim + c];
         for (int64_t i = 0; i < m; i++)
             for (int64_t c = 0; c < dim; c++)
-                L.delta[tails[L.due[i]] * dim + c] += -L.grad[i * dim + c];
+                delta[tails[due[i]] * dim + c] += -L.grad[i * dim + c];
         if (nsr > 0) {
-            repel(&L, heads, m);
-            repel(&L, tails, m);
+            for (int64_t i = 0; i < m; i++)
+                for (int64_t c = 0; c < dim; c++)
+                    delta[heads[due[i]] * dim + c] += L.push_heads[i * dim + c];
+            for (int64_t i = 0; i < m; i++)
+                for (int64_t c = 0; c < dim; c++)
+                    delta[tails[due[i]] * dim + c] += L.push_tails[i * dim + c];
+            L.drawn += (uint64_t)(2 * m * nsr);
         }
         for (int64_t k = 0; k < n * dim; k++)
-            coords[k] += lr * L.delta[k];
+            coords[k] += lr * delta[k];
         for (int64_t i = 0; i < m; i++)
-            next[L.due[i]] += step[L.due[i]];
+            next[due[i]] += step[due[i]];
     }
     status = 0;
 done:
-    free(L.delta);
+    if (workers)
+        for (int64_t t = 0; t < n_workers; t++) {
+            free(workers[t].r2);
+            free(workers[t].hi);
+            free(workers[t].lo);
+            free(workers[t].coeff);
+            free(workers[t].samples);
+        }
+    free(workers);
+    free(ids);
+    free(due);
     free(L.grad);
-    free(L.r2);
-    free(L.hi);
-    free(L.lo);
-    free(L.coeff);
-    free(L.due);
-    free(L.samples);
-    free(L.push);
+    free(L.push_heads);
+    free(L.push_tails);
+    free(delta);
     free(step);
     free(next);
     return status;

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernels
 from .errors import ValidationError
@@ -90,6 +89,8 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
         raise ValidationError(
             f"min_samples must be in [1, {n - 1}] for {n} points, got {min_samples}"
         )
+    from scipy.spatial import cKDTree  # here, so read-only commands never import it
+
     # The point is its own nearest neighbor at distance 0 (or ties with a
     # duplicate at 0), so the last of k + 1 is the k-th excluding itself.
     dist, _ = cKDTree(points).query(points, k=min_samples + 1)

@@ -26,8 +26,9 @@ from .errors import ValidationError
 
 COMPILER = "gcc"
 # No -march=native and no -ffast-math, and no FMA contraction: the bytes must
-# not depend on the CPU the library is built on.
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# not depend on the CPU the library is built on.  -pthread for the layout's
+# worker threads.
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-pthread")
 
 
 def library_name(source: bytes, flags: tuple[str, ...] = FLAGS) -> str:
@@ -86,7 +87,7 @@ def load():
     pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.tf_optimize_layout.argtypes = [
         pointer, i64, i64, pointer, pointer, pointer, i64, i64, i64, f64, f64,
-        ctypes.c_uint64,
+        ctypes.c_uint64, i64,
     ]
     lib.tf_optimize_layout.restype = ctypes.c_int
     lib.tf_mst_reachability.argtypes = [pointer, pointer, i64, i64, pointer]
@@ -112,7 +113,9 @@ def optimize_layout(
     """Run ``epochs`` layout epochs on a copy of ``coords`` and return it.
 
     ``tf_optimize_layout`` in ``_kernels.c`` documents the update; the
-    negative samples come from ``seed`` alone.
+    negative samples come from ``seed`` alone.  The epochs run on as many
+    threads as this process may use CPUs, and the bytes are the same at
+    any thread count.
     """
     n, dim = coords.shape
     if n >= 2**32:
@@ -129,6 +132,7 @@ def optimize_layout(
     status = load().tf_optimize_layout(
         coords.ctypes.data, n, dim, heads.ctypes.data, tails.ctypes.data,
         weights.ctypes.data, m, epochs, negative_sample_rate, a, b, seed,
+        len(os.sched_getaffinity(0)),
     )
     if status != 0:
         raise MemoryError("the layout kernel could not allocate its buffers")

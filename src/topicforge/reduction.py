@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import kernels
 from .embedding import _unit_rows
@@ -183,6 +182,8 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
     ``exp(-max(0, d_ij - rho_i) / sigma_i)``; directed weights a and b
     for a pair combine into ``a + b - a * b``.
     """
+    import scipy.sparse  # here, so read-only commands never import it
+
     n = len(points)
     idx, dist = knn_graph(points, config.n_neighbors)
     rho, sigma = _calibrate_rows(dist)

@@ -4,13 +4,15 @@
 the JSON object COMMANDS in a new directory WORKDIR, then six probes that
 run kernels on fixed inputs, and prints one ``row digest`` line per row.
 A command's digest is that of the file it writes or, if it writes none,
-of what it prints.
+of what it prints.  With ``ONE_CPU`` set in its environment the process
+first pins itself to one CPU, so every layout runs on one thread.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from topicforge.clustering import build_mst, core_distances, mutual_reachability
 from topicforge.embedding import _rank_by_cosine
 from topicforge.reduction import FuzzyGraph, ReductionConfig, knn_graph, optimize_layout
 from topicforge.topics import assign_documents
+
+ONE_CPU = "PORTABILITY_ONE_CPU"
 
 
 def sha256(data):
@@ -82,5 +86,7 @@ def probe_digests():
 
 
 if __name__ == "__main__":
+    if os.environ.get(ONE_CPU):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     for row, digest in digests(json.loads(sys.argv[1]), sys.argv[2]):
         print(row, digest)

@@ -721,6 +721,11 @@ class TestExport:
         assert not out.exists()
 
 
+# scipy modules that importing the CLI, and running a command that neither
+# lays out nor clusters, must leave unloaded.
+LAZY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.sparse")
+
+
 class TestKernelBuild:
     """The layout kernel is built on first use, and only where a layout runs."""
 
@@ -759,11 +764,12 @@ class TestKernelBuild:
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
             "print(kernels.load.cache_info().currsize)\n"
+            "print(*(m in sys.modules for m in sys.argv[2:]))\n"
         )
-        command = python_command("-c", script, json.dumps(commands))
+        command = python_command("-c", script, json.dumps(commands), *LAZY_SCIPY)
         done = subprocess.run(**command, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split()[-1] == "0"
+        assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
 
 
 SETTINGS = {
@@ -773,6 +779,7 @@ SETTINGS = {
     "blas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
     "glibc-no-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
+    "one-cpu": {portability.ONE_CPU: "1"},
 }
 
 COMMANDS = {
@@ -840,7 +847,8 @@ def portability_table(env, tmp_path_factory):
 @pytest.mark.parametrize("row", TABLE_ROWS)
 def test_same_bytes_under_every_setting(portability_table, row, setting, request):
     """Each output is the same bytes whatever BLAS thread count, BLAS
-    kernel, numpy CPU features or glibc variants the process runs with."""
+    kernel, numpy CPU features, glibc variants or number of usable CPUs
+    the process runs with."""
     if (row, setting) in KNOWN_DIFFERENCES:
         reason = KNOWN_DIFFERENCES[row, setting]
         request.applymarker(pytest.mark.xfail(strict=True, reason=reason))
@@ -857,10 +865,14 @@ class TestModule:
         assert done.stderr.startswith("error: topicforge train:")
 
     def test_import_leaves_scipy_optimize_out(self):
-        script = "import sys, topicforge.cli; print('scipy.optimize' in sys.modules)"
-        done = subprocess.run(**python_command("-c", script), timeout=120)
+        script = (
+            "import sys, topicforge.cli\n"
+            "print(*(m in sys.modules for m in sys.argv[1:]))\n"
+        )
+        command = python_command("-c", script, *LAZY_SCIPY)
+        done = subprocess.run(**command, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False", "False"]
 
     def test_public_names_resolve_once(self):
         names = topicforge.__all__

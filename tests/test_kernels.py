@@ -28,6 +28,32 @@ print(hashlib.sha256(coords.tobytes()).hexdigest())
 """
 
 
+# A C driver that runs the layout at 2, 3 and 4 threads on 8 chunks of
+# edges, for a ThreadSanitizer build.
+THREADED_LAYOUT = r"""
+#include "_kernels.c"
+
+int main(void)
+{
+    enum { N = 300, M = 2000, DIM = 2 };
+    static double coords[N * DIM], weights[M];
+    static int64_t heads[M], tails[M];
+    for (int64_t k = 0; k < N * DIM; k++)
+        coords[k] = (double)(k * 7919 % 2000) / 100.0 - 10.0;
+    for (int64_t e = 0; e < M; e++) {
+        heads[e] = e % N;
+        tails[e] = (e * 37 + 1) % N;
+        weights[e] = 1.0;
+    }
+    for (int64_t threads = 2; threads <= 4; threads++)
+        if (tf_optimize_layout(coords, N, DIM, heads, tails, weights, M, 10, 5,
+                               1.5769434602697652, 0.8950608778515733, 7, threads))
+            return 1;
+    return 0;
+}
+"""
+
+
 def run_layout(pythonpath):
     return subprocess.Popen(**python_command("-c", LAYOUT, pythonpath=pythonpath))
 
@@ -86,6 +112,32 @@ class TestPackaging:
             capture_output=True,
         )
         assert done.returncode == 0, done.stderr.decode(errors="replace")
+
+    def test_threaded_layout_is_free_of_data_races(self, tmp_path):
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        linked = subprocess.run(
+            [kernels.COMPILER, "-fsanitize=thread", "-pthread", str(probe),
+             "-o", str(tmp_path / "probe")],
+            capture_output=True,
+        )
+        if linked.returncode != 0:
+            pytest.skip(f"{kernels.COMPILER} cannot link ThreadSanitizer")
+        driver = tmp_path / "driver.c"
+        driver.write_text(THREADED_LAYOUT)
+        built = subprocess.run(
+            [kernels.COMPILER, "-O1", "-g", "-ffp-contract=off", "-fsanitize=thread",
+             "-pthread", f"-I{Path(kernels.__file__).parent}", str(driver),
+             "-o", str(tmp_path / "driver"), "-lm"],
+            capture_output=True,
+            text=True,
+        )
+        assert built.returncode == 0, built.stderr
+        done = subprocess.run(
+            [str(tmp_path / "driver")], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ThreadSanitizer" not in done.stdout + done.stderr
 
     def test_source_is_declared_package_data(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

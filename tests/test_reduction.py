@@ -224,6 +224,23 @@ def kernel_layout(graph, config, rng, nsr):
     )
 
 
+def threaded_layout(graph, config, rng, nsr, threads):
+    """``kernel_layout`` through ``tf_optimize_layout`` itself, run on at
+    most ``threads`` threads."""
+    coords = rng.uniform(-10.0, 10.0, (graph.n_points, config.n_components))
+    seed = int(rng.integers(0, 2**63))
+    heads = np.ascontiguousarray(graph.heads, dtype=np.int64)
+    tails = np.ascontiguousarray(graph.tails, dtype=np.int64)
+    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
+    status = kernels.load().tf_optimize_layout(
+        coords.ctypes.data, graph.n_points, config.n_components,
+        heads.ctypes.data, tails.ctypes.data, weights.ctypes.data, len(weights),
+        config.layout_epochs, nsr, CURVE_A, CURVE_B, seed, threads,
+    )
+    assert status == 0
+    return coords
+
+
 def loop_layout(graph, config, rng, nsr):
     """The layout as numpy loops, one component at a time, with the
     kernel's sampler and power: the reference the kernel must equal.
@@ -732,6 +749,20 @@ class TestLayoutEquality:
         )
 
     @staticmethod
+    def equal_weight_graph(n=300, m=2000, seed=34):
+        # Every edge is due in every epoch after the first: 8 chunks of 256
+        # edges, so up to 8 threads share each epoch.
+        rng = np.random.default_rng(seed)
+        heads = rng.integers(0, n, m)
+        tails = (heads + rng.integers(1, n, m)) % n
+        return FuzzyGraph(
+            n_points=n,
+            heads=np.minimum(heads, tails),
+            tails=np.maximum(heads, tails),
+            weights=np.ones(m),
+        )
+
+    @staticmethod
     def assert_all_equal(graph, config, nsr):
         rng = lambda: np.random.default_rng(config.seed)  # noqa: E731
         got = kernel_layout(graph, config, rng(), nsr)
@@ -749,6 +780,22 @@ class TestLayoutEquality:
             n_neighbors=2, n_components=dim, layout_epochs=80, seed=31
         )
         self.assert_all_equal(self.complete_graph(), config, nsr)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("nsr", [0, 5])
+    @pytest.mark.parametrize("graph", ["complete", "equal-weight"])
+    def test_bit_identical_at_any_thread_count(self, graph, nsr, threads):
+        if graph == "complete":
+            graph = self.complete_graph()
+            config = ReductionConfig(
+                n_neighbors=2, n_components=3, layout_epochs=80, seed=31
+            )
+        else:
+            graph = self.equal_weight_graph()
+            config = ReductionConfig(n_neighbors=2, layout_epochs=20, seed=35)
+        rng = lambda: np.random.default_rng(config.seed)  # noqa: E731
+        got = threaded_layout(graph, config, rng(), nsr, threads)
+        assert np.array_equal(got, loop_layout(graph, config, rng(), nsr))
 
     def test_bit_identical_on_neighbor_graph(self):
         pts = np.random.default_rng(32).standard_normal((300, 20))
