@@ -120,6 +120,15 @@ def _configs_from_args(args: argparse.Namespace):
 def cmd_train(args: argparse.Namespace, invocation: dict) -> int:
     embedding_config, reduction_config, cluster_config = _configs_from_args(args)
     docs = load_corpus(args.corpus, args.corpus_format)
+    # reduce and cluster would refuse this corpus only after training.
+    for name, limit in (
+        ("n_neighbors", reduction_config.n_neighbors),
+        ("min_cluster_size", cluster_config.min_cluster_size),
+    ):
+        if len(docs) <= limit:
+            raise ValidationError(
+                f"need more than {name}={limit} documents, got {len(docs)}"
+            )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     embedding = train(docs, embedding_config)
@@ -249,6 +258,10 @@ def cmd_search(args: argparse.Namespace, invocation: dict) -> int:
 def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
     if bool(args.model) == bool(args.external):
         raise ValidationError("evaluate needs exactly one of --model or --external")
+    if args.external and args.topics is not None:
+        raise ValidationError("--topics applies only to --model")
+    if args.model and args.min_count is not None:
+        raise ValidationError("--min-count applies only to --external")
     docs = load_corpus(args.corpus, args.corpus_format)
     inputs = [args.corpus]
     scan = None
@@ -270,7 +283,8 @@ def cmd_evaluate(args: argparse.Namespace, invocation: dict) -> int:
         from .corpus import build_vocabulary, scan_tokens
 
         scan = scan_tokens(docs)
-        vocab = build_vocabulary(docs, min_count=args.min_count, scan=scan)
+        min_count = 1 if args.min_count is None else args.min_count
+        vocab = build_vocabulary(docs, min_count=min_count, scan=scan)
         spec = load_external_topics(args.external, vocab)
         inputs.append(args.external)
     indexed = index_documents(docs, vocab, scan=scan)
@@ -386,8 +400,8 @@ def build_parser() -> _Parser:
     p_eval.add_argument(
         "--min-count",
         type=int,
-        default=1,
-        help="vocabulary floor when evaluating external topics",
+        default=None,
+        help="vocabulary floor when evaluating external topics (default 1)",
     )
     p_eval.add_argument("--format", choices=("json", "csv"), default="json")
     p_eval.add_argument("--output", default=None)

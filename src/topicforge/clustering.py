@@ -8,11 +8,12 @@ excess of mass.  Points that fall out of the hierarchy above every
 selected cluster are noise.
 
 No n x n matrix is held: core distances come from a KD-tree query, and
-the spanning tree from Boruvka's rounds over a KD-tree in the compiled
-kernel.  All merges at one distance condense as one split, and the
-selected clusters are numbered by their smallest member, so the labels
-and stabilities depend only on the points, not on which of the equally
-light spanning trees was found.
+the spanning tree of the unformed mutual reachability matrix from
+Boruvka's rounds over a KD-tree in the compiled kernel.  All merges
+at one distance condense as one split, and the selected clusters are
+numbered by their smallest member, so the labels and stabilities depend
+only on the points, not on which of the equally light spanning trees was
+found.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class ReachabilityRows:
 
     ``columns`` holds the points one coordinate per row, and the
     distances sum their squared differences one coordinate at a time.
+    It is the only input ``build_mst`` takes.
     """
 
     columns: np.ndarray
@@ -115,38 +117,19 @@ def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRow
     return ReachabilityRows(np.ascontiguousarray(points.T), core)
 
 
-def build_mst(distance_matrix: np.ndarray | ReachabilityRows) -> np.ndarray:
-    """Minimum spanning tree, as ``(n - 1, 3)`` rows of (point a, point b, weight).
+def build_mst(rows: ReachabilityRows) -> np.ndarray:
+    """Minimum spanning tree of a mutual reachability view, as ``(n - 1, 3)``
+    rows of (point i, point j, weight) with i < j.
 
-    A ``ReachabilityRows`` view, as ``mutual_reachability`` returns, goes
-    to the compiled KD-tree Boruvka (``kernels.mst_reachability``), which
-    never forms a row.  A dense symmetric matrix, which must be finite,
-    goes to Prim's algorithm, whose ties pick the lowest-index point.
-    Both trees are exact, but where weights tie they may differ.
+    The view, as ``mutual_reachability`` returns it, goes to the compiled
+    KD-tree Boruvka (``kernels.mst_reachability``), which never forms a
+    row.  Every coordinate and core distance must be finite.
     """
-    if isinstance(distance_matrix, ReachabilityRows):
-        return kernels.mst_reachability(distance_matrix.columns, distance_matrix.core)
-    matrix = np.asarray(distance_matrix, dtype=np.float64)
-    n = len(matrix)
-    if n < 2:
-        raise ValidationError("need at least 2 points for a spanning tree")
-    if not np.isfinite(matrix).all():
-        raise ValidationError("distance matrix must be finite")
-    visited = np.zeros(n, dtype=bool)
-    best_weight = matrix[0].copy()
-    best_source = np.zeros(n, dtype=np.int64)
-    visited[0] = True
-    best_weight[0] = np.inf
-    edges = np.empty((n - 1, 3))
-    for e in range(n - 1):
-        j = int(np.argmin(np.where(visited, np.inf, best_weight)))
-        edges[e] = (best_source[j], j, best_weight[j])
-        visited[j] = True
-        row = matrix[j]
-        closer = ~visited & (row < best_weight)
-        best_source[closer] = j
-        best_weight[closer] = row[closer]
-    return edges
+    if not (np.isfinite(rows.columns).all() and np.isfinite(rows.core).all()):
+        raise ValidationError(
+            "mutual reachability inputs must be finite, not NaN or infinite"
+        )
+    return kernels.mst_reachability(rows.columns, rows.core)
 
 
 def _level_sets(n: int, mst_edges: np.ndarray):

@@ -49,6 +49,7 @@ from oracles import (
     mst_weight_kruskal,
     pwi_oracle_hard,
     pwi_oracle_mixture,
+    reachability_row,
 )
 
 
@@ -240,14 +241,18 @@ def test_c04_step_gradients_match_central_differences():
 def test_c05_mst_oracle_and_blob_outlier_instance():
     start = time.perf_counter()
     rng = np.random.default_rng(105)
-    from topicforge.clustering import build_mst
+    from topicforge.clustering import build_mst, core_distances, mutual_reachability
 
+    # The tree every cluster() call builds, on the view it builds it from;
+    # every third trial's points are integers, so weights tie and points repeat.
     for trial in range(20):
         n = int(rng.integers(4, 11))
-        m = rng.uniform(0.1, 10.0, (n, n))
-        m = (m + m.T) / 2.0
-        np.fill_diagonal(m, 0.0)
-        weight = build_mst(m)[:, 2].sum()
+        points = rng.uniform(0.0, 10.0, (n, int(rng.integers(1, 6))))
+        if trial % 3 == 2:
+            points = np.round(points)
+        view = mutual_reachability(points, core_distances(points, int(rng.integers(1, n))))
+        m = np.array([reachability_row(view, j) for j in range(n)])
+        weight = build_mst(view)[:, 2].sum()
         if n <= 7:
             assert weight == pytest.approx(mst_weight_exhaustive(m))
         else:

@@ -174,6 +174,27 @@ class TestTrain:
         assert "2 documents have no in-vocabulary token (first: oov-a, oov-b)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_docs, flags, named",
+        [
+            (12, [], "need more than n_neighbors=15 documents, got 12"),
+            (50, ["--min-cluster-size", "50"], "min_cluster_size=50 documents, got 50"),
+        ],
+        ids=["n_neighbors", "min_cluster_size"],
+    )
+    def test_too_few_documents_exit_1_before_training(
+        self, env, tmp_path, capsys, monkeypatch, n_docs, flags, named
+    ):
+        monkeypatch.setattr("topicforge.cli.train", lambda *a: pytest.fail("trained"))
+        corpus = tmp_path / "corpus.jsonl"
+        lines = open(env["corpus"], encoding="utf-8").readlines()[:n_docs]
+        corpus.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "x.tpfg"
+        rc = main(["train", "--corpus", str(corpus), "--output", str(out)] + flags)
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_1(self, env, tmp_path, capsys):
         out = tmp_path / "x.tpfg"
         rc = main(
@@ -548,6 +569,36 @@ class TestEvaluate:
     def test_neither_source_exits_1(self, env, capsys):
         assert main(["evaluate", "--corpus", str(env["corpus"])]) == 1
         capsys.readouterr()
+
+    def test_topics_with_external_exits_1(self, env, tmp_path, capsys):
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(topic_file(env, "hard")))
+        rc = main(
+            [
+                "evaluate",
+                "--external", str(path),
+                "--corpus", str(env["corpus"]),
+                "--topics", "1",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--topics applies only to --model" in captured.err
+
+    def test_min_count_with_model_exits_1(self, env, capsys):
+        rc = main(
+            [
+                "evaluate",
+                "--model", str(env["model"]),
+                "--corpus", str(env["corpus"]),
+                "--min-count", "7",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--min-count applies only to --external" in captured.err
 
 
 MISSING = object()

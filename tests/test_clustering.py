@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicforge import ClusterConfig, ValidationError, cluster, reduce
+from topicforge import ClusterConfig, ValidationError, cluster, kernels, reduce
 from topicforge.clustering import (
     CondensedTree,
     ReachabilityRows,
@@ -31,13 +31,6 @@ from oracles import (
     mst_weight_kruskal,
     reachability_row,
 )
-
-
-def random_symmetric_matrix(rng, n):
-    m = rng.uniform(0.1, 10.0, (n, n))
-    m = (m + m.T) / 2.0
-    np.fill_diagonal(m, 0.0)
-    return m
 
 
 class TestConfig:
@@ -158,10 +151,19 @@ class TestMutualReachability:
         assert np.array_equal(mr[off], expected[off])
 
 
+def random_view(rng, n):
+    """The mutual reachability view of ``n`` points uniform in 1-5
+    dimensions, rounded to integers one time in three so that weights tie
+    and points repeat, with core distances of a random k in [1, n - 1]."""
+    pts = rng.uniform(0.0, 4.0, (n, int(rng.integers(1, 6))))
+    if rng.integers(0, 3) == 0:
+        pts = np.round(pts)
+    return mutual_reachability(pts, core_distances(pts, int(rng.integers(1, n))))
+
+
 class TestBuildMst:
     def test_hand_case(self):
-        m = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-        edges = build_mst(m)
+        edges = build_mst(ReachabilityRows(np.array([[0.0, 1.0, 3.0]]), np.zeros(3)))
         assert edges[:, 2].sum() == pytest.approx(3.0)
         pairs = {tuple(sorted((int(a), int(b)))) for a, b, _ in edges}
         assert pairs == {(0, 1), (1, 2)}
@@ -169,28 +171,24 @@ class TestBuildMst:
     def test_weight_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            n = int(rng.integers(3, 8))
-            m = random_symmetric_matrix(rng, n)
-            edges = build_mst(m)
-            assert edges[:, 2].sum() == pytest.approx(mst_weight_exhaustive(m))
+            view = random_view(rng, int(rng.integers(3, 8)))
+            weight = build_mst(view)[:, 2].sum()
+            assert weight == pytest.approx(mst_weight_exhaustive(stacked(view)))
 
     def test_weight_matches_kruskal(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            n = int(rng.integers(4, 30))
-            m = random_symmetric_matrix(rng, n)
-            edges = build_mst(m)
-            assert edges[:, 2].sum() == pytest.approx(mst_weight_kruskal(m))
+            view = random_view(rng, int(rng.integers(4, 30)))
+            weight = build_mst(view)[:, 2].sum()
+            assert weight == pytest.approx(mst_weight_kruskal(stacked(view)))
 
     def test_edges_span_all_points(self):
         rng = np.random.default_rng(3)
-        n = 15
-        m = random_symmetric_matrix(rng, n)
-        assert_spans(build_mst(m), n)
+        assert_spans(build_mst(random_view(rng, 15)), 15)
 
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError):
-            build_mst(np.zeros((1, 1)))
+            build_mst(ReachabilityRows(np.zeros((1, 1)), np.zeros(1)))
 
     def test_view_gives_the_edges_of_its_dense_rows(self):
         # Ties leave many minimum trees, so the view's edges need not be
@@ -210,15 +208,24 @@ class TestBuildMst:
         assert_matches_prim(rows, [2, 5, 15])
 
     def test_rejects_a_non_finite_matrix(self):
-        for bad in (np.inf, np.nan):
-            m = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
-            with pytest.raises(ValidationError, match="must be finite"):
-                build_mst(m)
+        # 1-d points 0, 1, bad, 3 with core distances 0.5, then the same
+        # points, all finite, with one bad core distance.
+        for bad in (np.inf, -np.inf, np.nan):
+            for points, core in (
+                ([0.0, 1.0, bad, 3.0], [0.5, 0.5, 0.5, 0.5]),
+                ([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, bad, 0.5]),
+            ):
+                view = ReachabilityRows(np.array([points]), np.array(core))
+                with pytest.raises(ValidationError, match="must be finite.*NaN"):
+                    build_mst(view)
 
     def test_nan_weights_raise_instead_of_looping(self):
         rows = ReachabilityRows(np.array([[0.0, np.nan, 2.0]]), np.ones(3))
         with pytest.raises(ValidationError, match="NaN"):
             build_mst(rows)
+        # The kernel's own guard, which build_mst's finiteness check hides.
+        with pytest.raises(ValidationError, match="must not be NaN"):
+            kernels.mst_reachability(rows.columns, rows.core)
 
 
 def prim_over_rows(view):
