@@ -3,16 +3,19 @@
  * Built with gcc -O2 -shared -fPIC -ffp-contract=off -pthread: no fused
  * multiply-add and no fast-math, so every + - * / rounds once as IEEE
  * double arithmetic does, whatever the CPU's vector width.  The one libm
- * call is sqrt, in the spanning tree's distances, which IEEE 754 requires
- * to be correctly rounded, so it gives the same bits on every CPU.  The
- * layout's powers come from an exp and a log made of + - * / and exact
- * exponent-bit scaling, so the bytes do not depend on which variant of
- * libm's pow the C library picks for the CPU.  The layout's threads write
+ * call is sqrt, in the core distances and the spanning tree's distances,
+ * which IEEE 754 requires to be correctly rounded, so it gives the same
+ * bits on every CPU.  Both come from one KD-tree builder, and both sum
+ * squared differences one coordinate at a time, so a core distance equals
+ * the tree's distance to that neighbor bit for bit.  The layout's powers
+ * come from an exp and a log made of + - * / and exact exponent-bit
+ * scaling, so the bytes do not depend on which variant of libm's pow the
+ * C library picks for the CPU.  The layout's threads write
  * disjoint rows that one thread adds up in a fixed order, so its bytes do
  * not depend on the thread count either.  The numpy twins in
  * tests/test_reduction.py repeat every operation of the layout and must
- * give equal bits, and the kNN's distances must equal its fixed-order
- * dense oracle's.
+ * give equal bits, and the kNN's and the core distances must equal their
+ * fixed-order dense oracles'.
  */
 #include <math.h> /* sqrt, INFINITY and NAN */
 #include <pthread.h>
@@ -473,7 +476,7 @@ done:
     return status;
 }
 
-/* ---- Minimum spanning tree of the mutual reachability graph ---- */
+/* ---- KD-tree over points given one coordinate per row ---- */
 
 /* Most points a KD-tree leaf holds. */
 #define LEAF_SIZE 16
@@ -481,23 +484,15 @@ done:
 typedef struct {
     int64_t start, end;  /* the node's points are positions [start, end) */
     int64_t left, right; /* child nodes, -1 in a leaf */
-    double min_core;     /* smallest core distance among the node's points */
 } kd_node;
 
 typedef struct {
-    int64_t n, dim;
-    double *x;          /* points in tree order, row-major */
-    double *core;       /* core distances in tree order */
-    int64_t *index;     /* caller's index of each position */
-    kd_node *nodes;     /* preorder: a node's children follow it */
-    double *lo, *hi;    /* each node's bounding box, dim values per node */
-    int64_t *parent;    /* union-find over positions */
-    int64_t *comp;      /* each position's component root at the round's start */
-    int64_t *node_comp; /* the component of all a node's points, or -1 */
-    double *best_w;     /* per component root: its best outgoing edge ... */
-    int64_t *best_a, *best_b; /* ... as (weight, smaller index, larger index) */
-    int64_t *best_p, *best_q; /* ... and its endpoints' positions, -1 if none */
-} boruvka;
+    int64_t n, dim, n_nodes;
+    double *x;       /* points in tree order, row-major */
+    int64_t *index;  /* caller's index of each position */
+    kd_node *nodes;  /* preorder: a node's children follow it */
+    double *lo, *hi; /* each node's bounding box, dim values per node */
+} kd_tree;
 
 static int64_t count_nodes(int64_t m)
 {
@@ -543,21 +538,17 @@ static void select_rank(int64_t *idx, int64_t lo, int64_t hi, int64_t k, const d
     }
 }
 
-/* Build node v over positions [start, end) of B->index, splitting at the
+/* Build node v over positions [start, end) of T->index, splitting at the
  * median of the widest coordinate; returns the next free node. */
-static int64_t build_node(boruvka *B, const double *columns, const double *core,
-                          int64_t v, int64_t start, int64_t end)
+static int64_t build_node(kd_tree *T, const double *columns, int64_t v, int64_t start,
+                          int64_t end)
 {
-    const int64_t n = B->n, dim = B->dim;
-    int64_t *idx = B->index;
-    double *lo = B->lo + v * dim, *hi = B->hi + v * dim;
-    kd_node *N = B->nodes + v;
+    const int64_t n = T->n, dim = T->dim;
+    int64_t *idx = T->index;
+    double *lo = T->lo + v * dim, *hi = T->hi + v * dim;
+    kd_node *N = T->nodes + v;
     N->start = start;
     N->end = end;
-    N->min_core = core[idx[start]];
-    for (int64_t k = start + 1; k < end; k++)
-        if (core[idx[k]] < N->min_core)
-            N->min_core = core[idx[k]];
     int64_t split = 0;
     for (int64_t c = 0; c < dim; c++) {
         const double *column = columns + c * n;
@@ -579,17 +570,41 @@ static int64_t build_node(boruvka *B, const double *columns, const double *core,
     int64_t mid = start + (end - start) / 2;
     select_rank(idx, start, end - 1, mid, columns + split * n);
     N->left = v + 1;
-    N->right = build_node(B, columns, core, N->left, start, mid);
-    return build_node(B, columns, core, N->right, mid, end);
+    N->right = build_node(T, columns, N->left, start, mid);
+    return build_node(T, columns, N->right, mid, end);
 }
 
-static int64_t find_root(int64_t *parent, int64_t p)
+/* Build the tree of n >= 1 points given one coordinate per row of columns
+ * (dim x n, row-major).  Returns 0, or -1 when memory runs out; free_tree
+ * releases what it allocated either way. */
+static int build_tree(kd_tree *T, const double *columns, int64_t n, int64_t dim)
 {
-    while (parent[p] != p) {
-        parent[p] = parent[parent[p]];
-        p = parent[p];
-    }
-    return p;
+    T->n = n;
+    T->dim = dim;
+    T->n_nodes = count_nodes(n);
+    T->x = malloc(n * dim * sizeof(double));
+    T->index = malloc(n * sizeof(int64_t));
+    T->nodes = malloc(T->n_nodes * sizeof(kd_node));
+    T->lo = malloc(T->n_nodes * dim * sizeof(double));
+    T->hi = malloc(T->n_nodes * dim * sizeof(double));
+    if (!T->x || !T->index || !T->nodes || !T->lo || !T->hi)
+        return -1;
+    for (int64_t p = 0; p < n; p++)
+        T->index[p] = p;
+    build_node(T, columns, 0, 0, n);
+    for (int64_t p = 0; p < n; p++)
+        for (int64_t c = 0; c < dim; c++)
+            T->x[p * dim + c] = columns[c * n + T->index[p]];
+    return 0;
+}
+
+static void free_tree(kd_tree *T)
+{
+    free(T->x);
+    free(T->index);
+    free(T->nodes);
+    free(T->lo);
+    free(T->hi);
 }
 
 /* Squared distance from x to the nearest point of the box [lo, hi].  Each
@@ -606,6 +621,45 @@ static inline double box_distance(const double *x, const double *lo, const doubl
     return r2;
 }
 
+/* The two children of node v in the order a search from x visits them,
+ * nearer box first, with their boxes' squared distances from x. */
+static inline void order_children(const kd_tree *T, int64_t v, const double *x,
+                                  int64_t child[2], double r2[2])
+{
+    const kd_node *N = T->nodes + v;
+    const int64_t dim = T->dim;
+    double left = box_distance(x, T->lo + N->left * dim, T->hi + N->left * dim, dim);
+    double right = box_distance(x, T->lo + N->right * dim, T->hi + N->right * dim, dim);
+    int swap = right < left;
+    child[0] = swap ? N->right : N->left;
+    child[1] = swap ? N->left : N->right;
+    r2[0] = swap ? right : left;
+    r2[1] = swap ? left : right;
+}
+
+/* ---- Minimum spanning tree of the mutual reachability graph ---- */
+
+typedef struct {
+    kd_tree T;
+    double *core;       /* core distances in tree order */
+    double *min_core;   /* smallest core distance among each node's points */
+    int64_t *parent;    /* union-find over positions */
+    int64_t *comp;      /* each position's component root at the round's start */
+    int64_t *node_comp; /* the component of all a node's points, or -1 */
+    double *best_w;     /* per component root: its best outgoing edge ... */
+    int64_t *best_a, *best_b; /* ... as (weight, smaller index, larger index) */
+    int64_t *best_p, *best_q; /* ... and its endpoints' positions, -1 if none */
+} boruvka;
+
+static int64_t find_root(int64_t *parent, int64_t p)
+{
+    while (parent[p] != p) {
+        parent[p] = parent[parent[p]];
+        p = parent[p];
+    }
+    return p;
+}
+
 static inline double max2(double a, double b)
 {
     return b > a ? b : a;
@@ -615,7 +669,7 @@ static inline double max2(double a, double b)
  * weight, then smaller index, then larger index wins. */
 static inline void offer(boruvka *B, int64_t cp, double w, int64_t p, int64_t q)
 {
-    int64_t a = B->index[p], b = B->index[q];
+    int64_t a = B->T.index[p], b = B->T.index[q];
     if (a > b) {
         int64_t t = a;
         a = b;
@@ -636,46 +690,40 @@ static inline void offer(boruvka *B, int64_t cp, double w, int64_t p, int64_t q)
  * are in cp, or when no edge into it can weigh as little as cp's best. */
 static void search(boruvka *B, int64_t v, double box_r2, int64_t p, int64_t cp)
 {
-    const kd_node *N = B->nodes + v;
+    const kd_tree *T = &B->T;
+    const kd_node *N = T->nodes + v;
     if (B->node_comp[v] == cp)
         return;
     const double core_p = B->core[p];
-    if (max2(max2(sqrt(box_r2), core_p), N->min_core) > B->best_w[cp])
+    if (max2(max2(sqrt(box_r2), core_p), B->min_core[v]) > B->best_w[cp])
         return;
-    const int64_t dim = B->dim;
-    const double *xp = B->x + p * dim;
+    const int64_t dim = T->dim;
+    const double *xp = T->x + p * dim;
     if (N->left < 0) {
         for (int64_t q = N->start; q < N->end; q++) {
             if (B->comp[q] == cp)
                 continue;
             /* The mutual reachability weight: max(distance, core_q, core_p). */
-            double w = sqrt(squared_distance(xp, B->x + q * dim, dim));
+            double w = sqrt(squared_distance(xp, T->x + q * dim, dim));
             offer(B, cp, max2(max2(w, B->core[q]), core_p), p, q);
         }
         return;
     }
-    int64_t near = N->left, far = N->right;
-    double near_r2 = box_distance(xp, B->lo + near * dim, B->hi + near * dim, dim);
-    double far_r2 = box_distance(xp, B->lo + far * dim, B->hi + far * dim, dim);
-    if (far_r2 < near_r2) {
-        int64_t t = near;
-        near = far;
-        far = t;
-        double r = near_r2;
-        near_r2 = far_r2;
-        far_r2 = r;
-    }
-    search(B, near, near_r2, p, cp);
-    search(B, far, far_r2, p, cp);
+    int64_t child[2];
+    double r2[2];
+    order_children(T, v, xp, child, r2);
+    search(B, child[0], r2[0], p, cp);
+    search(B, child[1], r2[1], p, cp);
 }
 
 /* Record each position's component and, bottom up, each node's. */
-static void label_components(boruvka *B, int64_t n_nodes)
+static void label_components(boruvka *B)
 {
-    for (int64_t p = 0; p < B->n; p++)
+    const kd_tree *T = &B->T;
+    for (int64_t p = 0; p < T->n; p++)
         B->comp[p] = find_root(B->parent, p);
-    for (int64_t v = n_nodes - 1; v >= 0; v--) {
-        const kd_node *N = B->nodes + v;
+    for (int64_t v = T->n_nodes - 1; v >= 0; v--) {
+        const kd_node *N = T->nodes + v;
         int64_t c;
         if (N->left < 0) {
             c = B->comp[N->start];
@@ -693,7 +741,7 @@ static void label_components(boruvka *B, int64_t n_nodes)
  * given one coordinate per row of columns (dim x n, row-major) and their
  * core distances.  Edge (i, j) weighs max(sqrt(r2), core_i, core_j), where
  * r2 sums the squared coordinate differences one coordinate at a time
- * from coordinate 0, as core_distances does below 8 coordinates.
+ * from coordinate 0, as tf_core_distances does.
  *
  * Borůvka's rounds over a KD-tree: in each round every component takes
  * its lightest outgoing edge, by the total order (weight, smaller index,
@@ -709,15 +757,10 @@ static void label_components(boruvka *B, int64_t n_nodes)
 int tf_mst_reachability(const double *columns, const double *core, int64_t n, int64_t dim,
                         double *edges)
 {
-    int64_t n_nodes = count_nodes(n);
+    const int64_t n_nodes = count_nodes(n);
     boruvka B = {
-        .n = n, .dim = dim,
-        .x = malloc(n * dim * sizeof(double)),
         .core = malloc(n * sizeof(double)),
-        .index = malloc(n * sizeof(int64_t)),
-        .nodes = malloc(n_nodes * sizeof(kd_node)),
-        .lo = malloc(n_nodes * dim * sizeof(double)),
-        .hi = malloc(n_nodes * dim * sizeof(double)),
+        .min_core = malloc(n_nodes * sizeof(double)),
         .parent = malloc(n * sizeof(int64_t)),
         .comp = malloc(n * sizeof(int64_t)),
         .node_comp = malloc(n_nodes * sizeof(int64_t)),
@@ -728,21 +771,33 @@ int tf_mst_reachability(const double *columns, const double *core, int64_t n, in
         .best_q = malloc(n * sizeof(int64_t)),
     };
     int status = -1;
-    if (!B.x || !B.core || !B.index || !B.nodes || !B.lo || !B.hi || !B.parent || !B.comp
-        || !B.node_comp || !B.best_w || !B.best_a || !B.best_b || !B.best_p || !B.best_q)
+    if (build_tree(&B.T, columns, n, dim) != 0 || !B.core || !B.min_core || !B.parent
+        || !B.comp || !B.node_comp || !B.best_w || !B.best_a || !B.best_b || !B.best_p
+        || !B.best_q)
         goto done;
-    for (int64_t p = 0; p < n; p++)
-        B.index[p] = B.parent[p] = p;
-    build_node(&B, columns, core, 0, 0, n);
+    const kd_tree *T = &B.T;
     for (int64_t p = 0; p < n; p++) {
-        B.core[p] = core[B.index[p]];
-        for (int64_t c = 0; c < dim; c++)
-            B.x[p * dim + c] = columns[c * n + B.index[p]];
+        B.parent[p] = p;
+        B.core[p] = core[T->index[p]];
+    }
+    for (int64_t v = n_nodes - 1; v >= 0; v--) {
+        const kd_node *N = T->nodes + v;
+        double m;
+        if (N->left < 0) {
+            m = B.core[N->start];
+            for (int64_t p = N->start + 1; p < N->end; p++)
+                if (B.core[p] < m)
+                    m = B.core[p];
+        } else {
+            m = B.min_core[N->left] < B.min_core[N->right] ? B.min_core[N->left]
+                                                           : B.min_core[N->right];
+        }
+        B.min_core[v] = m;
     }
     status = -2;
     int64_t found = 0;
     while (found < n - 1) {
-        label_components(&B, n_nodes);
+        label_components(&B);
         for (int64_t p = 0; p < n; p++) {
             B.best_w[p] = INFINITY;
             B.best_a[p] = B.best_b[p] = n;
@@ -751,7 +806,7 @@ int tf_mst_reachability(const double *columns, const double *core, int64_t n, in
         for (int64_t p = 0; p < n; p++) {
             int64_t cp = B.comp[p];
             if (!(B.core[p] > B.best_w[cp]))
-                search(&B, 0, box_distance(B.x + p * dim, B.lo, B.hi, dim), p, cp);
+                search(&B, 0, box_distance(T->x + p * dim, T->lo, T->hi, dim), p, cp);
         }
         int64_t before = found;
         for (int64_t c = 0; c < n; c++) {
@@ -771,12 +826,9 @@ int tf_mst_reachability(const double *columns, const double *core, int64_t n, in
     }
     status = 0;
 done:
-    free(B.x);
+    free_tree(&B.T);
     free(B.core);
-    free(B.index);
-    free(B.nodes);
-    free(B.lo);
-    free(B.hi);
+    free(B.min_core);
     free(B.parent);
     free(B.comp);
     free(B.node_comp);
@@ -905,4 +957,54 @@ int tf_knn_rows(const float *sims, int64_t rows, int64_t first, const double *un
     }
     free(heap);
     return 0;
+}
+
+/* ---- Core distances ---- */
+
+/* Search node v, whose box lies box_r2 (squared) from x, for the m
+ * smallest squared distances from x, held by keep_smallest in heap[0,
+ * *count).  Once the heap is full, a node whose box lies strictly farther
+ * than its largest distance is skipped. */
+static void nearest(const kd_tree *T, int64_t v, double box_r2, const double *x,
+                    neighbor *heap, int64_t m, int64_t *count)
+{
+    if (*count == m && box_r2 > heap[0].dist)
+        return;
+    const kd_node *N = T->nodes + v;
+    const int64_t dim = T->dim;
+    if (N->left < 0) {
+        for (int64_t q = N->start; q < N->end; q++)
+            keep_smallest(heap, m, count, (neighbor){squared_distance(x, T->x + q * dim, dim), q});
+        return;
+    }
+    int64_t child[2];
+    double r2[2];
+    order_children(T, v, x, child, r2);
+    nearest(T, child[0], r2[0], x, heap, m, count);
+    nearest(T, child[1], r2[1], x, heap, m, count);
+}
+
+/* The distance from each of n points (columns: dim x n, row-major) to its
+ * k-th nearest other point, into out.  The point itself is among its k + 1
+ * nearest at squared distance 0, so out holds the square root of the
+ * (k + 1)-th smallest squared_distance, summed one coordinate at a time
+ * from coordinate 0 as the spanning tree's distances are.  Needs
+ * 1 <= k < n.  Returns 0, or -1 when memory runs out. */
+int tf_core_distances(const double *columns, int64_t n, int64_t dim, int64_t k, double *out)
+{
+    kd_tree T;
+    neighbor *heap = malloc((k + 1) * sizeof(neighbor));
+    int status = -1;
+    if (build_tree(&T, columns, n, dim) != 0 || !heap)
+        goto done;
+    for (int64_t p = 0; p < n; p++) {
+        int64_t count = 0;
+        nearest(&T, 0, 0.0, T.x + p * dim, heap, k + 1, &count);
+        out[T.index[p]] = sqrt(heap[0].dist);
+    }
+    status = 0;
+done:
+    free_tree(&T);
+    free(heap);
+    return status;
 }

@@ -7,9 +7,9 @@ points count as new clusters, and selecting the most stable clusters by
 excess of mass.  Points that fall out of the hierarchy above every
 selected cluster are noise.
 
-No n x n matrix is held: core distances come from a KD-tree query, and
-the spanning tree of the unformed mutual reachability matrix from
-Boruvka's rounds over a KD-tree in the compiled kernel.  All merges
+No n x n matrix is held: the compiled kernel builds a KD-tree, queries
+it for the core distances, and finds the spanning tree of the unformed
+mutual reachability matrix by Boruvka's rounds over it.  All merges
 at one distance condense as one split, and the selected clusters are
 numbered by their smallest member, so the labels and stabilities depend
 only on the points, not on which of the equally light spanning trees was
@@ -80,22 +80,22 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance from each point to its min_samples-th nearest neighbor.
 
     The point itself is excluded, so ``min_samples`` must be at most
-    ``n - 1``.  Below 8 coordinates the KD-tree sums squared differences
-    one coordinate at a time, as the spanning tree's mutual reachability
-    distances do, so the two agree bit for bit; from 8 it sums in four
-    partial sums and they may differ in the last bits.
+    ``n - 1``.  The compiled kernel's KD-tree (``kernels.core_distances``)
+    sums squared differences one coordinate at a time, as the spanning
+    tree's mutual reachability distances do, so at every dimension each
+    core distance equals the tree's distance to that neighbor bit for bit.
     """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValidationError("points must be a 2-d array")
     n = len(points)
     if not 1 <= min_samples <= n - 1:
         raise ValidationError(
             f"min_samples must be in [1, {n - 1}] for {n} points, got {min_samples}"
         )
-    from scipy.spatial import cKDTree  # here, so read-only commands never import it
-
-    # The point is its own nearest neighbor at distance 0 (or ties with a
-    # duplicate at 0), so the last of k + 1 is the k-th excluding itself.
-    dist, _ = cKDTree(points).query(points, k=min_samples + 1)
-    return dist[:, -1]
+    if not np.isfinite(points).all():
+        raise ValidationError("points must be finite")
+    return kernels.core_distances(points.T, min_samples)
 
 
 @dataclass(frozen=True)

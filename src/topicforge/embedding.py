@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import Document, Vocabulary, build_vocabulary, index_documents, scan_tokens
 from .errors import ValidationError
@@ -28,6 +27,17 @@ from .errors import ValidationError
 # The learning rate decays linearly between these over a whole training run.
 INITIAL_LR = 0.025
 FINAL_LR = 1e-4
+
+# scipy's logistic function, bound by _load_expit before the first step.
+expit = None
+
+
+def _load_expit() -> None:
+    """Bind ``expit`` for ``_apply_hs_step``.  Loading scipy.special takes
+    about 20 MB and 0.2 s, so only a process that runs a step pays for it."""
+    global expit
+    if expit is None:
+        from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -178,6 +188,7 @@ def _checked_step(
         raise ValidationError(f"row index {row} out of range")
     if not 0 <= word < len(coding.paths):
         raise ValidationError(f"word index {word} out of range")
+    _load_expit()
     return _apply_hs_step(matrix, row, word, coding, lr)
 
 
@@ -287,6 +298,7 @@ def train(docs: list[Document], config: EmbeddingConfig) -> SemanticEmbedding:
             f"(first: {', '.join(empty[:5])})"
         )
     token_arrays = [d.tokens for d in indexed]
+    _load_expit()
     d = config.vector_size
     rng = np.random.default_rng(config.seed)
     doc_vectors = (rng.random((len(indexed), d)) - 0.5) / d

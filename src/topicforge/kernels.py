@@ -92,6 +92,8 @@ def load():
     lib.tf_optimize_layout.restype = ctypes.c_int
     lib.tf_mst_reachability.argtypes = [pointer, pointer, i64, i64, pointer]
     lib.tf_mst_reachability.restype = ctypes.c_int
+    lib.tf_core_distances.argtypes = [pointer, i64, i64, i64, pointer]
+    lib.tf_core_distances.restype = ctypes.c_int
     lib.tf_knn_rows.argtypes = [
         pointer, i64, i64, pointer, i64, i64, i64, pointer, pointer,
     ]
@@ -137,6 +139,25 @@ def optimize_layout(
     if status != 0:
         raise MemoryError("the layout kernel could not allocate its buffers")
     return coords
+
+
+def core_distances(columns: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point.
+
+    ``columns`` holds the points one coordinate per row;
+    ``tf_core_distances`` in ``_kernels.c`` documents the sum.
+    """
+    columns = np.ascontiguousarray(columns, dtype=np.float64)
+    if columns.ndim != 2 or columns.shape[0] < 1:
+        raise ValidationError("columns must be (dim, n)")
+    dim, n = columns.shape
+    if not 1 <= k < n:
+        raise ValidationError(f"k must be in [1, {n - 1}] for {n} points, got {k}")
+    out = np.empty(n)
+    status = load().tf_core_distances(columns.ctypes.data, n, dim, k, out.ctypes.data)
+    if status != 0:
+        raise MemoryError("the core distance kernel could not allocate its buffers")
+    return out
 
 
 def mst_reachability(columns: np.ndarray, core: np.ndarray) -> np.ndarray:

@@ -180,29 +180,40 @@ def fuzzy_simplicial_set(points: np.ndarray, config: ReductionConfig) -> FuzzyGr
 
     Directed membership of neighbor j in i's neighborhood is
     ``exp(-max(0, d_ij - rho_i) / sigma_i)``; directed weights a and b
-    for a pair combine into ``a + b - a * b``.
+    for a pair combine into ``(a + b) - a * b``, and a pair only one side
+    lists keeps its a.  A stable sort of the directed entries by the int64
+    key ``min(i, j) * n + max(i, j)`` brings each pair's one or two entries
+    together, so fewer than 2**31 points are supported.  Edges come out
+    with ``heads < tails``, heads ascending and then tails ascending, the
+    order in which the layout schedules them; weights of 0 are dropped.
     """
-    import scipy.sparse  # here, so read-only commands never import it
-
-    n = len(points)
     idx, dist = knn_graph(points, config.n_neighbors)
     rho, sigma = _calibrate_rows(dist)
     memb = np.exp(-np.maximum(dist - rho[:, None], 0.0) / sigma[:, None])
-    rows = np.repeat(np.arange(n), config.n_neighbors)
-    directed = scipy.sparse.coo_matrix(
-        (memb.ravel(), (rows, idx.ravel())), shape=(n, n)
-    ).tocsr()
-    sym = (directed + directed.T - directed.multiply(directed.T)).tocoo()
-    upper = sym.row < sym.col
-    heads = sym.row[upper]
-    tails = sym.col[upper]
-    weights = sym.data[upper]
+    return _symmetrize(len(points), idx, memb)
+
+
+def _symmetrize(n: int, idx: np.ndarray, memb: np.ndarray) -> FuzzyGraph:
+    """The undirected graph of the directed weights ``memb[i, m]`` from
+    point i to ``idx[i, m]`` among n points, as ``fuzzy_simplicial_set``
+    describes it.  n is checked before anything of its size is allocated.
+    """
+    if n >= 2**31:
+        raise ValidationError(f"the fuzzy graph supports fewer than 2**31 points, got {n}")
+    rows = np.repeat(np.arange(len(idx), dtype=np.int64), idx.shape[1])
+    cols = idx.ravel()
+    key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    order = np.argsort(key, kind="stable")
+    key, directed = key[order], memb.ravel()[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    weights = directed[first]
+    mutual = np.diff(first, append=len(key)) == 2
+    a, b = weights[mutual], directed[first[mutual] + 1]
+    weights[mutual] = (a + b) - a * b
     keep = weights > 0
+    pairs = key[first[keep]]
     return FuzzyGraph(
-        n_points=n,
-        heads=heads[keep].astype(np.int64),
-        tails=tails[keep].astype(np.int64),
-        weights=weights[keep],
+        n_points=n, heads=pairs // n, tails=pairs % n, weights=weights[keep]
     )
 
 

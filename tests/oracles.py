@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the definitions alone, in plain Python and
-numpy, and deliberately shares no code with topicforge.
+numpy, or is the scipy routine that topicforge once called, and
+deliberately shares no code with topicforge.
 """
 
 import heapq
@@ -224,6 +225,57 @@ def reachability_row(view, j):
     np.maximum(row, view.core[j], out=row)
     row[j] = 0.0
     return row
+
+
+def core_distances_kdtree(points, min_samples):
+    """scipy's ``cKDTree``: the last of each point's ``min_samples + 1``
+    nearest, the point itself among them at distance 0.  Below 8
+    coordinates it sums squared differences one coordinate at a time; from
+    8 it sums four partial sums, which may differ in the last bits."""
+    from scipy.spatial import cKDTree
+
+    dist, _ = cKDTree(points).query(points, k=min_samples + 1)
+    return dist[:, -1]
+
+
+def core_distances_all_pairs(points, min_samples, block=256):
+    """Each point's ``min_samples``-th smallest distance to the other
+    points, ``block`` rows of all-pairs distances at a time, with squared
+    differences summed one coordinate at a time from coordinate 0."""
+    n = len(points)
+    core = np.empty(n)
+    for start in range(0, n, block):
+        rows = points[start : start + block]
+        d2 = np.zeros((len(rows), n))
+        for c in range(points.shape[1]):
+            diff = rows[:, c, None] - points[None, :, c]
+            d2 += diff * diff
+        dist = np.sqrt(d2)
+        dist[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
+        core[start : start + len(rows)] = np.partition(dist, min_samples - 1, axis=1)[
+            :, min_samples - 1
+        ]
+    return core
+
+
+def symmetrized_graph_sparse(n, indices, memberships):
+    """scipy.sparse's fuzzy union of directed kNN weights: ``A + A.T -
+    A * A.T`` for ``A[i, indices[i, m]] = memberships[i, m]``, as
+    ``(heads, tails, weights)`` of its upper triangle in CSR order, with
+    weights of 0 dropped."""
+    import scipy.sparse
+
+    rows = np.repeat(np.arange(n), indices.shape[1])
+    directed = scipy.sparse.coo_matrix(
+        (memberships.ravel(), (rows, indices.ravel())), shape=(n, n)
+    ).tocsr()
+    sym = (directed + directed.T - directed.multiply(directed.T)).tocoo()
+    upper = (sym.row < sym.col) & (sym.data > 0)
+    return (
+        sym.row[upper].astype(np.int64),
+        sym.col[upper].astype(np.int64),
+        sym.data[upper],
+    )
 
 
 def _single_linkage(n, mst_edges):

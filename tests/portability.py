@@ -1,7 +1,7 @@
 """The rows of the portability table in ``test_cli.py``.
 
 ``python portability.py COMMANDS WORKDIR`` runs each ``row: argv`` of
-the JSON object COMMANDS in a new directory WORKDIR, then six probes that
+the JSON object COMMANDS in a new directory WORKDIR, then seven probes that
 run kernels on fixed inputs, and prints one ``row digest`` line per row.
 A command's digest is that of the file it writes or, if it writes none,
 of what it prints.  With ``ONE_CPU`` set in its environment the process
@@ -83,6 +83,13 @@ def probe_digests():
     second = (first + 1 + rng.integers(0, 39, 20_000)) % 40
     docs = (topics[first] + topics[second]) / 2.0
     yield "assign-tie", sha256(assign_documents(docs, topics).tobytes())
+
+    # Nine coordinates: from 8 on, scipy's cKDTree sums squared differences
+    # in four partial sums, which the kernel must not.
+    rng = np.random.default_rng(43)
+    points = rng.uniform(-10.0, 10.0, (15, 9))[rng.integers(0, 15, 2000)]
+    points += rng.normal(0.0, 0.7, points.shape)
+    yield "core", sha256(core_distances(points, 15).tobytes())
 
 
 if __name__ == "__main__":

@@ -772,9 +772,9 @@ class TestExport:
         assert not out.exists()
 
 
-# scipy modules that importing the CLI, and running a command that neither
-# lays out nor clusters, must leave unloaded.
-LAZY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.sparse")
+# scipy modules that importing the CLI, and running a command that does not
+# train, must leave unloaded.
+LAZY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.special")
 
 
 class TestKernelBuild:
@@ -820,7 +820,7 @@ class TestKernelBuild:
         command = python_command("-c", script, json.dumps(commands), *LAZY_SCIPY)
         done = subprocess.run(**command, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split()[-4:] == ["0", "False", "False", "False"]
+        assert done.stdout.split()[-5:] == ["0", "False", "False", "False", "False"]
 
 
 SETTINGS = {
@@ -848,7 +848,9 @@ COMMANDS = {
     "evaluate-mixture": "evaluate --external {mixture} --corpus {corpus} --top-n 2",
 }
 
-TABLE_ROWS = [*COMMANDS, "rank", "layout", "mst", "cluster-labels", "knn", "assign-tie"]
+TABLE_ROWS = [
+    *COMMANDS, "rank", "layout", "mst", "cluster-labels", "knn", "assign-tie", "core"
+]
 
 HS_TRAINING = "HS training follows the BLAS kernel and glibc's FMA variants (ROADMAP 1c)"
 NUMPY_EXP = "the reduction's calibration and memberships take numpy's np.exp (ROADMAP 4)"
@@ -907,7 +909,8 @@ def test_same_bytes_under_every_setting(portability_table, row, setting, request
 
 
 class TestModule:
-    """The CLI module run as a program, and what importing it loads."""
+    """The CLI module run as a program, and what importing and running it
+    loads."""
 
     def test_run_as_module_parses_its_arguments(self):
         command = python_command("-m", "topicforge.cli", "train", "--bogus")
@@ -918,12 +921,32 @@ class TestModule:
     def test_import_leaves_scipy_optimize_out(self):
         script = (
             "import sys, topicforge.cli\n"
-            "print(*(m in sys.modules for m in sys.argv[1:]))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
-        command = python_command("-c", script, *LAZY_SCIPY)
+        command = python_command("-c", script)
         done = subprocess.run(**command, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "False", "False"]
+        assert done.stdout.split() == ["[]"]
+
+    def test_layout_and_clustering_load_no_scipy(self, env, tmp_path):
+        coords = tmp_path / "coords.csv"
+        argv = ["export", "--model", str(env["model"]), "--what", "coords2d",
+                "--output", str(coords)]
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from topicforge import ClusterConfig, cluster\n"
+            "from topicforge.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "xy = np.loadtxt(sys.argv[2], delimiter=',', skiprows=1, usecols=(1, 2))\n"
+            "print(cluster(xy, ClusterConfig(min_cluster_size=5)).labels.size)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        command = python_command("-c", script, json.dumps(argv), str(coords))
+        done = subprocess.run(**command, timeout=300)
+        assert done.returncode == 0, done.stderr
+        n_docs = len(coords.read_text().splitlines()) - 1
+        assert done.stdout.splitlines()[-2:] == [str(n_docs), "[]"]
 
     def test_public_names_resolve_once(self):
         names = topicforge.__all__

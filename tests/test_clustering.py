@@ -27,6 +27,8 @@ from topicforge.reduction import ReductionConfig
 
 from oracles import (
     condense_by_dendrogram,
+    core_distances_all_pairs,
+    core_distances_kdtree,
     mst_weight_exhaustive,
     mst_weight_kruskal,
     reachability_row,
@@ -39,6 +41,25 @@ class TestConfig:
             ClusterConfig(min_cluster_size=1)
         with pytest.raises(ValidationError):
             ClusterConfig(min_cluster_size=float("nan"))
+
+
+@st.composite
+def core_cases(draw):
+    """Points in 1 to 12 dimensions, spread, rounded to integers, repeating
+    a few rows, or all equal; from 2 points (a single leaf up to 16) to
+    80, with k up to n - 1."""
+    dim = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_normal((n, dim)) * rng.uniform(0.01, 50.0, dim)
+    kind = draw(st.sampled_from(["spread", "integers", "repeats", "equal"]))
+    if kind == "integers":
+        pts = np.round(pts)
+    elif kind == "repeats":
+        pts = pts[rng.integers(0, draw(st.integers(1, n)), n)]
+    elif kind == "equal":
+        pts[:] = pts[0]
+    return pts, draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
 
 
 class TestCoreDistances:
@@ -56,42 +77,29 @@ class TestCoreDistances:
         with pytest.raises(ValidationError):
             core_distances(self.line, 4)
 
-    @pytest.mark.parametrize("dim", [1, 3, 5, 7])
+    def test_rejects_points_that_are_not_finite_rows(self):
+        with pytest.raises(ValidationError, match="2-d"):
+            core_distances(self.line.ravel(), 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                core_distances(np.array([[0.0], [bad], [2.0]]), 1)
+
+    @pytest.mark.parametrize("dim", [1, 3, 5, 7, 8, 16])
     def test_equals_the_blocked_all_pairs_search(self, dim):
         # 700 rows leave a ragged last block of 188; runs of equal rows
         # straddle both block boundaries, so ties meet the block edges.
         pts = runs_of_ties(dim)
         for k in (1, 6, 15):
-            assert np.array_equal(core_distances(pts, k), blocked_core_distances(pts, k))
+            assert np.array_equal(core_distances(pts, k), core_distances_all_pairs(pts, k))
 
-    @pytest.mark.parametrize("dim", [8, 16])
-    def test_close_to_the_blocked_search_from_8_coordinates(self, dim):
-        rng = np.random.default_rng(8)
-        pts = rng.standard_normal((700, dim))
-        pts[250:262] = pts[3]
-        for k in (1, 15):
-            assert core_distances(pts, k) == pytest.approx(
-                blocked_core_distances(pts, k), rel=1e-12
-            )
-
-
-def blocked_core_distances(points, min_samples, block=256):
-    """All-pairs reference: ``block`` rows of distances at a time, with
-    squared differences summed one coordinate at a time."""
-    n = len(points)
-    core = np.empty(n)
-    for start in range(0, n, block):
-        rows = points[start : start + block]
-        d2 = np.zeros((len(rows), n))
-        for c in range(points.shape[1]):
-            diff = rows[:, c, None] - points[None, :, c]
-            d2 += diff * diff
-        dist = np.sqrt(d2)
-        dist[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
-        core[start : start + len(rows)] = np.partition(dist, min_samples - 1, axis=1)[
-            :, min_samples - 1
-        ]
-    return core
+    @settings(max_examples=300, deadline=None)
+    @given(core_cases())
+    def test_equals_the_oracles(self, case):
+        pts, k = case
+        core = core_distances(pts, k).tobytes()
+        assert core == core_distances_all_pairs(pts, k).tobytes()
+        if pts.shape[1] < 8:
+            assert core == core_distances_kdtree(pts, k).tobytes()
 
 
 def stacked(view):
@@ -137,7 +145,8 @@ class TestMutualReachability:
     @pytest.mark.parametrize("dim", [1, 2, 5, 7])
     def test_rows_do_not_depend_on_the_rows_computed_with_them(self, dim):
         # Core distances come from a KD-tree and the view from one row at
-        # a time; below 8 coordinates each pair must get one distance.
+        # a time, and each pair must get one distance.  np.sum below adds
+        # one coordinate at a time only below 8 coordinates.
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((600, dim))
         core = core_distances(pts, 7)

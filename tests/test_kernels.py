@@ -160,6 +160,14 @@ class TestArguments:
         with pytest.raises(ValidationError, match="at least 2 points"):
             kernels.mst_reachability(np.zeros((2, 1)), np.zeros(1))
 
+    def test_core_distances_reject_bad_shapes_and_counts(self):
+        for columns in (np.zeros(5), np.zeros((0, 5))):
+            with pytest.raises(ValidationError, match="columns must be"):
+                kernels.core_distances(columns, 1)
+        for k in (0, 5):
+            with pytest.raises(ValidationError, match=r"k must be in \[1, 4\]"):
+                kernels.core_distances(np.zeros((2, 5)), k)
+
     def test_neighbor_rows_reject_mismatched_shapes(self):
         unit = np.eye(4)
         sims = np.ones((2, 4), dtype=np.float32)

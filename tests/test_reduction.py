@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from topicforge import FuzzyGraph, ReductionConfig, ValidationError, kernels, reduce
@@ -14,11 +16,14 @@ from topicforge.reduction import (
     CURVE_B,
     NEGATIVE_SAMPLE_RATE,
     _calibrate_rows,
+    _symmetrize,
     fuzzy_simplicial_set,
     knn_graph,
     optimize_layout,
     smooth_knn_calibrate,
 )
+
+from oracles import symmetrized_graph_sparse
 
 # Solves 1 + x + x^2 = log2(3) for x = exp(-1/sigma) on distances [1, 2, 3].
 ANALYTIC_SIGMA_123 = -1.0 / math.log((math.sqrt(4.0 * math.log2(3.0) - 3.0) - 1.0) / 2.0)
@@ -632,6 +637,19 @@ class TestCalibrateRows:
         assert smooth_knn_calibrate(d) == (rho[0], sigma[0])
 
 
+@st.composite
+def directed_knn_graphs(draw):
+    """Each of 3 to 40 points lists k distinct other points, so pairs are
+    mutual or one-sided, with memberships drawn from a few values: 1, ties,
+    subnormal, and 0 from an underflowing exp."""
+    n = draw(st.integers(3, 40))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.array([rng.permutation(np.delete(np.arange(n), i))[:k] for i in range(n)])
+    memb = np.exp(-rng.choice([0.0, 0.5, 3.0, 740.0, 800.0], (n, k)))
+    return n, idx, memb
+
+
 class TestFuzzySimplicialSet:
     def graph_and_parts(self, n=30, k=5, seed=4):
         rng = np.random.default_rng(seed)
@@ -669,6 +687,23 @@ class TestFuzzySimplicialSet:
         dense[graph.tails, graph.heads] = graph.weights
         for i in range(graph.n_points):
             assert dense[i, idx[i, 0]] == pytest.approx(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(directed_knn_graphs())
+    def test_equals_the_sparse_union(self, case):
+        n, idx, memb = case
+        graph = _symmetrize(n, idx, memb)
+        heads, tails, weights = symmetrized_graph_sparse(n, idx, memb)
+        assert graph.heads.tobytes() == heads.tobytes()
+        assert graph.tails.tobytes() == tails.tobytes()
+        assert graph.weights.tobytes() == weights.tobytes()
+
+    def test_rejects_2_31_points_before_allocating(self):
+        idx, memb = np.array([[1]]), np.array([[0.5]])
+        with pytest.raises(ValidationError, match=r"fewer than 2\*\*31 points"):
+            _symmetrize(2**31, idx, memb)
+        graph = _symmetrize(2**31 - 1, idx, memb)
+        assert (graph.heads.tolist(), graph.tails.tolist()) == ([0], [1])
 
 
 class TestFindAbParams:
