@@ -476,7 +476,7 @@ done:
     return status;
 }
 
-/* ---- KD-tree over points given one coordinate per row ---- */
+/* ---- KD-tree over points held as rows ---- */
 
 /* Most points a KD-tree leaf holds. */
 #define LEAF_SIZE 16
@@ -499,10 +499,11 @@ static int64_t count_nodes(int64_t m)
     return m <= LEAF_SIZE ? 1 : 1 + count_nodes(m / 2) + count_nodes(m - m / 2);
 }
 
-/* Order by coordinate, then by index: a total order on distinct indices. */
-static inline int key_less(const double *column, int64_t i, int64_t j)
+/* Order by coordinate c, then by index: a total order on distinct indices. */
+static inline int key_less(const double *points, int64_t dim, int64_t c, int64_t i, int64_t j)
 {
-    return column[i] < column[j] || (column[i] == column[j] && i < j);
+    double a = points[i * dim + c], b = points[j * dim + c];
+    return a < b || (a == b && i < j);
 }
 
 static inline void swap_index(int64_t *idx, int64_t i, int64_t j)
@@ -512,21 +513,22 @@ static inline void swap_index(int64_t *idx, int64_t i, int64_t j)
     idx[j] = t;
 }
 
-/* Reorder idx[lo..hi] so that idx[k] holds the key of rank k, smaller keys
- * before it and larger ones after. */
-static void select_rank(int64_t *idx, int64_t lo, int64_t hi, int64_t k, const double *column)
+/* Reorder idx[lo..hi] so that idx[k] holds the key of rank k by coordinate
+ * c, smaller keys before it and larger ones after. */
+static void select_rank(int64_t *idx, int64_t lo, int64_t hi, int64_t k, const double *points,
+                        int64_t dim, int64_t c)
 {
     while (hi > lo) {
         int64_t mid = lo + (hi - lo) / 2;
-        if (key_less(column, idx[mid], idx[lo]))
+        if (key_less(points, dim, c, idx[mid], idx[lo]))
             swap_index(idx, lo, mid);
-        if (key_less(column, idx[hi], idx[lo]))
+        if (key_less(points, dim, c, idx[hi], idx[lo]))
             swap_index(idx, lo, hi);
-        if (key_less(column, idx[mid], idx[hi]))
+        if (key_less(points, dim, c, idx[mid], idx[hi]))
             swap_index(idx, mid, hi); /* the median of three is the pivot */
         int64_t pivot = idx[hi], store = lo;
         for (int64_t m = lo; m < hi; m++)
-            if (key_less(column, idx[m], pivot))
+            if (key_less(points, dim, c, idx[m], pivot))
                 swap_index(idx, store++, m);
         swap_index(idx, store, hi);
         if (store == k)
@@ -540,10 +542,10 @@ static void select_rank(int64_t *idx, int64_t lo, int64_t hi, int64_t k, const d
 
 /* Build node v over positions [start, end) of T->index, splitting at the
  * median of the widest coordinate; returns the next free node. */
-static int64_t build_node(kd_tree *T, const double *columns, int64_t v, int64_t start,
+static int64_t build_node(kd_tree *T, const double *points, int64_t v, int64_t start,
                           int64_t end)
 {
-    const int64_t n = T->n, dim = T->dim;
+    const int64_t dim = T->dim;
     int64_t *idx = T->index;
     double *lo = T->lo + v * dim, *hi = T->hi + v * dim;
     kd_node *N = T->nodes + v;
@@ -551,10 +553,9 @@ static int64_t build_node(kd_tree *T, const double *columns, int64_t v, int64_t 
     N->end = end;
     int64_t split = 0;
     for (int64_t c = 0; c < dim; c++) {
-        const double *column = columns + c * n;
-        lo[c] = hi[c] = column[idx[start]];
+        lo[c] = hi[c] = points[idx[start] * dim + c];
         for (int64_t k = start + 1; k < end; k++) {
-            double value = column[idx[k]];
+            double value = points[idx[k] * dim + c];
             if (value < lo[c])
                 lo[c] = value;
             if (value > hi[c])
@@ -568,16 +569,15 @@ static int64_t build_node(kd_tree *T, const double *columns, int64_t v, int64_t 
         return v + 1;
     }
     int64_t mid = start + (end - start) / 2;
-    select_rank(idx, start, end - 1, mid, columns + split * n);
+    select_rank(idx, start, end - 1, mid, points, dim, split);
     N->left = v + 1;
-    N->right = build_node(T, columns, N->left, start, mid);
-    return build_node(T, columns, N->right, mid, end);
+    N->right = build_node(T, points, N->left, start, mid);
+    return build_node(T, points, N->right, mid, end);
 }
 
-/* Build the tree of n >= 1 points given one coordinate per row of columns
- * (dim x n, row-major).  Returns 0, or -1 when memory runs out; free_tree
- * releases what it allocated either way. */
-static int build_tree(kd_tree *T, const double *columns, int64_t n, int64_t dim)
+/* Build the tree of n >= 1 points (n x dim, row-major).  Returns 0, or -1
+ * when memory runs out; free_tree releases what it allocated either way. */
+static int build_tree(kd_tree *T, const double *points, int64_t n, int64_t dim)
 {
     T->n = n;
     T->dim = dim;
@@ -591,10 +591,9 @@ static int build_tree(kd_tree *T, const double *columns, int64_t n, int64_t dim)
         return -1;
     for (int64_t p = 0; p < n; p++)
         T->index[p] = p;
-    build_node(T, columns, 0, 0, n);
+    build_node(T, points, 0, 0, n);
     for (int64_t p = 0; p < n; p++)
-        for (int64_t c = 0; c < dim; c++)
-            T->x[p * dim + c] = columns[c * n + T->index[p]];
+        memcpy(T->x + p * dim, points + T->index[p] * dim, dim * sizeof(double));
     return 0;
 }
 
@@ -737,11 +736,11 @@ static void label_components(boruvka *B)
     }
 }
 
-/* The minimum spanning tree of the mutual reachability graph of n points,
- * given one coordinate per row of columns (dim x n, row-major) and their
- * core distances.  Edge (i, j) weighs max(sqrt(r2), core_i, core_j), where
- * r2 sums the squared coordinate differences one coordinate at a time
- * from coordinate 0, as tf_core_distances does.
+/* The minimum spanning tree of the mutual reachability graph of n points
+ * (n x dim, row-major), given their core distances.  Edge (i, j) weighs
+ * max(sqrt(r2), core_i, core_j), where r2 sums the squared coordinate
+ * differences one coordinate at a time from coordinate 0, as
+ * tf_core_distances does.
  *
  * Borůvka's rounds over a KD-tree: in each round every component takes
  * its lightest outgoing edge, by the total order (weight, smaller index,
@@ -754,7 +753,7 @@ static void label_components(boruvka *B)
  * Writes n - 1 rows (i, j, weight) with i < j to edges.  Returns 0, -1
  * when memory runs out, or -2 when a round finds no edge, which only NaN
  * weights cause. */
-int tf_mst_reachability(const double *columns, const double *core, int64_t n, int64_t dim,
+int tf_mst_reachability(const double *points, const double *core, int64_t n, int64_t dim,
                         double *edges)
 {
     const int64_t n_nodes = count_nodes(n);
@@ -771,7 +770,7 @@ int tf_mst_reachability(const double *columns, const double *core, int64_t n, in
         .best_q = malloc(n * sizeof(int64_t)),
     };
     int status = -1;
-    if (build_tree(&B.T, columns, n, dim) != 0 || !B.core || !B.min_core || !B.parent
+    if (build_tree(&B.T, points, n, dim) != 0 || !B.core || !B.min_core || !B.parent
         || !B.comp || !B.node_comp || !B.best_w || !B.best_a || !B.best_b || !B.best_p
         || !B.best_q)
         goto done;
@@ -842,7 +841,7 @@ done:
 
 /* ---- Exact k nearest neighbors under cosine distance ---- */
 
-/* A column and its distance, ordered by (distance, index). */
+/* A point and its distance, ordered by (distance, index). */
 typedef struct {
     double dist;
     int64_t index;
@@ -984,18 +983,18 @@ static void nearest(const kd_tree *T, int64_t v, double box_r2, const double *x,
     nearest(T, child[1], r2[1], x, heap, m, count);
 }
 
-/* The distance from each of n points (columns: dim x n, row-major) to its
- * k-th nearest other point, into out.  The point itself is among its k + 1
+/* The distance from each of n points (n x dim, row-major) to its k-th
+ * nearest other point, into out.  The point itself is among its k + 1
  * nearest at squared distance 0, so out holds the square root of the
  * (k + 1)-th smallest squared_distance, summed one coordinate at a time
  * from coordinate 0 as the spanning tree's distances are.  Needs
  * 1 <= k < n.  Returns 0, or -1 when memory runs out. */
-int tf_core_distances(const double *columns, int64_t n, int64_t dim, int64_t k, double *out)
+int tf_core_distances(const double *points, int64_t n, int64_t dim, int64_t k, double *out)
 {
     kd_tree T;
     neighbor *heap = malloc((k + 1) * sizeof(neighbor));
     int status = -1;
-    if (build_tree(&T, columns, n, dim) != 0 || !heap)
+    if (build_tree(&T, points, n, dim) != 0 || !heap)
         goto done;
     for (int64_t p = 0; p < n; p++) {
         int64_t count = 0;

@@ -33,6 +33,7 @@ from .corpus import index_documents, load_corpus
 from .embedding import EmbeddingConfig, compose_query, train
 from .errors import ValidationError
 from .metric import (
+    TOPIC_WORDS,
     build_stats,
     evaluate,
     load_external_topics,
@@ -361,7 +362,7 @@ def build_parser() -> _Parser:
 
     p_topics = sub.add_parser("topics", help="list the topics of a model")
     p_topics.add_argument("--model", required=True)
-    p_topics.add_argument("--top-n", type=int, default=10)
+    p_topics.add_argument("--top-n", type=int, default=TOPIC_WORDS)
     p_topics.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
@@ -393,7 +394,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument(
         "--corpus-format", choices=("jsonl", "plain"), default="jsonl"
     )
-    p_eval.add_argument("--top-n", type=int, default=10)
+    p_eval.add_argument("--top-n", type=int, default=TOPIC_WORDS)
     p_eval.add_argument(
         "--topics", type=int, default=None, help="reduce the model to this many topics first"
     )

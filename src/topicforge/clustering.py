@@ -95,7 +95,7 @@ def core_distances(points: np.ndarray, min_samples: int) -> np.ndarray:
         )
     if not np.isfinite(points).all():
         raise ValidationError("points must be finite")
-    return kernels.core_distances(points.T, min_samples)
+    return kernels.core_distances(points, min_samples)
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,18 @@ class ReachabilityRows:
     """The mutual reachability matrix, ``max(euclidean(i, j), core_i,
     core_j)`` off the diagonal, held as its inputs and never formed.
 
-    ``columns`` holds the points one coordinate per row, and the
-    distances sum their squared differences one coordinate at a time.
-    It is the only input ``build_mst`` takes.
+    ``points`` holds the ``(n, dim)`` points, and the distances sum their
+    squared differences one coordinate at a time.  It is the only input
+    ``build_mst`` takes.
     """
 
-    columns: np.ndarray
+    points: np.ndarray
     core: np.ndarray
 
 
 def mutual_reachability(points: np.ndarray, core: np.ndarray) -> ReachabilityRows:
     """The pairwise ``max(core_i, core_j, euclidean(i, j))`` matrix, unformed."""
-    return ReachabilityRows(np.ascontiguousarray(points.T), core)
+    return ReachabilityRows(points, core)
 
 
 def build_mst(rows: ReachabilityRows) -> np.ndarray:
@@ -125,11 +125,11 @@ def build_mst(rows: ReachabilityRows) -> np.ndarray:
     KD-tree Boruvka (``kernels.mst_reachability``), which never forms a
     row.  Every coordinate and core distance must be finite.
     """
-    if not (np.isfinite(rows.columns).all() and np.isfinite(rows.core).all()):
+    if not (np.isfinite(rows.points).all() and np.isfinite(rows.core).all()):
         raise ValidationError(
             "mutual reachability inputs must be finite, not NaN or infinite"
         )
-    return kernels.mst_reachability(rows.columns, rows.core)
+    return kernels.mst_reachability(rows.points, rows.core)
 
 
 def _level_sets(n: int, mst_edges: np.ndarray):

@@ -16,7 +16,8 @@ import json
 import re
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +75,11 @@ class Vocabulary:
     counts: np.ndarray
     total_tokens: int
     keep_probability: np.ndarray
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "index", {w: i for i, w in enumerate(self.words)}
-        )
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each word's position in ``words``, built on first read."""
+        return {w: i for i, w in enumerate(self.words)}
 
     def __len__(self) -> int:
         return len(self.words)

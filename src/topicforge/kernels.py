@@ -141,43 +141,41 @@ def optimize_layout(
     return coords
 
 
-def core_distances(columns: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point.
-
-    ``columns`` holds the points one coordinate per row;
-    ``tf_core_distances`` in ``_kernels.c`` documents the sum.
+def core_distances(points: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each of the ``(n, dim)`` points to its k-th nearest
+    other point; ``tf_core_distances`` in ``_kernels.c`` documents the sum.
     """
-    columns = np.ascontiguousarray(columns, dtype=np.float64)
-    if columns.ndim != 2 or columns.shape[0] < 1:
-        raise ValidationError("columns must be (dim, n)")
-    dim, n = columns.shape
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValidationError("points must be (n, dim)")
+    n, dim = points.shape
     if not 1 <= k < n:
         raise ValidationError(f"k must be in [1, {n - 1}] for {n} points, got {k}")
     out = np.empty(n)
-    status = load().tf_core_distances(columns.ctypes.data, n, dim, k, out.ctypes.data)
+    status = load().tf_core_distances(points.ctypes.data, n, dim, k, out.ctypes.data)
     if status != 0:
         raise MemoryError("the core distance kernel could not allocate its buffers")
     return out
 
 
-def mst_reachability(columns: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Minimum spanning tree of the mutual reachability graph, as
-    ``(n - 1, 3)`` rows of (point i, point j, weight) with i < j.
+def mst_reachability(points: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Minimum spanning tree of the mutual reachability graph of the
+    ``(n, dim)`` points with core distances ``core``, as ``(n - 1, 3)``
+    rows of (point i, point j, weight) with i < j.
 
-    ``columns`` holds the points one coordinate per row and ``core`` their
-    core distances; ``tf_mst_reachability`` in ``_kernels.c`` documents
-    the weights and the tie order.
+    ``tf_mst_reachability`` in ``_kernels.c`` documents the weights and
+    the tie order.
     """
-    columns = np.ascontiguousarray(columns, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     core = np.ascontiguousarray(core, dtype=np.float64)
-    if columns.ndim != 2 or columns.shape[0] < 1 or core.shape != columns.shape[1:]:
-        raise ValidationError("columns must be (dim, n) and core (n,)")
+    if points.ndim != 2 or points.shape[1] < 1 or core.shape != points.shape[:1]:
+        raise ValidationError("points must be (n, dim) and core (n,)")
     n = len(core)
     if n < 2:
         raise ValidationError("need at least 2 points for a spanning tree")
     edges = np.empty((n - 1, 3))
     status = load().tf_mst_reachability(
-        columns.ctypes.data, core.ctypes.data, n, columns.shape[0], edges.ctypes.data
+        points.ctypes.data, core.ctypes.data, n, points.shape[1], edges.ctypes.data
     )
     if status == -1:
         raise MemoryError("the spanning tree kernel could not allocate its buffers")
@@ -205,7 +203,7 @@ def knn_rows(
     rows, n = similarities.shape
     if len(unit) != n or not 0 <= start <= n - rows:
         raise ValidationError(
-            f"rows [{start}, {start + rows}) and {n} columns must fit "
+            f"rows [{start}, {start + rows}) of {n} similarities must fit "
             f"{len(unit)} unit rows"
         )
     if not 1 <= k < n:

@@ -35,6 +35,8 @@ from .errors import JsonReader, ValidationError
 
 _MODES = ("hard", "mixture")
 _PROPORTION_TOLERANCE = 1e-6
+# Words listed or scored per topic by default, as ``--top-n`` of both commands.
+TOPIC_WORDS = 10
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def build_stats(docs: list[Document], vocab: Vocabulary) -> CooccurrenceStats:
 class TopicSpec:
     """Topics prepared for evaluation.
 
-    ``topics`` holds each topic's words.  Hard mode carries a full
+    ``topics`` holds each topic's distinct words.  Hard mode carries a full
     document-to-topic assignment; mixture mode carries per-document topic
     proportions that sum to one.
     """
@@ -112,6 +114,10 @@ class TopicSpec:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not self.topics:
             raise ValidationError("need at least one topic")
+        for t, words in enumerate(self.topics):
+            for word, count in Counter(words).items():
+                if count > 1:
+                    raise ValidationError(f"topic {t} lists {word!r} {count} times")
         if self.mode == "hard":
             if self.assignments is None:
                 raise ValidationError("hard mode requires assignments")
@@ -348,7 +354,7 @@ class EvaluationReport:
 
 
 def evaluate(
-    spec: TopicSpec, stats: CooccurrenceStats, top_n: int = 10
+    spec: TopicSpec, stats: CooccurrenceStats, top_n: int = TOPIC_WORDS
 ) -> EvaluationReport:
     """Score each topic's first ``top_n`` words against the corpus.
 

@@ -15,18 +15,10 @@ the file's length or a header value missing or of the wrong JSON kind
 raise ``ArchiveError`` and never yield a partially loaded model.  Block
 sizes are checked against the file length before any block is
 allocated, and each block is read straight into its own array.  Older
-versions are rejected, not converted: version 1 stored the word matrix
-twice, version 2's reduction config carried three options that no
-longer exist, version 3's configs carried ``min_dist``, ``initial_lr``
-and ``final_lr``, and its vocabulary repeated the embedding config's
-``min_count`` and ``subsample_threshold``, version 4 stored each topic's
-ranked words, the cluster count beside the stabilities, and a
-``min_samples`` cluster setting, version 5's reduction config carried
-``negative_sample_rate``, version 6 repeated each block's name, rows
-and columns in a list beside the counts that already fix them, and
-version 7 stored the hierarchical-softmax inner-node vectors, which no
-command reads after a load.  A loaded model therefore carries no output
-layer: it can be queried, reduced, evaluated and exported, but not
+versions are rejected, not converted; the README lists what each one
+stored.  No command reads the hierarchical-softmax inner-node vectors
+after a load, so the archive omits them and a loaded model carries no
+output layer: it can be queried, reduced, evaluated and exported, but not
 trained further.
 """
 
@@ -273,6 +265,7 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     counts = np.array(_read.list(v, "counts", "int", "vocabulary"), dtype=np.int64)
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
+    _require(len(set(words)) == len(words), "archive vocabulary repeats a word")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
     total_tokens = _read.value(v, "total_tokens", "int", "vocabulary")
     _require(
@@ -287,7 +280,6 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
             counts, embedding_config.subsample_threshold
         ),
     )
-    _require(len(vocab.index) == len(words), "archive vocabulary repeats a word")
     doc_ids = tuple(_read.list(header, "doc_ids", "str"))
     _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
     provenance = _read.list(header, "topic_provenance", "list")

@@ -24,10 +24,8 @@ from .embedding import (
     nearest_words_each,
 )
 from .errors import ValidationError
-from .metric import TopicSpec
+from .metric import TOPIC_WORDS, TopicSpec
 
-# Words ranked for each ``Topic``; the default ``--top-n``.
-TOPIC_WORDS = 10
 _ZERO_NORM = "cannot assign with zero-norm vectors"
 
 
@@ -236,7 +234,7 @@ def search_topics(
     return [(int(i), float(s)) for i, s in zip(order, sims)]
 
 
-def model_topic_spec(model: TopicModel, words_per_topic: int = 10) -> TopicSpec:
+def model_topic_spec(model: TopicModel, words_per_topic: int = TOPIC_WORDS) -> TopicSpec:
     """Hard-assignment evaluation view of a topic model."""
     ranked = nearest_words_each(model.embedding, model.vectors, words_per_topic)
     words = [tuple(w for w, _ in topic) for topic in ranked]
@@ -246,7 +244,7 @@ def model_topic_spec(model: TopicModel, words_per_topic: int = 10) -> TopicSpec:
     return TopicSpec(mode="hard", topics=tuple(words), assignments=assignments)
 
 
-def topics_to_dicts(model: TopicModel, top_n: int = 10) -> list[dict]:
+def topics_to_dicts(model: TopicModel, top_n: int = TOPIC_WORDS) -> list[dict]:
     """JSON-ready topic listing, largest topic first."""
     sizes = model.sizes
     order = sorted(range(model.n_topics), key=lambda k: (-sizes[k], k))

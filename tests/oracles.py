@@ -208,15 +208,15 @@ def mst_weight_kruskal(dist):
 def reachability_row(view, j):
     """Row j of a mutual reachability view, as a fresh array.
 
-    ``view.columns`` holds the points one coordinate per row and
-    ``view.core`` their core distances.  Entry i is
+    ``view.points`` holds the ``(n, dim)`` points and ``view.core`` their
+    core distances.  Entry i is
     ``max(euclidean(j, i), core_j, core_i)``, with 0 at i = j, and the
     squared differences are summed one coordinate at a time from
     coordinate 0, in the order the spanning-tree kernel sums them.
     """
-    row = np.zeros(view.columns.shape[1])
+    row = np.zeros(len(view.points))
     diff = np.empty_like(row)
-    for col in view.columns:
+    for col in view.points.T:
         np.subtract(col[j], col, out=diff)
         np.multiply(diff, diff, out=diff)
         row += diff

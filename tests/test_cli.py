@@ -514,6 +514,19 @@ class TestEvaluate:
         assert rows[-1][0] == "total"
         assert (tmp_path / "report.csv.manifest.json").exists()
 
+    def test_word_listed_twice_exits_1(self, env, tmp_path, capsys):
+        spec = topic_file(env, "hard")
+        spec["topics"] = [{"words": ["wave", "wave"]}, {"words": ["violin", "cello"]}]
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(spec))
+        rc = main(
+            ["evaluate", "--external", str(path), "--corpus", str(env["corpus"])]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "topic 0" in captured.err and "'wave'" in captured.err
+
     def test_non_finite_proportion_exits_1(self, env, tmp_path, capsys):
         spec = topic_file(env, "mixture")
         spec["proportions"]["d0000"] = [math.nan, 1.0]

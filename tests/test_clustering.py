@@ -134,13 +134,18 @@ class TestMutualReachability:
         pts = rng.standard_normal((30, 4)) * rng.uniform(0.1, 5.0, 4)
         core = core_distances(pts, 3)
         view = mutual_reachability(pts, core)
-        assert view.columns.shape == (4, 30)
+        assert view.points.shape == (30, 4)
         for i in range(30):
             row = reachability_row(view, i)
             for j in range(30):
                 dist = math.dist(pts[i].tolist(), pts[j].tolist())
                 expected = 0.0 if i == j else max(core[i], core[j], dist)
                 assert row[j] == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_view_holds_the_callers_points_without_a_copy(self):
+        pts = np.random.default_rng(8).standard_normal((20, 3))
+        view = mutual_reachability(pts, core_distances(pts, 3))
+        assert np.shares_memory(view.points, pts)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 7])
     def test_rows_do_not_depend_on_the_rows_computed_with_them(self, dim):
@@ -172,7 +177,7 @@ def random_view(rng, n):
 
 class TestBuildMst:
     def test_hand_case(self):
-        edges = build_mst(ReachabilityRows(np.array([[0.0, 1.0, 3.0]]), np.zeros(3)))
+        edges = build_mst(ReachabilityRows(np.array([[0.0], [1.0], [3.0]]), np.zeros(3)))
         assert edges[:, 2].sum() == pytest.approx(3.0)
         pairs = {tuple(sorted((int(a), int(b)))) for a, b, _ in edges}
         assert pairs == {(0, 1), (1, 2)}
@@ -224,17 +229,17 @@ class TestBuildMst:
                 ([0.0, 1.0, bad, 3.0], [0.5, 0.5, 0.5, 0.5]),
                 ([0.0, 1.0, 2.0, 3.0], [0.5, 0.5, bad, 0.5]),
             ):
-                view = ReachabilityRows(np.array([points]), np.array(core))
+                view = ReachabilityRows(np.array(points)[:, None], np.array(core))
                 with pytest.raises(ValidationError, match="must be finite.*NaN"):
                     build_mst(view)
 
     def test_nan_weights_raise_instead_of_looping(self):
-        rows = ReachabilityRows(np.array([[0.0, np.nan, 2.0]]), np.ones(3))
+        rows = ReachabilityRows(np.array([[0.0], [np.nan], [2.0]]), np.ones(3))
         with pytest.raises(ValidationError, match="NaN"):
             build_mst(rows)
         # The kernel's own guard, which build_mst's finiteness check hides.
         with pytest.raises(ValidationError, match="must not be NaN"):
-            kernels.mst_reachability(rows.columns, rows.core)
+            kernels.mst_reachability(rows.points, rows.core)
 
 
 def prim_over_rows(view):

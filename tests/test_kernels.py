@@ -53,6 +53,134 @@ int main(void)
 }
 """
 
+# A C driver that calls every kernel entry on 300 small random inputs, for
+# an AddressSanitizer and UndefinedBehaviorSanitizer build.  Every buffer
+# is malloc'd at its exact size, so a read or write past one is caught.
+# One trial in three rounds the points to integers, so points repeat.
+EVERY_KERNEL = r"""
+#include "_kernels.c"
+#include <stdio.h>
+
+static uint64_t drv_state = 12345;
+
+static uint64_t drv_next(void)
+{
+    uint64_t z = (drv_state += 0x9e3779b97f4a7c15u);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
+    return z ^ (z >> 31);
+}
+
+/* Uniform in [lo, hi]. */
+static int64_t drv_int(int64_t lo, int64_t hi)
+{
+    return lo + (int64_t)(drv_next() % (uint64_t)(hi - lo + 1));
+}
+
+static double drv_uniform(void)
+{
+    return (double)(drv_next() >> 11) * 0x1p-53;
+}
+
+static int drv_trial(int64_t trial)
+{
+    const int64_t n = drv_int(2, 60), dim = drv_int(1, 9), k = drv_int(1, n - 1);
+    const int64_t m = drv_int(1, 10 * n);
+    double *points = malloc(n * dim * sizeof(double));
+    double *unit = malloc(n * dim * sizeof(double));
+    float *sims = malloc(n * n * sizeof(float));
+    double *core = malloc(n * sizeof(double));
+    double *edges = malloc((n - 1) * 3 * sizeof(double));
+    int64_t *indices = malloc(n * k * sizeof(int64_t));
+    double *distances = malloc(n * k * sizeof(double));
+    int64_t *heads = malloc(m * sizeof(int64_t)), *tails = malloc(m * sizeof(int64_t));
+    double *weights = malloc(m * sizeof(double));
+    for (int64_t i = 0; i < n * dim; i++) {
+        points[i] = 4.0 * drv_uniform();
+        if (trial % 3 == 0)
+            points[i] = (double)(int64_t)points[i];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double norm = 0.0;
+        for (int64_t c = 0; c < dim; c++)
+            norm += (points[i * dim + c] + 1.0) * (points[i * dim + c] + 1.0);
+        for (int64_t c = 0; c < dim; c++)
+            unit[i * dim + c] = (points[i * dim + c] + 1.0) / sqrt(norm);
+    }
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < n; j++) {
+            float s = 0.0f;
+            for (int64_t c = 0; c < dim; c++)
+                s += (float)unit[i * dim + c] * (float)unit[j * dim + c];
+            sims[i * n + j] = s;
+        }
+    for (int64_t e = 0; e < m; e++) {
+        heads[e] = drv_int(0, n - 1);
+        tails[e] = (heads[e] + drv_int(1, n - 1)) % n;
+        weights[e] = 0.05 + 0.95 * drv_uniform();
+    }
+    const int64_t first = drv_int(0, n - 1), rows = drv_int(1, n - first);
+    int status = tf_core_distances(points, n, dim, k, core)
+                 || tf_mst_reachability(points, core, n, dim, edges)
+                 || tf_knn_rows(sims + first * n, rows, first, unit, n, dim, k, indices,
+                                distances)
+                 || tf_optimize_layout(points, n, dim, heads, tails, weights, m, 5,
+                                       drv_int(0, 5), 1.58, 0.9, (uint64_t)trial, 3);
+    free(points);
+    free(unit);
+    free(sims);
+    free(core);
+    free(edges);
+    free(indices);
+    free(distances);
+    free(heads);
+    free(tails);
+    free(weights);
+    return status;
+}
+
+int main(void)
+{
+    for (int64_t trial = 0; trial < 300; trial++)
+        if (drv_trial(trial)) {
+            printf("trial %ld: a kernel returned non-zero\n", (long)trial);
+            return 1;
+        }
+    return 0;
+}
+"""
+
+
+def run_sanitized(tmp_path, source, sanitizers, *flags):
+    """Build the C driver ``source`` with ``-fsanitize=<sanitizers>`` and
+    ``flags``, run it, and return what it printed.  Skips when the compiler
+    cannot link those sanitizers."""
+    sanitize = f"-fsanitize={sanitizers}"
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    linked = subprocess.run(
+        [kernels.COMPILER, sanitize, "-pthread", str(probe),
+         "-o", str(tmp_path / "probe")],
+        capture_output=True,
+    )
+    if linked.returncode != 0:
+        pytest.skip(f"{kernels.COMPILER} cannot link -fsanitize={sanitizers}")
+    driver = tmp_path / "driver.c"
+    driver.write_text(source)
+    built = subprocess.run(
+        [kernels.COMPILER, "-O1", "-g", "-ffp-contract=off", sanitize, *flags,
+         "-pthread", f"-I{Path(kernels.__file__).parent}", str(driver),
+         "-o", str(tmp_path / "driver"), "-lm"],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    done = subprocess.run(
+        [str(tmp_path / "driver")], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout + done.stderr
+
 
 def run_layout(pythonpath):
     return subprocess.Popen(**python_command("-c", LAYOUT, pythonpath=pythonpath))
@@ -114,30 +242,14 @@ class TestPackaging:
         assert done.returncode == 0, done.stderr.decode(errors="replace")
 
     def test_threaded_layout_is_free_of_data_races(self, tmp_path):
-        probe = tmp_path / "probe.c"
-        probe.write_text("int main(void) { return 0; }\n")
-        linked = subprocess.run(
-            [kernels.COMPILER, "-fsanitize=thread", "-pthread", str(probe),
-             "-o", str(tmp_path / "probe")],
-            capture_output=True,
+        output = run_sanitized(tmp_path, THREADED_LAYOUT, "thread")
+        assert "ThreadSanitizer" not in output
+
+    def test_every_entry_is_free_of_memory_errors(self, tmp_path):
+        output = run_sanitized(
+            tmp_path, EVERY_KERNEL, "address,undefined", "-fno-sanitize-recover=all"
         )
-        if linked.returncode != 0:
-            pytest.skip(f"{kernels.COMPILER} cannot link ThreadSanitizer")
-        driver = tmp_path / "driver.c"
-        driver.write_text(THREADED_LAYOUT)
-        built = subprocess.run(
-            [kernels.COMPILER, "-O1", "-g", "-ffp-contract=off", "-fsanitize=thread",
-             "-pthread", f"-I{Path(kernels.__file__).parent}", str(driver),
-             "-o", str(tmp_path / "driver"), "-lm"],
-            capture_output=True,
-            text=True,
-        )
-        assert built.returncode == 0, built.stderr
-        done = subprocess.run(
-            [str(tmp_path / "driver")], capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert "ThreadSanitizer" not in done.stdout + done.stderr
+        assert "Sanitizer" not in output and "runtime error" not in output
 
     def test_source_is_declared_package_data(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -155,18 +267,18 @@ class TestArguments:
                 )
 
     def test_spanning_tree_rejects_mismatched_shapes(self):
-        with pytest.raises(ValidationError, match="columns must be"):
-            kernels.mst_reachability(np.zeros((2, 5)), np.zeros(4))
+        with pytest.raises(ValidationError, match="points must be"):
+            kernels.mst_reachability(np.zeros((5, 2)), np.zeros(4))
         with pytest.raises(ValidationError, match="at least 2 points"):
-            kernels.mst_reachability(np.zeros((2, 1)), np.zeros(1))
+            kernels.mst_reachability(np.zeros((1, 2)), np.zeros(1))
 
     def test_core_distances_reject_bad_shapes_and_counts(self):
-        for columns in (np.zeros(5), np.zeros((0, 5))):
-            with pytest.raises(ValidationError, match="columns must be"):
-                kernels.core_distances(columns, 1)
+        for points in (np.zeros(5), np.zeros((5, 0))):
+            with pytest.raises(ValidationError, match="points must be"):
+                kernels.core_distances(points, 1)
         for k in (0, 5):
             with pytest.raises(ValidationError, match=r"k must be in \[1, 4\]"):
-                kernels.core_distances(np.zeros((2, 5)), k)
+                kernels.core_distances(np.zeros((5, 2)), k)
 
     def test_neighbor_rows_reject_mismatched_shapes(self):
         unit = np.eye(4)

@@ -277,8 +277,8 @@ def dict_oracle_cases(draw):
 
     Words seen once are below the vocabulary floor, so a document can keep
     no vocabulary token; ``x`` and ``y`` come only from a document outside
-    the scored corpus, so topic words can be absent from it.  Topics may
-    repeat a word, and proportions may hold zeros.
+    the scored corpus, so topic words can be absent from it.  A topic lists
+    distinct words, and proportions may hold zeros.
     """
     texts = draw(
         st.lists(
@@ -292,10 +292,10 @@ def dict_oracle_cases(draw):
     indexed = index_documents(docs, vocab)
     assume(any(len(d.tokens) for d in indexed))
     n_topics = draw(st.integers(1, 3))
-    length = draw(st.integers(1, 4))
+    length = draw(st.integers(1, min(4, len(vocab))))
     word = st.sampled_from(vocab.words)
     topics = tuple(
-        tuple(draw(st.lists(word, min_size=length, max_size=length)))
+        tuple(draw(st.lists(word, min_size=length, max_size=length, unique=True)))
         for _ in range(n_topics)
     )
     order = draw(st.permutations([d.id for d in docs]))
@@ -439,6 +439,14 @@ class TestSpecValidation:
                 topics=topics,
                 proportions={"d0": (math.nan, 1.0)},
             )
+
+    def test_rejects_a_word_listed_twice_in_one_topic(self):
+        # Each listing would add the word's term again and inflate the score.
+        with pytest.raises(ValidationError, match="topic 1 lists 'b' 2 times"):
+            TopicSpec(
+                mode="hard", topics=(("a", "b"), ("b", "b")), assignments={"d0": 0}
+            )
+        TopicSpec(mode="hard", topics=(("a", "b"), ("b", "a")), assignments={"d0": 0})
 
     def test_accepts_tiny_proportion_slack(self):
         TopicSpec(
