@@ -5,7 +5,7 @@ u32 format version, a length-prefixed UTF-8 JSON header, then raw
 little-endian float32 matrix blocks in row-major order, in the order of
 ``_MATRIX_NAMES``.  Each block's shape is sized from the header's counts:
 the document ids, the vocabulary words, the vector size, the layout
-components and the topic provenance lists.  The blocks are stored (and
+components and the clusters less the merges.  The blocks are stored (and
 kept in memory) as float32, stabilities, epoch losses and merge vectors
 as JSON doubles, so a save/load round trip is bit-identical.
 
@@ -41,12 +41,12 @@ from .embedding import (
     SemanticEmbedding,
     build_huffman_coding,  # noqa: F401  (tfbench wraps the name in this module)
 )
-from .errors import ArchiveError, JsonReader
+from .errors import ArchiveError, JsonReader, ValidationError
 from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -57,7 +57,7 @@ _MATRIX_NAMES = (
 _HEADER_KEYS = (
     "embedding_config", "reduction_config", "cluster_config", "vocabulary",
     "doc_ids", "epoch_losses", "labels", "cluster_stability", "assignment",
-    "topic_provenance", "merge_history",
+    "merge_history",
 )
 
 
@@ -88,7 +88,14 @@ class ModelArchive:
         cluster_config: ClusterConfig,
     ) -> "ModelArchive":
         """Cast a pipeline's float64 results down to storage precision;
-        the coding, which the file does not store, is dropped."""
+        the coding, which the file does not store, is dropped.  The topic
+        model's original topics must be ``labeling``'s clusters."""
+        originals = topic_model.n_topics + len(topic_model.merge_history)
+        if originals != labeling.n_clusters:
+            raise ValidationError(
+                f"topic model has {originals} original topics, "
+                f"labeling has {labeling.n_clusters} clusters"
+            )
         f4 = lambda a: np.ascontiguousarray(a, dtype=np.float32)  # noqa: E731
         stored = dataclasses.replace(
             embedding,
@@ -139,7 +146,6 @@ def _archive_parts(archive: ModelArchive) -> list:
         "labels": [int(x) for x in archive.labeling.labels],
         "cluster_stability": [float(x) for x in archive.labeling.cluster_stability],
         "assignment": [int(x) for x in topic_model.assignment],
-        "topic_provenance": [list(p) for p in topic_model.provenance],
         "merge_history": [
             {
                 "absorbed": r.absorbed,
@@ -282,9 +288,37 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     )
     doc_ids = tuple(_read.list(header, "doc_ids", "str"))
     _require(len(set(doc_ids)) == len(doc_ids), "archive document ids repeat")
-    provenance = _read.list(header, "topic_provenance", "list")
-    n_docs, n_words, n_topics = len(doc_ids), len(words), len(provenance)
+    stability = np.array(
+        _read.list(header, "cluster_stability", "float"), dtype=np.float64
+    )
+    n_clusters = len(stability)
+    labels = np.array(_read.list(header, "labels", "int"), dtype=np.int64)
+    _require(
+        bool(np.all((labels >= -1) & (labels < n_clusters))),
+        "cluster labels out of range",
+    )
+    _require(bool(np.all(stability >= 0)), "cluster stabilities must be non-negative")
+    _require(
+        np.array_equal(np.unique(labels[labels >= 0]), np.arange(n_clusters)),
+        "cluster labels do not use every cluster",
+    )
     dim = embedding_config.vector_size
+    history = []
+    for i, r in enumerate(_read.list(header, "merge_history", "object")):
+        path = f"merge_history[{i}]"
+        vector = np.array(_read.list(r, "vector", "float", path), dtype=np.float64)
+        _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
+        _require(
+            bool(np.isfinite(vector).all()), f"archive {path}.vector must be finite"
+        )
+        history.append(_record(MergeRecord, r, path, vector=vector))
+    n_docs, n_words = len(doc_ids), len(words)
+    n_topics = n_clusters - len(history)
+    _require(
+        n_topics >= 1,
+        f"archive merge_history has {len(history)} merges of {n_clusters} "
+        "clusters, which leaves no topic",
+    )
     shapes = {
         "doc_vectors": (n_docs, dim),
         "word_vectors": (n_words, dim),
@@ -299,47 +333,22 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     _require(
         offset == size, f"archive has {size - offset} unexpected trailing bytes"
     )
-    labels = np.array(_read.list(header, "labels", "int"), dtype=np.int64)
-    stability = np.array(
-        _read.list(header, "cluster_stability", "float"), dtype=np.float64
-    )
-    n_clusters = len(stability)
     _require(len(labels) == n_docs, "label count does not match document count")
-    _require(
-        bool(np.all((labels >= -1) & (labels < n_clusters))),
-        "cluster labels out of range",
-    )
-    _require(bool(np.all(stability >= 0)), "cluster stabilities must be non-negative")
-    _require(
-        np.array_equal(np.unique(labels[labels >= 0]), np.arange(n_clusters)),
-        "cluster labels do not use every cluster",
-    )
     assignment = np.array(_read.list(header, "assignment", "int"), dtype=np.int64)
     _require(len(assignment) == n_docs, "assignment does not cover every document")
     _require(
-        n_topics > 0 and bool(np.all((assignment >= 0) & (assignment < n_topics))),
+        bool(np.all((assignment >= 0) & (assignment < n_topics))),
         "topic assignment out of range",
-    )
-    provenance = tuple(
-        tuple(_read.list(provenance, k, "int", "topic_provenance"))
-        for k in range(n_topics)
-    )
-    history = []
-    for i, r in enumerate(_read.list(header, "merge_history", "object")):
-        path = f"merge_history[{i}]"
-        vector = np.array(_read.list(r, "vector", "float", path), dtype=np.float64)
-        _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
-        history.append(_record(MergeRecord, r, path, vector=vector))
-    originals = sorted(i for p in provenance for i in p)
-    _require(
-        all(provenance) and originals == list(range(n_topics + len(history))),
-        "topic provenance does not partition the original topics",
     )
     epoch_losses = [float(x) for x in _read.list(header, "epoch_losses", "float")]
     _require(
         len(epoch_losses) == embedding_config.epochs,
         f"archive has {len(epoch_losses)} epoch losses for "
         f"{embedding_config.epochs} epochs",
+    )
+    _require(
+        all(0 <= x < np.inf for x in epoch_losses),
+        "archive epoch_losses must be finite and at least 0",
     )
     blocks: dict[str, np.ndarray] = {}
     for name in _MATRIX_NAMES:
@@ -372,7 +381,6 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         ),
         topic_model=TopicModel(
             vectors=blocks["topic_vectors"],
-            provenance=provenance,
             assignment=assignment,
             embedding=embedding,
             merge_history=tuple(history),

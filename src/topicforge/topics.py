@@ -12,6 +12,7 @@ similar neighbor with a size-weighted mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,20 +57,47 @@ class MergeRecord:
 class TopicModel:
     """Immutable topic table over one embedding.
 
-    Row k of ``vectors`` is topic k's vector and ``provenance[k]`` the
-    pre-reduction topic ids folded into it (a never-merged topic lists
-    only itself).  ``assignment[i]`` is the topic index of document i, so
-    sizes always sum to the document count.  ``merge_history`` is empty
-    for a freshly built model and grows by one record per merge during
-    reduction.  A topic's describing words are not stored: the ``topics``
-    view ranks them from the vectors when it is read.
+    Row k of ``vectors`` is topic k's vector.  ``assignment[i]`` is the
+    topic index of document i, so sizes always sum to the document count.
+    ``merge_history``, empty for a freshly built model, gains one record
+    per merge and is the only record of the merges: ``provenance`` is
+    derived from it.  A topic's describing words are not stored: the
+    ``topics`` view ranks them from the vectors when it is read.
     """
 
     vectors: np.ndarray
-    provenance: tuple[tuple[int, ...], ...]
     assignment: np.ndarray
     embedding: SemanticEmbedding
     merge_history: tuple[MergeRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        """Record i names two distinct topics of the ``n_topics + merges - i``
+        before it, with sizes that count documents."""
+        for i, r in enumerate(self.merge_history):
+            before = range(self.n_topics + len(self.merge_history) - i)
+            if r.absorbed == r.absorbing or not (
+                r.absorbed in before and r.absorbing in before
+            ):
+                raise ValidationError(
+                    f"merge_history[{i}] merges topic {r.absorbed} into "
+                    f"{r.absorbing}, not two of the {len(before)} topics before it"
+                )
+            sizes = (r.absorbed_size, r.absorbing_size)
+            if min(sizes) < 0 or sum(sizes) > len(self.assignment):
+                raise ValidationError(
+                    f"merge_history[{i}] sizes {sizes[0]} and {sizes[1]} are not "
+                    f"two counts of {len(self.assignment)} documents"
+                )
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[int, ...], ...]:
+        """The original topic ids folded into each topic, in merge order:
+        the merge history replayed over the original topics."""
+        groups = [[k] for k in range(self.n_topics + len(self.merge_history))]
+        for r in self.merge_history:
+            groups[r.absorbing].extend(groups[r.absorbed])
+            del groups[r.absorbed]
+        return tuple(map(tuple, groups))
 
     @property
     def n_topics(self) -> int:
@@ -154,7 +182,6 @@ def build_topic_model(
     assignment = assign_documents(embedding.doc_vectors, vectors)
     return TopicModel(
         vectors=vectors,
-        provenance=tuple((k,) for k in range(len(vectors))),
         assignment=assignment,
         embedding=embedding,
     )
@@ -182,7 +209,6 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
     embedding = model.embedding
     vectors = model.vectors.astype(np.float64)
     assignment = model.assignment
-    provenance = [list(p) for p in model.provenance]
     history = list(model.merge_history)
     unit_docs = _unit_rows(embedding.doc_vectors, _ZERO_NORM).astype(vectors.dtype)
     while len(vectors) > target:
@@ -205,13 +231,10 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
             )
         )
         vectors[t] = merged
-        provenance[t].extend(provenance[s])
         vectors = np.delete(vectors, s, axis=0)
-        del provenance[s]
         assignment = _nearest_topics(unit_docs, vectors)
     return TopicModel(
         vectors=vectors,
-        provenance=tuple(tuple(p) for p in provenance),
         assignment=assignment,
         embedding=embedding,
         merge_history=tuple(history),

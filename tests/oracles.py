@@ -459,3 +459,19 @@ def huffman_paths_oracle(counts):
             stack.append((first, points + [node_id], bits + [0]))
             stack.append((second, points + [node_id], bits + [1]))
     return paths, codes
+
+
+def provenance_after_merges(provenance, merges):
+    """Each topic's original topic ids after the ``(absorbed, absorbing)``
+    merges, kept as ``reduce_topics`` once kept them beside its merge loop.
+
+    ``provenance`` lists the original ids of the topics before the first
+    merge.  Each merge extends the absorbing topic's list with the absorbed
+    topic's, then deletes the absorbed topic's, so later topics move down
+    one index.
+    """
+    lists = [list(p) for p in provenance]
+    for absorbed, absorbing in merges:
+        lists[absorbing].extend(lists[absorbed])
+        del lists[absorbed]
+    return tuple(tuple(p) for p in lists)

@@ -229,7 +229,6 @@ def archive_bytes():
     )
     model = TopicModel(
         vectors=0.1 + rng.random((3, dim)),
-        provenance=((0,), (1, 3), (2,)),
         assignment=rng.integers(0, 3, n_docs),
         embedding=embedding,
         merge_history=(merge,),

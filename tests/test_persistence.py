@@ -89,11 +89,13 @@ def header_at(header, path):
     return header
 
 
-def empty_first_topic(h):
-    """Move topic 0's original topics to the last topic, leaving it none."""
-    provenance = h["topic_provenance"]
-    provenance[-1] += provenance[0]
-    provenance[0] = []
+def set_record(**values):
+    """A header tamper that sets fields of the first merge record."""
+
+    def tamper(h):
+        h["merge_history"][0].update(values)
+
+    return tamper
 
 
 @functools.cache
@@ -238,7 +240,7 @@ class TestRejection:
         with pytest.raises(ArchiveError, match="magic"):
             archive_from_bytes(b"XXXX" + data[4:])
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 99])
     def test_unsupported_version(self, archive, version):
         data = archive_to_bytes(archive)
         stamped = data[:4] + struct.pack("<I", version) + data[8:]
@@ -363,7 +365,10 @@ class TestRejection:
             archive_from_bytes(data)
 
         def one_topic_more(h):
-            h["topic_provenance"].append([len(h["topic_provenance"])])
+            # The topics are the clusters less the merges, so a new
+            # cluster, which a document must use, is one topic more.
+            h["labels"][0] = len(h["cluster_stability"])
+            h["cluster_stability"].append(1.0)
 
         data = mutate_header(archive_to_bytes(archive), one_topic_more)
         with pytest.raises(
@@ -382,17 +387,6 @@ class TestRejection:
                 "repeats a word",
             ),
             (
-                lambda h: h["topic_provenance"][0].append(-5),
-                "provenance does not partition",
-            ),
-            (
-                lambda h: h["topic_provenance"][-1].append(
-                    h["topic_provenance"][0][0]
-                ),
-                "provenance does not partition",
-            ),
-            (empty_first_topic, "provenance does not partition"),
-            (
                 lambda h: h["cluster_stability"].__setitem__(0, -3.0),
                 "stabilities must be non-negative",
             ),
@@ -409,18 +403,25 @@ class TestRejection:
                 "total_tokens is below the sum of its counts",
             ),
             (lambda h: h["epoch_losses"].pop(), "epoch losses for"),
+            (
+                lambda h: h["epoch_losses"].__setitem__(0, float("nan")),
+                "archive epoch_losses must be finite and at least 0",
+            ),
+            (
+                lambda h: h["epoch_losses"].__setitem__(0, -0.5),
+                "archive epoch_losses must be finite and at least 0",
+            ),
         ],
         ids=[
             "duplicate_doc_id",
             "duplicate_word",
-            "negative_original_topic",
-            "original_topic_in_two_topics",
-            "topic_without_original",
             "negative_stability",
             "nan_stability",
             "stability_without_label",
             "total_tokens_below_counts",
             "epoch_loss_missing",
+            "nan_epoch_loss",
+            "negative_epoch_loss",
         ],
     )
     def test_self_inconsistent_header(self, archive, tamper, message):
@@ -437,12 +438,65 @@ class TestRejection:
         loaded = archive_from_bytes(mutate_header(archive_to_bytes(archive), tamper))
         assert loaded.labeling.cluster_stability[0] == float("inf")
 
-    def test_provenance_counts_the_merged_topics(self, merged_archive):
+    def test_topic_count_is_the_clusters_less_the_merges(self, merged_archive):
         def unmerge(h):
             h["merge_history"].pop()
 
         data = mutate_header(archive_to_bytes(merged_archive), unmerge)
-        with pytest.raises(ArchiveError, match="does not partition"):
+        with pytest.raises(
+            ArchiveError, match="truncated inside matrix 'topic_vectors'"
+        ):
+            archive_from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (
+                set_record(absorbed=99),
+                r"merge_history\[0\] merges topic 99 into \d+, not two of the "
+                r"\d+ topics before it",
+            ),
+            (set_record(absorbing=-1), r"merge_history\[0\] merges topic \d+ into -1,"),
+            (
+                set_record(absorbed=99, absorbing=99),
+                r"merge_history\[0\] merges topic 99 into 99,",
+            ),
+            (
+                set_record(absorbed_size=-7, absorbing_size=-8),
+                r"merge_history\[0\] sizes -7 and -8 are not two counts of \d+ "
+                "documents",
+            ),
+            (
+                set_record(absorbed_size=10**6),
+                r"merge_history\[0\] sizes 1000000 and \d+ are not two counts",
+            ),
+            (
+                # The merged archive has one topic left, so one more merge
+                # makes as many merges as clusters.
+                lambda h: h["merge_history"].append(h["merge_history"][0]),
+                r"archive merge_history has (\d+) merges of \1 clusters, "
+                "which leaves no topic",
+            ),
+            (
+                lambda h: h["merge_history"][0]["vector"].__setitem__(
+                    0, float("inf")
+                ),
+                r"archive merge_history\[0\]\.vector must be finite",
+            ),
+        ],
+        ids=[
+            "index_out_of_range",
+            "negative_index",
+            "equal_indices",
+            "negative_sizes",
+            "sizes_above_the_document_count",
+            "more_merges_than_clusters",
+            "infinite_vector_entry",
+        ],
+    )
+    def test_inconsistent_merge_history(self, merged_archive, tamper, message):
+        data = mutate_header(archive_to_bytes(merged_archive), tamper)
+        with pytest.raises(ArchiveError, match=message):
             archive_from_bytes(data)
 
     @pytest.mark.parametrize(
@@ -533,7 +587,6 @@ class TestRejection:
     LIST_KINDS = {
         "labels": "integers",
         "assignment": "integers",
-        "topic_provenance": "integers",
         "vocabulary.counts": "integers",
         "vocabulary.words": "strings",
         "doc_ids": "strings",
@@ -547,7 +600,6 @@ class TestRejection:
             ("labels", 0.9, "labels"),
             ("assignment", "3", "assignment"),
             ("assignment", True, "assignment"),
-            ("topic_provenance", [0.0], "topic_provenance[0]"),
             ("vocabulary.counts", 2.5, "vocabulary.counts"),
             ("vocabulary.counts", True, "vocabulary.counts"),
             ("vocabulary.words", 7, "vocabulary.words"),
@@ -587,6 +639,25 @@ class TestRejection:
         dim = merged_archive.embedding_config.vector_size
         assert str(excinfo.value) == (
             f"archive merge_history[0].vector must have {dim} values"
+        )
+
+    def test_topic_model_of_other_clusters(self, archive):
+        # A topic model's original topics are its labeling's clusters.
+        model = archive.topic_model
+        wider = dataclasses.replace(model, vectors=np.vstack([model.vectors] * 2))
+        n = archive.labeling.n_clusters
+        with pytest.raises(ValidationError) as excinfo:
+            ModelArchive.from_pipeline(
+                archive.embedding,
+                archive.reduced_coords,
+                archive.labeling,
+                wider,
+                archive.embedding_config,
+                archive.reduction_config,
+                archive.cluster_config,
+            )
+        assert str(excinfo.value) == (
+            f"topic model has {2 * n} original topics, labeling has {n} clusters"
         )
 
     def test_missing_file(self, tmp_path):

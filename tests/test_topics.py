@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicforge import (
     ClusterConfig,
@@ -30,6 +32,8 @@ from topicforge.topics import (
     model_topic_spec,
     topics_to_dicts,
 )
+
+from oracles import provenance_after_merges
 
 
 def make_vocab(words):
@@ -258,12 +262,7 @@ class TestReduceTopics:
     @staticmethod
     def with_empty_topics(model, *vectors):
         """The model with topics appended that no document is nearest to."""
-        k = model.n_topics
-        return dataclasses.replace(
-            model,
-            vectors=np.vstack([model.vectors, vectors]),
-            provenance=model.provenance + tuple((k + i,) for i in range(len(vectors))),
-        )
+        return dataclasses.replace(model, vectors=np.vstack([model.vectors, vectors]))
 
     def test_empty_topic_merges_into_its_nearest(self):
         model = self.with_empty_topics(three_cluster_model(), [0.0, 1.0, 0.0])
@@ -292,6 +291,67 @@ class TestReduceTopics:
     def test_rejects_bad_targets(self, target):
         with pytest.raises(ValidationError):
             reduce_topics(three_cluster_model(), target)
+
+
+@st.composite
+def reduction_sessions(draw):
+    """A random labeling of 2 to 12 clusters, a seed for its vectors, and
+    the decreasing targets of one to four ``reduce`` sessions."""
+    n_clusters = draw(st.integers(2, 12))
+    labels = draw(
+        st.lists(st.integers(-1, n_clusters - 1), min_size=0, max_size=30)
+    )
+    targets = draw(
+        st.lists(st.integers(1, n_clusters - 1), min_size=1, max_size=4, unique=True)
+    )
+    return n_clusters, labels, draw(st.integers(0, 2**32 - 1)), sorted(targets)[::-1]
+
+
+class TestProvenance:
+    """``provenance`` replays the merge history as reduce_topics once kept it."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(reduction_sessions())
+    def test_equals_the_bookkeeping_across_sessions(self, case):
+        n_clusters, extra_labels, seed, targets = case
+        rng = np.random.default_rng(seed)
+        # Every cluster has a document; the drawn labels add more, and noise.
+        labels = np.array(list(range(n_clusters)) + extra_labels)
+        dim = 4
+        embedding = dataclasses.replace(
+            fabricated_embedding(
+                rng.standard_normal((len(labels), dim)),
+                rng.standard_normal((3, dim)),
+                ["a", "b", "c"],
+            ),
+            epoch_losses=[1.0],
+        )
+        labeling = ClusterLabeling(
+            labels=labels, n_clusters=n_clusters, cluster_stability=np.ones(n_clusters)
+        )
+        model = build_topic_model(embedding, labeling)
+        expected = tuple((k,) for k in range(n_clusters))
+        assert model.provenance == expected
+        for target in targets:
+            done = len(model.merge_history)
+            model = reduce_topics(model, target)
+            expected = provenance_after_merges(
+                expected,
+                [(r.absorbed, r.absorbing) for r in model.merge_history[done:]],
+            )
+            assert model.provenance == expected
+            # The next session reduces the model as a load gives it back.
+            archive = ModelArchive.from_pipeline(
+                embedding,
+                rng.standard_normal((len(labels), 2)),
+                labeling,
+                model,
+                EmbeddingConfig(vector_size=dim, epochs=1, min_count=1),
+                ReductionConfig(n_components=2),
+                ClusterConfig(),
+            )
+            model = archive_from_bytes(archive_to_bytes(archive)).topic_model
+            assert model.provenance == expected
 
 
 class TestSearch:
