@@ -65,15 +65,13 @@ class Vocabulary:
     """Frequency-filtered word inventory.
 
     Words are ordered by descending corpus count with ties broken by the
-    word string, so index 0 is the most frequent word.  ``total_tokens``
-    counts every token seen in the corpus, including tokens of words that
-    the minimum-count filter later discarded; the retained mass is
-    ``counts.sum()``.
+    word string, so index 0 is the most frequent word.  ``counts`` holds
+    the retained words' counts alone, so ``counts.sum()`` is the retained
+    token mass, not the corpus's token count.
     """
 
     words: tuple[str, ...]
     counts: np.ndarray
-    total_tokens: int
     keep_probability: np.ndarray
 
     @cached_property
@@ -188,7 +186,6 @@ def build_vocabulary(
     return Vocabulary(
         words=tuple(scan.words[i] for i in order.tolist()),
         counts=counts,
-        total_tokens=len(scan.ids),
         keep_probability=keep_probabilities(counts, subsample_threshold),
     )
 

@@ -6,8 +6,8 @@ little-endian float32 matrix blocks in row-major order, in the order of
 ``_MATRIX_NAMES``.  Each block's shape is sized from the header's counts:
 the document ids, the vocabulary words, the vector size, the layout
 components and the clusters less the merges.  The blocks are stored (and
-kept in memory) as float32, stabilities, epoch losses and merge vectors
-as JSON doubles, so a save/load round trip is bit-identical.
+kept in memory) as float32, stabilities and epoch losses as JSON
+doubles, so a save/load round trip is bit-identical.
 
 Everything is validated before anything is returned: wrong magic, an
 unsupported version, a truncated file, counts that do not account for
@@ -46,7 +46,7 @@ from .reduction import ReductionConfig
 from .topics import MergeRecord, TopicModel
 
 MAGIC = b"TPFG"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 _MATRIX_NAMES = (
     "doc_vectors",
@@ -139,7 +139,6 @@ def _archive_parts(archive: ModelArchive) -> list:
         "vocabulary": {
             "words": list(vocab.words),
             "counts": [int(c) for c in vocab.counts],
-            "total_tokens": vocab.total_tokens,
         },
         "doc_ids": list(embedding.doc_ids),
         "epoch_losses": [float(x) for x in embedding.epoch_losses],
@@ -152,7 +151,6 @@ def _archive_parts(archive: ModelArchive) -> list:
                 "absorbing": r.absorbing,
                 "absorbed_size": r.absorbed_size,
                 "absorbing_size": r.absorbing_size,
-                "vector": [float(x) for x in r.vector],
             }
             for r in topic_model.merge_history
         ],
@@ -234,12 +232,11 @@ def _known(obj: dict, keys, path: str) -> None:
     _require(not unknown, f"archive {path} has unknown fields {unknown}")
 
 
-def _record(cls: type, obj: dict, path: str, **given):
+def _record(cls: type, obj: dict, path: str):
     """``cls`` from the header object ``obj``, which holds exactly its fields."""
     kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     _known(obj, kinds, path)
-    read = {k: _read.value(obj, k, kinds[k], path) for k in kinds if k not in given}
-    return cls(**read, **given)
+    return cls(**{k: _read.value(obj, k, kinds[k], path) for k in kinds})
 
 
 def _parse_config(cls: type, header: dict, key: str):
@@ -266,22 +263,16 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
     reduction_config = _parse_config(ReductionConfig, header, "reduction_config")
     cluster_config = _parse_config(ClusterConfig, header, "cluster_config")
     v = _read.value(header, "vocabulary", "object")
-    _known(v, ("words", "counts", "total_tokens"), "vocabulary")
+    _known(v, ("words", "counts"), "vocabulary")
     words = tuple(_read.list(v, "words", "str", "vocabulary"))
     counts = np.array(_read.list(v, "counts", "int", "vocabulary"), dtype=np.int64)
     _require(len(words) >= 1, "archive vocabulary is empty")
     _require(len(counts) == len(words), "vocabulary words and counts differ in number")
     _require(len(set(words)) == len(words), "archive vocabulary repeats a word")
     _require(bool(np.all(counts > 0)), "vocabulary counts must be positive")
-    total_tokens = _read.value(v, "total_tokens", "int", "vocabulary")
-    _require(
-        total_tokens >= sum(counts.tolist()),
-        "vocabulary total_tokens is below the sum of its counts",
-    )
     vocab = Vocabulary(
         words=words,
         counts=counts,
-        total_tokens=total_tokens,
         keep_probability=keep_probabilities(
             counts, embedding_config.subsample_threshold
         ),
@@ -302,17 +293,11 @@ def _parse_archive(fh: BinaryIO) -> ModelArchive:
         np.array_equal(np.unique(labels[labels >= 0]), np.arange(n_clusters)),
         "cluster labels do not use every cluster",
     )
-    dim = embedding_config.vector_size
-    history = []
-    for i, r in enumerate(_read.list(header, "merge_history", "object")):
-        path = f"merge_history[{i}]"
-        vector = np.array(_read.list(r, "vector", "float", path), dtype=np.float64)
-        _require(len(vector) == dim, f"archive {path}.vector must have {dim} values")
-        _require(
-            bool(np.isfinite(vector).all()), f"archive {path}.vector must be finite"
-        )
-        history.append(_record(MergeRecord, r, path, vector=vector))
-    n_docs, n_words = len(doc_ids), len(words)
+    history = [
+        _record(MergeRecord, r, f"merge_history[{i}]")
+        for i, r in enumerate(_read.list(header, "merge_history", "object"))
+    ]
+    n_docs, n_words, dim = len(doc_ids), len(words), embedding_config.vector_size
     n_topics = n_clusters - len(history)
     _require(
         n_topics >= 1,

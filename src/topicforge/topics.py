@@ -44,13 +44,14 @@ class Topic:
 
 @dataclass(frozen=True)
 class MergeRecord:
-    """One step of topic reduction, with sizes at merge time."""
+    """One step of topic reduction, with sizes at merge time.  The merged
+    vector is stored once, as the absorbing topic's row of
+    ``TopicModel.vectors``, which a later merge may fold further."""
 
     absorbed: int
     absorbing: int
     absorbed_size: int
     absorbing_size: int
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,17 @@ def reduce_topics(model: TopicModel, target: int) -> TopicModel:
         t = int(order[order != s][0])
         pair_total = int(sizes[s] + sizes[t])
         if pair_total > 0:
-            merged = (sizes[s] * vectors[s] + sizes[t] * vectors[t]) / pair_total
+            vectors[t] = (sizes[s] * vectors[s] + sizes[t] * vectors[t]) / pair_total
         else:
-            merged = (vectors[s] + vectors[t]) / 2.0
+            vectors[t] = (vectors[s] + vectors[t]) / 2.0
         history.append(
             MergeRecord(
                 absorbed=s,
                 absorbing=t,
                 absorbed_size=int(sizes[s]),
                 absorbing_size=int(sizes[t]),
-                vector=merged,
             )
         )
-        vectors[t] = merged
         vectors = np.delete(vectors, s, axis=0)
         assignment = _nearest_topics(unit_docs, vectors)
     return TopicModel(

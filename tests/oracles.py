@@ -21,7 +21,7 @@ def _regex_tokens(text):
 
 
 def vocabulary_oracle(docs, min_count, subsample_threshold):
-    """Words, counts, total tokens and keep probabilities, counted with
+    """Words, counts and keep probabilities, counted with
     one ``Counter.update`` per document.
 
     Words seen at least ``min_count`` times are kept, by descending count
@@ -45,7 +45,7 @@ def vocabulary_oracle(docs, min_count, subsample_threshold):
     retained.sort(key=itemgetter(1), reverse=True)
     kept = sum(c for _, c in retained)
     keep = [min(1.0, math.sqrt(subsample_threshold / (c / kept))) for _, c in retained]
-    return [w for w, _ in retained], [c for _, c in retained], total, keep
+    return [w for w, _ in retained], [c for _, c in retained], keep
 
 
 def index_oracle(docs, word_index):

@@ -160,8 +160,6 @@ class TestBuildVocabulary:
     def test_min_count_filters(self):
         vocab = build_vocabulary(self.docs(), min_count=3)
         assert vocab.words == ("apple", "banana")
-        # total_tokens still counts the filtered words' occurrences
-        assert vocab.total_tokens == 9
         assert int(vocab.counts.sum()) == 7
 
     def test_tie_break_is_alphabetical(self):
@@ -271,7 +269,7 @@ class TestOnePass:
     def test_matches_the_per_document_loops(self, texts, min_count):
         docs = [Document(id=str(i), raw=t) for i, t in enumerate(texts)]
         try:
-            words, counts, total, keep = vocabulary_oracle(docs, min_count, 1e-2)
+            words, counts, keep = vocabulary_oracle(docs, min_count, 1e-2)
         except ValueError as exc:
             with pytest.raises(EmptyVocabularyError) as info:
                 build_vocabulary(docs, min_count, 1e-2)
@@ -285,7 +283,6 @@ class TestOnePass:
             assert vocab.words == tuple(words)
             assert vocab.counts.dtype == np.int64
             assert vocab.counts.tolist() == counts
-            assert type(vocab.total_tokens) is int and vocab.total_tokens == total
             assert vocab.keep_probability.tolist() == keep
         for indexed in (
             index_documents(docs, vocab),

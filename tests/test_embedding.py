@@ -62,11 +62,9 @@ def cosine_similarity(a, b):
 
 def make_vocab(words, counts):
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
     return Vocabulary(
         words=tuple(words),
         counts=counts,
-        total_tokens=total,
         keep_probability=np.ones(len(words)),
     )
 
